@@ -30,7 +30,13 @@ from .errors import (
     NumericalError,
     UnsupportedAngleTypeError,
 )
-from .metrics import angles_of_metric, cone_angles, cov_complex, curvature, volume
+from .metrics import (
+    angles_of_metric,
+    cone_angles,
+    cov_complex,
+    curvature,
+    volume_of_metric,
+)
 from .solver import (
     SolveOptions,
     classify_maximizer,
@@ -171,11 +177,10 @@ def _execute(args):
                 }
             )
         else:
-            assignment = angles_of_metric(c, lengths, args.flavor)
             value, grad = cov_complex(c, lengths, args.flavor)
             report.update(
                 {
-                    "volume": volume(c, assignment, args.flavor),
+                    "volume": volume_of_metric(c, lengths, args.flavor),
                     "covolume": value,
                     "cone_angles": grad.tolist(),
                 }
@@ -215,38 +220,49 @@ def _execute(args):
     return report
 
 
-def run(argv):
-    """Execute one command; returns (exit_code, report dict)."""
+def _run(argv):
+    """Parse and execute one command: (exit_code, report or None, parsed args or None).
+
+    The report is None when argparse has printed help and asked to exit 0;
+    the parsed args are None when argv does not parse.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return (1 if exc.code else 0), {"error": {"code": "usage", "message": "bad arguments"}}
+        if not exc.code:
+            return 0, None, None
+        return 1, {"error": {"code": "usage", "message": "bad arguments"}}, None
 
     start = time.perf_counter()
     try:
         report = _execute(args)
     except (GluingError, DomainError, FileNotFoundError, json.JSONDecodeError) as exc:
-        return 1, {"error": {"code": "malformed_input", "message": str(exc)}}
+        return 1, {"error": {"code": "malformed_input", "message": str(exc)}}, args
     except (NotPositiveFeasibleError, UnsupportedAngleTypeError) as exc:
-        return 2, {"error": {"code": "infeasible", "message": str(exc)}}
+        return 2, {"error": {"code": "infeasible", "message": str(exc)}}, args
     except (NumericalError, HypmetError) as exc:
-        return 3, {"error": {"code": "numerical_failure", "message": str(exc)}}
+        return 3, {"error": {"code": "numerical_failure", "message": str(exc)}}, args
     if args.timings:
         report["timings"] = {"total_seconds": time.perf_counter() - start}
-    return 0, report
+    return 0, report, args
+
+
+def run(argv):
+    """Execute one command; returns (exit_code, report dict).
+
+    The report is None after --help, whose text argparse prints itself.
+    """
+    code, report, _ = _run(argv)
+    return code, report
 
 
 def main(argv=None):
-    args = sys.argv[1:] if argv is None else list(argv)
-    code, report = run(args)
+    code, report, args = _run(sys.argv[1:] if argv is None else list(argv))
+    if report is None:
+        return code
     text = json.dumps(report, indent=2)
-    path = None
-    for i, a in enumerate(args):
-        if a == "--output" and i + 1 < len(args):
-            path = args[i + 1]
-        elif a.startswith("--output="):
-            path = a.split("=", 1)[1]
+    path = getattr(args, "output", None)
     if path and "error" not in report:
         with open(path, "w") as fh:
             fh.write(text + "\n")

@@ -1,4 +1,4 @@
-"""Geometry of a single generalized hyper-ideal tetrahedron.
+"""Geometry of generalized hyper-ideal tetrahedra.
 
 Edges are indexed by six slots with slots s and s+3 opposite:
 
@@ -15,14 +15,44 @@ Outside L the complement splits into three flat regions Omega_p, one per
 opposite pair, where the pair carries phi <= -1 (dihedral angle pi) and the
 four remaining edges carry phi >= 1 (angle 0).  The dihedral angle map
 extends continuously to all of R^6 by clamping lengths at zero and clamping
-phi into [-1, 1] before arccos.
+phi into [-1, 1] before arccos.  phi is evaluated on cosh values rescaled
+by a power of two near the largest cosh of the tetrahedron, so long edges
+cannot overflow; the rescaling is exact, so phi keeps the rounding of the
+unscaled cosine law.
 
 The covolume is the C^1 convex primitive of the closed 1-form
-mu = sum_s a_s dl_s, recovered by integrating mu along the straight segment
-from the origin and adding the base value cov(0) = 16 Lambda(pi/4), the
-doubled volume of the regular ideal octahedron that the zero-length
-tetrahedron degenerates to.  The hyperbolic volume is then
-vol = (cov - sum a_s l_s) / 2, which vanishes on the flat regions.
+mu = sum_s a_s dl_s with base value cov(0) = 16 Lambda(pi/4), the doubled
+volume of the regular ideal octahedron that the zero-length tetrahedron
+degenerates to.  It has a closed form.  Clamped slots carry angle 0, so
+with l+ = max(l, 0)
+
+    cov(l) = 2 vol(a(l+)) + sum_s a_s(l+) l+_s,
+
+and on the flat region Omega_p, where the volume vanishes,
+cov(l) = pi (l+_p + l+_{p+3}).  The volume is the Murakami-Yano formula
+(Comm. Anal. Geom. 2005), which Ushijima extended to hyper-ideal vertices
+("A volume formula for generalized hyperbolic tetrahedra", 2006).  On
+hyper-ideal tetrahedra its dilogarithm arguments all lie on the unit
+circle, so it is a signed sum of 16 Lobachevsky values (`_volume`).
+
+Next to a flat wall the angles approach the flat pattern of one pair, where
+the face Gram determinant and the formula's other ingredients vanish.
+`_volume` evaluates them on the angles shifted by pi on that pair, which
+keeps it accurate to about 1e-15 in absolute terms on any angle vector.
+Angles computed from lengths are another matter: arccos near -1 amplifies
+the cosine law's roundoff, and once both angles of a pair lie within about
+1e-6 of pi the covolume built from them drifts by more than 1e-11.  In the
+near-wall band, where both lie within _BAND of pi, the kernel therefore
+steps along the two lengths of that pair to the wall and integrates the
+pair's angles back (`_cov_near_wall`): a one-dimensional integral of two
+slots with a single square-root endpoint, which a change of variable makes
+smooth.
+
+`hyper_kernel` evaluates phi, the angles, cov and vol for an array of T
+tetrahedra in one numpy pass; the scalar functions are its T = 1 views.
+`mu_segment_integral`, the adaptive quadrature of mu along a straight
+segment, is independent of the closed form and serves as its oracle; the
+solvers do not use it.
 
 psi is the inverse cosine-law expression: for a type-I angle vector a the
 edge lengths of the realizing tetrahedron are arccosh(psi_s(a)).
@@ -31,6 +61,7 @@ edge lengths of the realizing tetrahedron are arccosh(psi_s(a)).
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -42,16 +73,19 @@ from .errors import (
     NumericalError,
     UnsupportedAngleTypeError,
 )
-from .lobachevsky import lobachevsky
+from .lobachevsky import lobachevsky, lobachevsky_array
 
 __all__ = [
     "EDGE_VERTICES",
     "VERTEX_SLOTS",
     "LengthClass",
+    "HyperKernel",
     "vertex_edge_length",
     "phi",
     "classify_lengths",
+    "hyper_angles",
     "hyper_angles_from_lengths",
+    "hyper_kernel",
     "psi",
     "classify_angles",
     "cov_hyper",
@@ -96,6 +130,61 @@ _FACE_SLOTS = tuple(
     for f in FACES
 )
 
+# the same tables as index arrays for the batched cosine law: _GATHER picks,
+# in one pass, the three face slots of each face (4 columns each), then
+# the slots ik, ih, jk, jh and kh of each slot (6 columns each)
+_F1, _F2 = (np.array([row[i] for row in _SLOT_TABLE]) for i in (5, 6))
+_GATHER = np.concatenate(
+    [np.array(col) for col in zip(*_FACE_SLOTS)]
+    + [np.array([row[i] for row in _SLOT_TABLE]) for i in range(5)]
+)
+
+# slot of the edge shared by faces f != g
+_SHARED = np.array(
+    [[_slot(*(set(f) & set(g))) if f != g else 0 for g in FACES] for f in FACES]
+)
+_OFF_DIAGONAL = ~np.eye(4, dtype=bool)
+
+
+def _slot_sums(groups):
+    """Matrix (6, len(groups)) whose column j sums the slots of groups[j]."""
+    out = np.zeros((6, len(groups)))
+    for j, group in enumerate(groups):
+        out[list(group), j] = 1.0
+    return out
+
+
+# Murakami-Yano phases.  The quadratic's leading coefficient sums exp(i x)
+# over x = the angle sums of the three opposite pairs, of the four faces and
+# of all six slots; the 16 Lobachevsky arguments use beta = 0, the sums over
+# each pair's complement, and pi plus each vertex sum, entering the volume
+# with the signs _SIGN.  _volume takes pi off the angles of one opposite
+# pair.  That moves each phase by pi times its number of slots of the pair,
+# the same for all three pairs, which gives the signs _PHASE_SIGN; and it
+# moves each beta by an even multiple of pi, which Lambda's period absorbs
+# once beta is halved, so the vertex sums drop their pi.
+_PAIRS = ((0, 3), (1, 4), (2, 5))
+_DEN_PHASES = _slot_sums(_PAIRS + _FACE_SLOTS + (range(6),))
+_PHASE_SIGN = np.array([1, 1, 1, -1, -1, -1, -1, 1], dtype=float)
+_BETA = _slot_sums(((),) + tuple(set(range(6)) - set(p) for p in _PAIRS) + VERTEX_SLOTS)
+_SIGN = np.array([1, 1, 1, 1, -1, -1, -1, -1], dtype=float)
+_PAIR_SLOTS = np.array([[s in p for s in range(6)] for p in _PAIRS])
+
+# both angles of a pair this close to pi: the tetrahedron is in the near-wall
+# band, where the kernel integrates instead of using its closed-form angles
+# (which carry the covolume to 1e-14 down to 1e-5 from pi, 3e-11 at 1e-6)
+_BAND = 1e-3
+# the cosine law runs on cosh values scaled by a power of two once a length
+# exceeds _SCALE_FROM (below it cosh^6 fits a double unscaled); math.cosh
+# overflows past _COSH_MAX, where cosh l = e^l / 2 to double precision
+_SCALE_FROM = 64.0
+_COSH_MAX = 700.0
+_LN2 = math.log(2.0)
+# past this the binary scale exponent no longer resolves a length to a unit
+_MAX_LENGTH = 1e12
+# scaled face terms below this are too close to underflow for the cosine law
+_FACE_FLOOR = 1e-280
+
 
 def _check_six(l, name="edge lengths"):
     if len(l) != 6:
@@ -104,6 +193,15 @@ def _check_six(l, name="edge lengths"):
     if not all(math.isfinite(v) for v in vals):
         raise DomainError(f"{name} must be finite, got {vals}")
     return vals
+
+
+def _check_batch(l):
+    arr = np.asarray(l, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 6:
+        raise DomainError(f"expected an array of shape (T, 6), got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("edge lengths must be finite")
+    return arr
 
 
 def vertex_edge_length(l_ij, l_ik, l_jk):
@@ -124,34 +222,64 @@ def vertex_edge_length(l_ij, l_ik, l_jk):
     return math.acosh(max(arg, 1.0))
 
 
-def _phi_from_cosh(c):
-    """The six phi values from the six cosh(edge length) values."""
-    face_d = []
-    for sa, sb, sc in _FACE_SLOTS:
-        ca, cb, cc = c[sa], c[sb], c[sc]
-        face_d.append(2.0 * ca * cb * cc + ca * ca + cb * cb + cc * cc - 1.0)
-    out = []
-    for s in range(6):
-        ik, ih, jk, jh, kh, f1, f2 = _SLOT_TABLE[s]
-        cij = c[s]
-        if cij == 1.0:
-            # zero-length edge: numerator and denominator both factor as
-            # (c_ik + c_jk)(c_ih + c_jh); make the value 1 exact so the
-            # extended angle at a clamped slot is exactly 0
-            out.append(1.0)
-            continue
-        num = (
-            c[ik] * c[ih]
-            + c[jk] * c[jh]
-            + cij * (c[ik] * c[jh] + c[ih] * c[jk])
-            - (cij * cij - 1.0) * c[kh]
+def _phi(lp):
+    """phi of an array (T, 6) of nonnegative lengths; exactly 1 where cosh l is 1.
+
+    The cosine law is evaluated on c = cosh(l) / 2^m, one binary exponent m
+    per tetrahedron: m = 0 while its lengths stay below _SCALE_FROM (cosh^6
+    then fits a double), about the binary exponent of its largest cosh
+    otherwise, so long edges cannot overflow.  Terms of degree below three
+    carry the matching powers of 2^-m, and the two face terms of the
+    denominator are scaled by even powers of two before their product is
+    taken.  Every rescaling is exact, so phi is the unscaled cosine law to
+    the last bit wherever that does not overflow.
+
+    The one scale per tetrahedron also sets the range: a face without the
+    longest edge scales like 2^-3m, so one edge longer than about 216 next
+    to edges of length 1 (a face term below _FACE_FLOOR) raises
+    NumericalError, as does any length above _MAX_LENGTH.
+    """
+    top = lp.max()
+    if top > _MAX_LENGTH:
+        raise NumericalError(f"edge length {top} exceeds the cosine law's range {_MAX_LENGTH}")
+    ch = _libm(math.cosh, np.minimum(lp, _COSH_MAX))
+    m = np.floor(lp.max(axis=1, keepdims=True) / _LN2)
+    m[m <= _SCALE_FROM / _LN2] = 0.0
+    shift = -m.astype(int)
+    c = np.where(lp < _COSH_MAX, np.ldexp(ch, shift), 0.5 * np.exp(lp - m * _LN2))
+    e = np.ldexp(1.0, shift)
+    g = c[:, _GATHER]
+    ca, cb, cc = g[:, 0:4], g[:, 4:8], g[:, 8:12]
+    ik, ih, jk, jh, kh = (g[:, 12 + 6 * i : 18 + 6 * i] for i in range(5))
+    # (2 ca cb cc + ca^2 + cb^2 + cc^2 - 1) / 2^3m
+    face = 2.0 * ca * cb * cc + e * (ca * ca) + e * (cb * cb) + e * (cc * cc) - e * e * e
+    if face.min() < _FACE_FLOOR:
+        row = int(np.flatnonzero(face.min(axis=1) < _FACE_FLOOR)[0])
+        raise NumericalError(
+            f"edge lengths {tuple(lp[row].tolist())} spread too widely for the cosine law"
         )
-        out.append(num / math.sqrt(face_d[f1] * face_d[f2]))
-    return tuple(out)
+    half = np.frexp(face)[1] // 2
+    unit = np.ldexp(face, -2 * half)
+    den = np.ldexp(np.sqrt(unit[:, _F1] * unit[:, _F2]), half[:, _F1] + half[:, _F2])
+    num = e * (ik * ih) + e * (jk * jh) + c * (ik * jh + ih * jk) - (c * c - e * e) * kh
+    return np.where(ch == 1.0, 1.0, num / den)
 
 
-def _phi_clamped(l):
-    return _phi_from_cosh([math.cosh(v) if v > 0.0 else 1.0 for v in l])
+def _libm(fn, x):
+    """fn (from math) applied elementwise.
+
+    numpy's vectorized cosh and arccos differ from the C library's in the
+    last bit for about a fifth of all arguments.  The C library keeps the
+    angle map, and with it angle reports and solver paths, bit-identical to
+    the scalar cosine law; numpy's functions move the converged lengths of
+    a hyper solve by a few ulp.  On a 2-vCPU x86-64 machine the loop takes
+    about 10% of a kernel call at T = 32 and about 30% at T = 512 or more.
+    """
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _angles(ph):
+    return _libm(math.acos, np.maximum(np.minimum(ph, 1.0), -1.0))
 
 
 def phi(l):
@@ -162,7 +290,7 @@ def phi(l):
     vals = _check_six(l)
     if min(vals) <= 0.0:
         raise DomainError(f"phi requires strictly positive lengths, got {vals}")
-    return _phi_from_cosh([math.cosh(v) for v in vals])
+    return tuple(_phi(np.array([vals]))[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -197,7 +325,7 @@ def classify_lengths(l, tol=1e-9):
     vals = _check_six(l)
     if min(vals) <= 0.0:
         raise DomainError(f"classify_lengths requires strictly positive lengths, got {vals}")
-    ph = _phi_from_cosh([math.cosh(v) for v in vals])
+    ph = phi(vals)
     flat_pairs = [p for p in range(3) if ph[p] <= -1.0 + tol or ph[p + 3] <= -1.0 + tol]
     if len(flat_pairs) > 1:
         raise ConsistencyError(
@@ -212,19 +340,173 @@ def classify_lengths(l, tol=1e-9):
     return LengthClass("hyper_ideal", None, ph)
 
 
-def hyper_angles_from_lengths(l):
-    """Continuously extended dihedral angles for an arbitrary real 6-vector.
+def hyper_angles(l):
+    """Continuously extended dihedral angles of T tetrahedra, shape (T, 6).
 
     Lengths are clamped at zero, phi at [-1, 1]; a slot with l <= 0 gets
     angle 0, a flat pair gets pi.  The six slots are independent: opposite
     angles coincide only in the degenerate classes.
     """
+    return _angles(_phi(np.maximum(_check_batch(l), 0.0)))
+
+
+def hyper_angles_from_lengths(l):
+    """The extended dihedral angles of one arbitrary real 6-vector (see hyper_angles)."""
     vals = _check_six(l)
-    ph = _phi_clamped(vals)
-    return tuple(
-        0.0 if vals[s] <= 0.0 else math.acos(min(1.0, max(-1.0, ph[s])))
-        for s in range(6)
-    )
+    return tuple(_angles(_phi(np.maximum(np.array([vals]), 0.0)))[0].tolist())
+
+
+class HyperKernel(NamedTuple):
+    """Per-tetrahedron output of hyper_kernel for T tetrahedra."""
+
+    phi: np.ndarray  # (T, 6) cosine-law values at the clamped lengths
+    angles: np.ndarray  # (T, 6) extended dihedral angles, the gradient of cov
+    cov: np.ndarray  # (T,) extended covolume
+    vol: np.ndarray  # (T,) volume, 0 on the flat regions
+
+
+def hyper_kernel(l, tol=1e-10):
+    """phi, angles, covolume and volume of T tetrahedra with lengths l, shape (T, 6).
+
+    Any finite reals are accepted: cov is the C^1 convex extension.  tol is
+    the absolute accuracy target of the integral that replaces the closed
+    form in the near-wall band.  Raises NumericalError for lengths the
+    cosine law cannot evaluate in double precision.
+    """
+    lp = np.maximum(_check_batch(l), 0.0)
+    ph = _phi(lp)
+    a = _angles(ph)
+    vol = _volume(a)
+    pair_min = np.minimum(ph[:, :3], ph[:, 3:])
+    flat = np.flatnonzero(pair_min.min(axis=1) <= -1.0)
+    vol[flat] = 0.0
+    cov = 2.0 * vol + np.einsum("ij,ij->i", a, lp)
+    p = pair_min[flat].argmin(axis=1)
+    cov[flat] = math.pi * (lp[flat, p] + lp[flat, p + 3])
+    near = np.minimum(a[:, :3], a[:, 3:]) > math.pi - _BAND
+    near[flat] = False
+    for t in np.flatnonzero(near.any(axis=1)):
+        cov[t] = _cov_near_wall(lp[t], int(near[t].argmax()), tol)
+        vol[t] = 0.5 * (cov[t] - float(a[t] @ lp[t]))
+    return HyperKernel(ph, a, cov, vol)
+
+
+def _volume(a):
+    """Volume of the tetrahedra with dihedral angles a, shape (T, 6), in closed form.
+
+    With G the face Gram matrix (entries -cos of the angles), Delta = -det G,
+    s = sum_p sin a_p sin a_{p+3} and delta the argument of the
+    Murakami-Yano leading coefficient (see _DEN_PHASES), the two roots of
+    the quadratic are exp(i theta) with theta = atan2(+-sqrt(Delta), -s) -
+    delta, and vol = 1/2 |sum_k sign_k (Lambda((beta_k + theta_-) / 2) -
+    Lambda((beta_k + theta_+) / 2))|.
+
+    Near the flat pattern of pair p (pi on p and p + 3, 0 elsewhere) Delta,
+    s and the leading coefficient all vanish, to orders 6, 2 and 2 in the
+    distance, and their plain evaluation loses them to cancellation.  So
+    everything is computed from dev, the angles with pi taken off the pair
+    p whose smaller angle is largest: dev is small near that pattern, and
+    each quantity becomes a sum of terms of its own order (_gram_determinant
+    and _phase_sum).  The identities hold for any p, so the same arithmetic
+    serves every tetrahedron.
+    """
+    p = np.argmax(np.minimum(a[:, :3], a[:, 3:]), axis=1)
+    dev = a - math.pi * _PAIR_SLOTS[p]
+    sn = np.sin(dev)
+    s = np.einsum("ij,ij->i", sn[:, :3], sn[:, 3:])
+    re, im = _phase_sum(dev @ _DEN_PHASES)
+    delta = np.arctan2(im, re)
+    root = np.sqrt(np.maximum(_gram_determinant(dev), 0.0))
+    theta = np.stack([np.arctan2(-root, -s), np.arctan2(root, -s)], axis=1) - delta[:, None]
+    beta = dev @ _BETA
+    lam = lobachevsky_array(0.5 * (beta[:, :, None] + theta[:, None, :]))
+    return 0.5 * np.abs((lam[:, :, 0] - lam[:, :, 1]) @ _SIGN)
+
+
+def _phase_sum(eps):
+    """Real and imaginary parts of sum_j _PHASE_SIGN_j exp(i eps_j), eps of shape (T, 8).
+
+    The signs sum to zero, and so do their sums against each slot's column
+    of _DEN_PHASES; hence the sum equals sum_j sign_j (exp(i eps_j) - 1)
+    and its imaginary part -sum_j sign_j (eps_j - sin eps_j).  Written so,
+    both parts are sums of terms of their own order, second and third in
+    eps.
+    """
+    half = np.sin(0.5 * eps)
+    re = -2.0 * (half * half) @ _PHASE_SIGN
+    tail = eps - np.sin(eps)
+    # below 0.5 the Taylor series to the 13th power gives eps - sin eps to
+    # 1e-15 relative, where the difference would cancel
+    small = np.abs(eps) < 0.5
+    x, x2 = eps[small], eps[small] ** 2
+    series = 1.0
+    for n in (156, 110, 72, 42, 20):
+        series = 1.0 - x2 / n * series
+    tail[small] = x * x2 / 6.0 * series
+    return re, -tail @ _PHASE_SIGN
+
+
+def _gram_determinant(dev):
+    """Delta = -det G from the shifted angles dev, shape (T, 6), of _volume.
+
+    With pi taken off pair p, flipping the signs of the two faces around
+    edge p + 3 turns G into J + E, where J is all ones and E has the entries
+    -2 sin^2(dev/2) off the diagonal: the rank-one limit at the flat pattern
+    of pair p becomes exactly J.  Subtracting the first face from the others
+    leaves det G as the determinant of a 3 x 3 matrix built from E alone,
+    whose entries are small near that pattern and accurate to their last
+    bits.
+    """
+    half = np.sin(0.5 * dev[:, _SHARED])
+    e = -2.0 * half * half
+    e[:, ~_OFF_DIAGONAL] = 0.0
+    r = e[:, 0, 1:]
+    m = e[:, 1:, 1:] - e[:, 1:, :1] - e[:, :1, 1:] - r[:, :, None] * r[:, None, :]
+    return -np.linalg.det(m)
+
+
+def _cov_near_wall(lp, p, tol):
+    """cov at nonnegative lengths lp in the near-wall band of flat region p.
+
+    Along l(t) = lp + t u with u = e_p + e_{p+3}, cov grows at the rate
+    a_p + a_{p+3}.  The ray enters the closure of Omega_p, a convex set, at
+    the first t* where min(phi_p, phi_{p+3}) = -1, and there
+    cov = pi (l_p + l_{p+3}).  Hence cov(lp) = pi (lp_p + lp_{p+3} + 2 t*)
+    minus the integral of a_p + a_{p+3} over [0, t*]; the substitution
+    t = t* (1 - tau^2) turns the square-root endpoint into a smooth
+    integrand.
+    """
+    u = np.zeros(6)
+    u[[p, p + 3]] = 1.0
+
+    def pair_phi(t):
+        ph = _phi((lp + t * u)[None, :])[0]
+        return ph[p], ph[p + 3]
+
+    def gap(t):
+        return 1.0 + min(pair_phi(t))
+
+    hi = 1e-3
+    for _ in range(64):
+        if gap(hi) <= 0.0:
+            break
+        hi *= 2.0
+    else:
+        raise NumericalError(f"no flat wall found along pair {p} from lengths {tuple(lp.tolist())}")
+    t_star = brentq(gap, 0.0, hi, xtol=1e-15)
+
+    def integrand(tau):
+        ph = pair_phi(t_star * (1.0 - tau * tau))
+        return 2.0 * t_star * tau * sum(math.acos(min(1.0, max(-1.0, v))) for v in ph)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        value, abserr = quad(integrand, 0.0, 1.0, epsabs=tol, epsrel=1e-13, limit=100)
+    if abserr > 50.0 * tol:
+        raise NumericalError(
+            f"near-wall integral did not converge: value={value}, abserr={abserr}, tol={tol}"
+        )
+    return math.pi * (lp[p] + lp[p + 3] + 2.0 * t_star) - value
 
 
 def _vertex_sums(a):
@@ -308,16 +590,14 @@ def _segment_knots(start, end, scan=64):
             if 1e-12 < t < 1.0 - 1e-12:
                 knots.add(t)
     ts = np.linspace(0.0, 1.0, scan + 1)
-    vals = np.empty((scan + 1, 6))
-    for idx, t in enumerate(ts):
-        vals[idx] = _phi_clamped(start + t * d)
+    vals = _phi(np.maximum(start + ts[:, None] * d, 0.0))
     for s in range(6):
         for level in (1.0, -1.0):
             g = vals[:, s] - level
             for idx in range(scan):
                 if g[idx] == 0.0 or g[idx] * g[idx + 1] >= 0.0:
                     continue
-                f = lambda t: _phi_clamped(start + t * d)[s] - level
+                f = lambda t: _phi(np.maximum(start + t * d, 0.0)[None, :])[0, s] - level
                 try:
                     root = brentq(f, ts[idx], ts[idx + 1], xtol=1e-13)
                 except ValueError:
@@ -337,8 +617,10 @@ def mu_segment_integral(start, end, tol=1e-10):
     """Line integral of mu = sum_s a_s dl_s along the straight segment.
 
     The 1-form is closed, so together with COV_AT_ORIGIN these increments
-    determine the extended covolume along any polygonal path.  Raises
-    NumericalError when the adaptive quadrature cannot certify tol.
+    determine the extended covolume along any polygonal path.  This is the
+    independent oracle for the closed-form covolume; it shares only the
+    angle map with it.  Raises NumericalError when the adaptive quadrature
+    cannot certify tol.
     """
     start = np.asarray(_check_six(start), dtype=float)
     end = np.asarray(_check_six(end), dtype=float)
@@ -373,35 +655,31 @@ def mu_segment_integral(start, end, tol=1e-10):
 def cov_hyper(l, tol=1e-10):
     """C^1 convex covolume extension at an arbitrary real 6-vector.
 
-    Integrates mu from the origin along the straight segment and adds the
-    base value 16 Lambda(pi/4).  The quadrature targets absolute error tol.
+    The T = 1 view of hyper_kernel; tol is the accuracy target of the
+    near-wall band integral.
     """
-    vals = _check_six(l)
-    return COV_AT_ORIGIN + mu_segment_integral((0.0,) * 6, vals, tol=tol)
+    return float(hyper_kernel([_check_six(l)], tol=tol).cov[0])
 
 
 def vol_hyper(l, tol=1e-10):
     """Hyperbolic volume of the generalized tetrahedron with positive lengths.
 
-    Defined as (cov(l) - sum_s a_s l_s) / 2; agrees with the geometric volume
-    on L and vanishes (up to quadrature error) on the flat regions.
+    The T = 1 view of hyper_kernel: the closed form on L, 0 on the flat
+    regions, and (cov(l) - sum_s a_s l_s) / 2 in the near-wall band.
     """
     vals = _check_six(l)
     if min(vals) <= 0.0:
         raise DomainError(f"vol_hyper requires strictly positive lengths, got {vals}")
-    a = hyper_angles_from_lengths(vals)
-    return 0.5 * (cov_hyper(vals, tol=tol) - sum(ai * li for ai, li in zip(a, vals)))
+    return float(hyper_kernel([vals], tol=tol).vol[0])
 
 
-def volume_from_angles(a, tol=1e-10, roundtrip_tol=1e-8):
+def volume_from_angles(a):
     """Volume of the tetrahedron realizing an angle vector in closure(B).
 
-    Type I: recover lengths through psi and evaluate vol_hyper, checking the
-    angle round trip to roundtrip_tol; if the round trip degrades on a
-    boundary stratum, evaluate along a short inward segment toward the
-    regular point and extrapolate linearly (the volume extends continuously
-    to the closure).  Type II is flat with volume 0.  Type III has no
-    supported evaluation.
+    Type I: the closed form evaluated on the angles themselves, which covers
+    zero angles as well and stays accurate up to the flat patterns (see
+    _volume).  Type II is flat with volume 0.  Type III has no supported
+    evaluation.
     """
     vals = _check_six(a, "dihedral angles")
     kind = classify_angles(vals)
@@ -411,21 +689,4 @@ def volume_from_angles(a, tol=1e-10, roundtrip_tol=1e-8):
         raise UnsupportedAngleTypeError(
             f"volume is not evaluated at type-III angle vectors: {vals}"
         )
-    lengths = tuple(math.acosh(max(p, 1.0)) for p in psi(vals))
-    back = hyper_angles_from_lengths(lengths)
-    if max(abs(x - y) for x, y in zip(back, vals)) <= roundtrip_tol:
-        return vol_hyper(lengths, tol=tol) if min(lengths) > 0.0 else _volume_inward(vals, tol)
-    return _volume_inward(vals, tol)
-
-
-def _volume_inward(a, tol):
-    """Continuity fallback: extrapolate volume from two points just inside B."""
-    ref = (math.pi / 4.0,) * 6
-    values = []
-    for eps in (1e-3, 5e-4):
-        inner = tuple((1.0 - eps) * x + eps * r for x, r in zip(a, ref))
-        lengths = tuple(math.acosh(max(p, 1.0)) for p in psi(inner))
-        if min(lengths) <= 0.0:
-            lengths = tuple(max(li, 1e-12) for li in lengths)
-        values.append(vol_hyper(lengths, tol=tol))
-    return 2.0 * values[1] - values[0]
+    return float(_volume(np.array([vals]))[0])

@@ -15,7 +15,8 @@ cone angle at boundary edges.
 
 The covolume of a metric is the sum of the per-tetrahedron covolumes; its
 gradient is exactly the cone-angle vector of the metric, which is what the
-solvers exploit.
+solvers exploit.  The hyper flavor evaluates all tetrahedra of a metric in
+one batched call of hyperideal.hyper_kernel.
 """
 
 import math
@@ -23,12 +24,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, UnsupportedAngleTypeError
-from .hyperideal import (
-    VERTEX_SLOTS,
-    cov_hyper,
-    hyper_angles_from_lengths,
-    volume_from_angles,
-)
+from .hyperideal import VERTEX_SLOTS, hyper_angles, hyper_kernel, volume_from_angles
 from .ideal import cov_ideal, ideal_lengths_to_angles
 from .lobachevsky import lobachevsky
 
@@ -38,6 +34,7 @@ __all__ = [
     "cone_angles",
     "curvature",
     "volume",
+    "volume_of_metric",
     "cov_complex",
     "validate_assignment",
 ]
@@ -72,14 +69,11 @@ def angles_of_metric(c, l, flavor):
     """
     _check_flavor(flavor)
     l = _check_metric(c, l, flavor)
-    if flavor == "ideal":
-        out = np.empty((c.n_tets, 3))
-        for t in range(c.n_tets):
-            out[t] = ideal_lengths_to_angles(c.tet_lengths(l, t))[:3]
-    else:
-        out = np.empty((c.n_tets, 6))
-        for t in range(c.n_tets):
-            out[t] = hyper_angles_from_lengths(c.tet_lengths(l, t))
+    if flavor == "hyper":
+        return hyper_angles(l[c.edge_index])
+    out = np.empty((c.n_tets, 3))
+    for t in range(c.n_tets):
+        out[t] = ideal_lengths_to_angles(c.tet_lengths(l, t))[:3]
     return out
 
 
@@ -135,7 +129,7 @@ def curvature(c, k):
     return full - k
 
 
-def volume(c, assignment, flavor, tol=1e-10):
+def volume(c, assignment, flavor):
     """Total volume of an angle assignment.
 
     Ideal: sum of Lambda over all quads.  Hyper: sum of per-tetrahedron
@@ -149,7 +143,7 @@ def volume(c, assignment, flavor, tol=1e-10):
     for t in range(c.n_tets):
         row = np.clip(a[t], 0.0, math.pi)
         try:
-            total += volume_from_angles(tuple(row), tol=tol)
+            total += volume_from_angles(tuple(row))
         except UnsupportedAngleTypeError:
             raise UnsupportedAngleTypeError(
                 f"tetrahedron {t} carries a type-III angle vector {a[t]}"
@@ -157,27 +151,40 @@ def volume(c, assignment, flavor, tol=1e-10):
     return float(total)
 
 
+def volume_of_metric(c, l, flavor):
+    """Total volume of the metric l, computed from the lengths themselves.
+
+    Hyper: the sum of the per-tetrahedron volumes of
+    hyperideal.hyper_kernel.  Going through the angles instead would reject
+    long edges whose angles round to a vertex sum of pi as type III.
+    Ideal: the volume of the metric's angles.
+    """
+    _check_flavor(flavor)
+    l = _check_metric(c, l, flavor)
+    if flavor == "hyper":
+        return float(hyper_kernel(l[c.edge_index]).vol.sum())
+    return volume(c, angles_of_metric(c, l, flavor), flavor)
+
+
 def cov_complex(c, l, flavor, tol=1e-10):
     """Covolume of the metric l and its gradient, the cone-angle vector.
 
-    The value is the sum of per-tetrahedron covolumes (closed-form for the
-    ideal flavor, path-integrated for the hyper flavor with quadrature
-    target tol); gradient[e] sums the dihedral angles over the instances
+    The value is the sum of per-tetrahedron covolumes, in closed form for
+    both flavors; gradient[e] sums the dihedral angles over the instances
     of e.  Both flavors accept any finite real metric: the hyper flavor
     evaluates the C^1 convex extension, which the solvers minimize over
-    all of R^E.
+    all of R^E.  tol is the accuracy target of the hyper kernel's
+    near-wall band integral (see hyperideal.hyper_kernel).
     """
     _check_flavor(flavor)
     l = _check_metric(c, l, flavor, extended=True)
+    if flavor == "hyper":
+        kernel = hyper_kernel(l[c.edge_index], tol=tol)
+        return float(kernel.cov.sum()), cone_angles(c, kernel.angles)
     value = 0.0
     grad = np.zeros(c.num_edges)
     for t in range(c.n_tets):
-        lt = c.tet_lengths(l, t)
-        if flavor == "ideal":
-            v, slot_angles = cov_ideal(lt)
-        else:
-            v = cov_hyper(lt, tol=tol)
-            slot_angles = hyper_angles_from_lengths(lt)
+        v, slot_angles = cov_ideal(c.tet_lengths(l, t))
         value += v
         np.add.at(grad, c.edge_index[t], np.asarray(slot_angles))
     return float(value), grad

@@ -16,13 +16,10 @@ hypothesis of the existence theorems.
 The descent is a limited-memory quasi-Newton iteration with analytic
 cone-angle gradients and a backtracking Armijo line search.  For the ideal
 flavor the search directions are projected onto the orthogonal complement
-of the decoration gauge subspace col(B), which removes the flat directions;
-the objective itself is closed-form.  For the hyper flavor the objective is
-expensive (a path quadrature), so accepted steps update the running value
-by integrating the directional derivative along the step segment, with a
-full path-integral resynchronization every `resync_every` accepted steps;
-closedness of the angle 1-form makes the increments exact up to quadrature
-error, and the line-search test carries a matching noise allowance.
+of the decoration gauge subspace col(B), which removes the flat directions.
+Both objectives are closed-form: one covolume call per trial point returns
+the value and the gradient, and the Armijo test compares that value with
+the cached value at the current point, up to a fixed roundoff allowance.
 """
 
 import math
@@ -40,7 +37,7 @@ from .errors import (
     NotPositiveFeasibleError,
     NumericalError,
 )
-from .hyperideal import VERTEX_SLOTS, classify_lengths, hyper_angles_from_lengths, mu_segment_integral, vol_hyper
+from .hyperideal import VERTEX_SLOTS, classify_lengths, hyper_kernel
 from .ideal import PAIRS
 from .lobachevsky import lobachevsky
 from .metrics import angles_of_metric, cone_angles, cov_complex
@@ -63,13 +60,11 @@ __all__ = [
 
 @dataclass
 class SolveOptions:
-    """Stopping and quadrature controls for solve_metric."""
+    """Stopping and line-search controls for solve_metric."""
 
     tol: float = 1e-9
     max_iter: int = 5000
-    quad_tol: float = 1e-10
     memory: int = 20
-    resync_every: int = 25
     armijo: float = 1e-4
     feasibility_tol: float = 1e-9
 
@@ -101,7 +96,6 @@ class SolveResult:
     grad_norm: float
     converged: bool
     objective_trace: list = field(default_factory=list, repr=False)
-    value_drift: float = 0.0  # |running - recomputed| objective at the end
 
 
 @dataclass
@@ -211,68 +205,35 @@ def feasibility(c, k, flavor, tol=1e-9):
     return FeasibilityReport("infeasible", None, slack)
 
 
-class _IdealObjective:
-    """Closed-form objective with gauge-projected gradients."""
+# allowance for roundoff in the Armijo test's value difference
+_ROUNDOFF = 1e-13
 
-    def __init__(self, c, k):
+
+class _Objective:
+    """f(x) = cov(x) - <x, k> and its residual k_x - k, from one covolume call.
+
+    The ideal flavor projects gradients onto the orthogonal complement of
+    the decoration gauge subspace col(B); the hyper flavor runs over all of
+    R^E with the extended covolume.
+    """
+
+    def __init__(self, c, k, flavor):
         self.c = c
         self.k = k
-        b = gauge_matrix(c)
-        self.basis = null_space(b.T)  # orthonormal basis of the complement of col(B)
+        self.flavor = flavor
+        # orthonormal basis of the complement of col(B)
+        self.basis = null_space(gauge_matrix(c).T) if flavor == "ideal" else None
 
-    def value(self, x):
-        v, _ = cov_complex(self.c, x, "ideal")
-        return v - float(x @ self.k)
-
-    def residual(self, x):
-        _, kx = cov_complex(self.c, x, "ideal")
-        return kx - self.k
+    def evaluate(self, x):
+        v, kx = cov_complex(self.c, x, self.flavor)
+        return v - float(x @ self.k), kx - self.k
 
     def project(self, g):
+        if self.basis is None:
+            return g
         if self.basis.size == 0:
             return np.zeros_like(g)
         return self.basis @ (self.basis.T @ g)
-
-    def delta(self, x, y):
-        return self.value(y) - self.value(x)
-
-    noise = 1e-13
-
-
-class _HyperObjective:
-    """Extended-covolume objective with incremental values along steps."""
-
-    def __init__(self, c, k, quad_tol):
-        self.c = c
-        self.k = k
-        self.quad_tol = quad_tol
-        self.noise = 100.0 * quad_tol * (c.n_tets + 1)
-
-    def value(self, x):
-        v, _ = cov_complex(self.c, x, "hyper", tol=self.quad_tol)
-        return v - float(x @ self.k)
-
-    def residual(self, x):
-        kx = np.zeros(self.c.num_edges)
-        for t in range(self.c.n_tets):
-            np.add.at(
-                kx,
-                self.c.edge_index[t],
-                np.asarray(hyper_angles_from_lengths(self.c.tet_lengths(x, t))),
-            )
-        return kx - self.k
-
-    def project(self, g):
-        return g
-
-    def delta(self, x, y):
-        inc = sum(
-            mu_segment_integral(
-                self.c.tet_lengths(x, t), self.c.tet_lengths(y, t), tol=self.quad_tol
-            )
-            for t in range(self.c.n_tets)
-        )
-        return inc - float((y - x) @ self.k)
 
 
 def _two_loop(g, history):
@@ -311,23 +272,16 @@ def solve_metric(c, k, flavor, opts=None):
             f"max slack {report.max_slack})"
         )
 
-    if flavor == "ideal":
-        obj = _IdealObjective(c, k)
-        x = np.zeros(c.num_edges)
-    else:
-        obj = _HyperObjective(c, k, opts.quad_tol)
-        x = np.ones(c.num_edges)
-    return _descend(c, k, flavor, obj, x, opts)
+    x = np.zeros(c.num_edges) if flavor == "ideal" else np.ones(c.num_edges)
+    return _descend(c, k, flavor, _Objective(c, k, flavor), x, opts)
 
 
 def _descend(c, k, flavor, obj, x0, opts):
     x = np.asarray(x0, dtype=float)
-    f = obj.value(x)
-    r = obj.residual(x)
+    f, r = obj.evaluate(x)
     g = obj.project(r)
     history = []
     trace = [f]
-    accepted_since_sync = 0
     iterations = 0
 
     while True:
@@ -347,20 +301,22 @@ def _descend(c, k, flavor, obj, x0, opts):
             d = -g
             gd = float(g @ d)
         alpha = 1.0
-        step_delta = None
         for _ in range(50):
-            dv = obj.delta(x, x + alpha * d)
-            if dv <= opts.armijo * alpha * gd + obj.noise:
-                step_delta = dv
+            x_new = x + alpha * d
+            try:
+                f_new, r_new = obj.evaluate(x_new)
+            except NumericalError:
+                # the trial point lies beyond the range the kernel evaluates
+                alpha *= 0.5
+                continue
+            if f_new - f <= opts.armijo * alpha * gd + _ROUNDOFF:
                 break
             alpha *= 0.5
-        if step_delta is None:
+        else:
             raise LineSearchError(
                 "backtracking found no acceptable step",
                 {"grad_norm": gnorm, "objective": f, "iteration": iterations},
             )
-        x_new = x + alpha * d
-        r_new = obj.residual(x_new)
         g_new = obj.project(r_new)
         s = x_new - x
         y = g_new - g
@@ -369,16 +325,8 @@ def _descend(c, k, flavor, obj, x0, opts):
             history.append((s, y, 1.0 / sy))
             if len(history) > opts.memory:
                 history.pop(0)
-        x, r, g = x_new, r_new, g_new
-        f += step_delta
-        accepted_since_sync += 1
-        if accepted_since_sync >= opts.resync_every:
-            f = obj.value(x)
-            accepted_since_sync = 0
+        x, f, r, g = x_new, f_new, r_new, g_new
         trace.append(f)
-
-    exact = obj.value(x)
-    drift = abs(f - exact)
 
     if flavor == "hyper":
         if np.min(x) <= 0.0:
@@ -387,10 +335,9 @@ def _descend(c, k, flavor, obj, x0, opts):
                 "this contradicts the positivity of critical points"
             )
         lengths = x
-        assignment = angles_of_metric(c, lengths, "hyper")
-        vol = float(
-            sum(vol_hyper(c.tet_lengths(lengths, t), tol=opts.quad_tol) for t in range(c.n_tets))
-        )
+        kernel = hyper_kernel(lengths[c.edge_index])
+        assignment = kernel.angles
+        vol = float(kernel.vol.sum())
     else:
         lengths = gauge_project(c, x)
         assignment = angles_of_metric(c, lengths, "ideal")
@@ -404,13 +351,12 @@ def _descend(c, k, flavor, obj, x0, opts):
         achieved_cone_angles=achieved,
         target_cone_angles=k,
         volume=vol,
-        w_value=-exact,
-        objective=exact,
+        w_value=-f,
+        objective=f,
         iterations=iterations,
         grad_norm=float(np.max(np.abs(r))),
         converged=True,
         objective_trace=trace,
-        value_drift=drift,
     )
 
 
@@ -516,11 +462,9 @@ def rigidity_check(c, k, flavor, starts=10, opts=None, seed=0, tolerance=1e-7):
     for _ in range(starts):
         if flavor == "ideal":
             x0 = rng.uniform(-1.0, 1.0, c.num_edges)
-            obj = _IdealObjective(c, k)
         else:
             x0 = rng.uniform(0.2, 3.0, c.num_edges)
-            obj = _HyperObjective(c, k, opts.quad_tol)
-        results.append(_descend(c, k, flavor, obj, x0, opts))
+        results.append(_descend(c, k, flavor, _Objective(c, k, flavor), x0, opts))
 
     max_angle = 0.0
     max_len = 0.0

@@ -2,11 +2,13 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from hypmet.cli import run
+from hypmet.lobachevsky import lobachevsky
 
 TWO_PI = 2 * math.pi
 
@@ -133,6 +135,23 @@ class TestOtherCommands:
         assert code == 0
         assert report["volume"] == pytest.approx(2 * 2.3695937312240587, abs=1e-8)
 
+    def test_volume_of_long_edges(self, fixtures_dir):
+        # the angles of these lengths round to vertex sums of pi; the volume
+        # comes from the lengths, so they are not rejected as type III
+        code, report = run(
+            [
+                "volume",
+                "--flavor",
+                "hyper",
+                "--triangulation",
+                double_path(fixtures_dir),
+                "--lengths",
+                json.dumps([40.0] * 6),
+            ]
+        )
+        assert code == 0
+        assert report["volume"] == pytest.approx(2 * 3 * lobachevsky(math.pi / 3), abs=1e-12)
+
     def test_max_angles(self, fixtures_dir):
         code, report = run(
             [
@@ -162,6 +181,63 @@ class TestOtherCommands:
         )
         assert code == 0
         assert [v["verdict"] for v in report["verdicts"]] == ["realized", "realized"]
+
+    def test_hyper_angles_of_long_edges(self, fixtures_dir):
+        flat = [math.pi, 0.0, 0.0, math.pi, 0.0, 0.0]
+        for lengths, want in (
+            ([400, 1, 1, 400, 1, 1], [flat, flat]),
+            ([800] * 6, [[math.pi / 3] * 6] * 2),
+        ):
+            code, report = run(
+                [
+                    "angles",
+                    "--flavor",
+                    "hyper",
+                    "--triangulation",
+                    double_path(fixtures_dir),
+                    "--lengths",
+                    json.dumps(lengths),
+                ]
+            )
+            assert code == 0
+            assert np.allclose(report["angles"], want, atol=1e-12)
+
+    def test_hyper_lengths_beyond_range_are_a_numerical_failure(self, fixtures_dir):
+        code, report = run(
+            [
+                "volume",
+                "--flavor",
+                "hyper",
+                "--triangulation",
+                double_path(fixtures_dir),
+                "--lengths",
+                json.dumps([800, 1, 1, 1, 1, 1]),
+            ]
+        )
+        assert code == 3
+        assert report["error"]["code"] == "numerical_failure"
+
+    def test_hyper_rigidity_random_starts_without_warnings(self, fixtures_dir):
+        # random starts take long trial steps; none may overflow or warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, report = run(
+                [
+                    "rigidity",
+                    "--flavor",
+                    "hyper",
+                    "--triangulation",
+                    fig8_path(fixtures_dir),
+                    "--cone-angles",
+                    "[3.4655165393653427, 2.3732909431833145]",
+                    "--starts",
+                    "10",
+                    "--seed",
+                    "15",
+                ]
+            )
+        assert code == 0
+        assert report["ok"] is True
 
     def test_rigidity(self, fixtures_dir):
         code, report = run(
@@ -236,3 +312,23 @@ class TestErrorPaths:
         report = json.loads(out.read_text())
         assert report["edges"] == 2
         assert capsys.readouterr().out == ""
+
+    def test_help_prints_help_only(self, capsys):
+        from hypmet.cli import main
+
+        assert main(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: hypmet")
+        assert "error" not in out
+        assert run(["--help"]) == (0, None)
+
+    def test_output_path_comes_from_parsed_arguments(self, fixtures_dir, tmp_path, capsys):
+        from hypmet.cli import main
+
+        # the = form and an unambiguous prefix of --output both name the file
+        out = tmp_path / "report.json"
+        for option in ([f"--output={out}"], ["--outp", str(out)]):
+            assert main(["validate", "--triangulation", fig8_path(fixtures_dir)] + option) == 0
+            assert json.loads(out.read_text())["edges"] == 2
+            assert capsys.readouterr().out == ""
+            out.unlink()

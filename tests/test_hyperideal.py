@@ -15,13 +15,19 @@ import math
 import numpy as np
 import pytest
 
-from hypmet.errors import DomainError, UnsupportedAngleTypeError
+from scipy.integrate import quad
+from scipy.optimize import brentq
+
+from hypmet.errors import DomainError, NumericalError, UnsupportedAngleTypeError
 from hypmet.hyperideal import (
     COV_AT_ORIGIN,
+    EDGE_VERTICES,
     classify_angles,
     classify_lengths,
     cov_hyper,
+    hyper_angles,
     hyper_angles_from_lengths,
+    hyper_kernel,
     mu_segment_integral,
     phi,
     psi,
@@ -31,7 +37,12 @@ from hypmet.hyperideal import (
 )
 from hypmet.lobachevsky import lobachevsky
 
-from oracles import central_difference, lengths_of_angles, schlafli_angle_integral
+from oracles import (
+    central_difference,
+    lengths_of_angles,
+    lobachevsky_quadrature,
+    schlafli_angle_integral,
+)
 
 ACOSH2 = math.acosh(2.0)
 EQUI_ANGLE = math.acos(2.0 / 3.0)
@@ -42,6 +53,53 @@ def flat_wall_point(s):
     """Exact point of the flat wall: phi on pair 0 equals -1."""
     f = math.acosh(2.0 * math.cosh(s) + 1.0)
     return np.array([f, s, s, f, s, s])
+
+
+def reference_angles(l):
+    """The scalar cosine law slot by slot, with math.cosh and math.acos.
+
+    Unscaled, so it overflows once the cube of a cosh leaves double range.
+    """
+    cosh = {frozenset(e): (math.cosh(v) if v > 0.0 else 1.0) for e, v in zip(EDGE_VERTICES, l)}
+
+    def face(u, v, w):
+        ca, cb, cc = cosh[frozenset((u, v))], cosh[frozenset((u, w))], cosh[frozenset((v, w))]
+        return 2.0 * ca * cb * cc + ca * ca + cb * cb + cc * cc - 1.0
+
+    out = []
+    for i, j in EDGE_VERTICES:
+        k, h = sorted(set(range(4)) - {i, j})
+        cij = cosh[frozenset((i, j))]
+        if cij == 1.0:
+            out.append(0.0)
+            continue
+        cik, cih = cosh[frozenset((i, k))], cosh[frozenset((i, h))]
+        cjk, cjh = cosh[frozenset((j, k))], cosh[frozenset((j, h))]
+        num = cik * cih + cjk * cjh + cij * (cik * cjh + cih * cjk) - (cij * cij - 1.0) * cosh[frozenset((k, h))]
+        value = num / math.sqrt(face(*sorted((i, j, k))) * face(*sorted((i, j, h))))
+        out.append(math.acos(min(1.0, max(-1.0, value))))
+    return out
+
+
+def regular_volume_schlafli():
+    """Volume of the regular tetrahedron with lengths arccosh 2, by Schlaefli.
+
+    Along the regular family with angle t, dV/dt = -3 arccosh(cos t / (2 cos t
+    - 1)), from the regular ideal tetrahedron (t = pi/3, 3 Lambda(pi/3)).
+    """
+    integral, _ = quad(
+        lambda t: math.acosh(math.cos(t) / (2.0 * math.cos(t) - 1.0)),
+        EQUI_ANGLE,
+        math.pi / 3.0,
+        epsabs=1e-14,
+        epsrel=1e-13,
+        limit=200,
+    )
+    return 3.0 * lobachevsky_quadrature(math.pi / 3.0) + 3.0 * integral
+
+
+def oracle_cov(l):
+    return COV_AT_ORIGIN + mu_segment_integral([0.0] * 6, l, tol=1e-12)
 
 
 def sample_type_one(rng, lo=0.05, margin=0.05):
@@ -375,11 +433,228 @@ class TestVolumeFromAngles:
         with pytest.raises(UnsupportedAngleTypeError):
             volume_from_angles([0.0, 0.7, math.pi - 0.7, 0.0, 0.7, math.pi - 0.7])
 
+    def test_zero_angle_against_schlafli_oracle(self):
+        # closed form on the boundary stratum: volume differences from the
+        # regular point match the angle-space Schlaefli integral
+        rng = np.random.default_rng(26)
+        regular = np.full(6, EQUI_ANGLE)
+        for _ in range(12):
+            a = sample_type_one(rng, lo=0.3, margin=0.2)
+            a[rng.integers(6)] = 0.0
+            delta = schlafli_angle_integral(regular, a)
+            got = volume_from_angles(a) - volume_from_angles(regular)
+            assert abs(got - delta) <= 1e-12
+
     def test_boundary_stratum_zero_angle(self):
-        # one zero angle: length 0 on that slot; continuity fallback applies
+        # one zero angle: length 0 on that slot; the closed form covers it
         a = [0.0, 0.5, 0.6, 0.55, 0.65, 0.45]
         v = volume_from_angles(a)
         assert v > 0.0
         inner = [1e-4, 0.5, 0.6, 0.55, 0.65, 0.45]
         v_in = volume_from_angles(inner)
         assert v == pytest.approx(v_in, abs=1e-3)
+
+    def test_near_wall_matches_length_route(self):
+        # angles from lengths 1e-3 ... 1e-11 short of a flat wall: the closed
+        # form on them agrees with the kernel's volume of the lengths, which
+        # integrates there instead
+        rng = np.random.default_rng(27)
+        for wall, d in wall_crossing_rays(rng, 6):
+            for k in range(3, 12, 2):
+                l = wall - 10.0**-k * d
+                v = volume_from_angles(hyper_angles_from_lengths(l))
+                assert abs(v - vol_hyper(l, tol=1e-13)) <= 1e-12
+
+    def test_near_wall_against_oracle(self):
+        # 1e-7 short of a flat wall; the volume from the quadrature oracle
+        # is (cov - sum a l) / 2
+        rng = np.random.default_rng(28)
+        for wall, d in wall_crossing_rays(rng, 3):
+            l = wall - 1e-7 * d
+            a = hyper_angles_from_lengths(l)
+            oracle = 0.5 * (oracle_cov(l) - float(np.dot(a, l)))
+            assert abs(volume_from_angles(a) - oracle) <= 1e-10
+
+    def test_linear_toward_flat_pattern(self):
+        # on the ray a(t) = flat + t (a - flat) the volume is c t + O(t^3);
+        # two points fix c, and the closed form must follow the line down to
+        # t = 1e-9, where the Gram determinant is of order 1e-55
+        rng = np.random.default_rng(29)
+        for p in range(3):
+            flat = np.zeros(6)
+            flat[[p, p + 3]] = math.pi
+            direction = np.zeros(6)
+            direction[[p, p + 3]] = -rng.uniform(0.5, 1.0, 2)
+            others = [s for s in range(6) if s not in (p, p + 3)]
+            direction[others] = rng.uniform(0.05, 0.2, 4)
+            assert classify_angles(flat + 0.01 * direction) == "type_I"
+
+            def slope(t):
+                return volume_from_angles(flat + t * direction) / t
+
+            c = (100.0 * slope(1e-3) - slope(1e-2)) / 99.0
+            assert c > 0.0
+            for t in (1e-5, 1e-6, 1e-7, 1e-8, 1e-9):
+                assert abs(volume_from_angles(flat + t * direction) - c * t) <= 1e-14
+
+
+class TestHyperKernel:
+    def test_angles_match_scalar_cosine_law(self):
+        rng = np.random.default_rng(20)
+        lengths = np.vstack(
+            [
+                rng.uniform(-0.5, 3.0, (300, 6)),
+                rng.uniform(0.0, 1e-7, (30, 6)),
+                rng.uniform(0.0, 60.0, (100, 6)),
+                np.hstack([rng.uniform(70.0, 110.0, (50, 1)), rng.uniform(0.1, 3.0, (50, 5))]),
+            ]
+        )
+        got = hyper_angles(lengths)
+        ref = np.array([reference_angles(l) for l in lengths])
+        # cosines, because arccos near +-1 magnifies roundoff in its argument
+        np.testing.assert_allclose(np.cos(got), np.cos(ref), rtol=0, atol=1e-14)
+
+    def test_batch_rows_match_single_tetrahedron_views(self):
+        rng = np.random.default_rng(21)
+        lengths = rng.uniform(-0.5, 3.0, (40, 6))
+        lengths[:5] = flat_wall_point(0.6) + [0.3, 0, 0, 0.3, 0, 0]
+        kernel = hyper_kernel(lengths)
+        for t, l in enumerate(lengths):
+            assert kernel.cov[t] == pytest.approx(cov_hyper(l), abs=1e-13)
+            assert kernel.angles[t].tolist() == list(hyper_angles_from_lengths(l))
+        assert np.all(kernel.vol[:5] == 0.0)
+
+    def test_long_flat_pair_does_not_overflow(self):
+        # cosh(400) overflows a double's cube: the scaled cosine law still
+        # finds the flat pattern
+        a = hyper_angles_from_lengths([400.0, 1.0, 1.0, 400.0, 1.0, 1.0])
+        assert a == (math.pi, 0.0, 0.0, math.pi, 0.0, 0.0)
+        assert vol_hyper([400.0, 1.0, 1.0, 400.0, 1.0, 1.0]) == 0.0
+
+    def test_long_regular_lengths_tend_to_regular_ideal(self):
+        a = hyper_angles_from_lengths([800.0] * 6)
+        assert a == pytest.approx((math.pi / 3,) * 6, abs=1e-15)
+        assert vol_hyper([800.0] * 6) == pytest.approx(3 * lobachevsky(math.pi / 3), abs=1e-12)
+        assert math.isfinite(cov_hyper([800.0] * 6))
+        assert hyper_angles_from_lengths([1e5] * 6) == pytest.approx((math.pi / 3,) * 6, abs=1e-15)
+
+    def test_range_of_one_long_edge(self):
+        # one scale per tetrahedron: the face of length-1 edges opposite a
+        # long edge shrinks like the cube of that scale and leaves double
+        # range once the long edge passes about 216
+        l = [170.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+        np.testing.assert_allclose(
+            np.cos(hyper_angles_from_lengths(l)), np.cos(reference_angles(l)), rtol=0, atol=1e-14
+        )
+        flat = (math.pi, 0.0, 0.0, math.pi, 0.0, 0.0)
+        assert hyper_angles_from_lengths([215.0, 1.0, 1.0, 1.0, 1.0, 1.0]) == flat
+        with pytest.raises(NumericalError):
+            hyper_angles_from_lengths([217.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+
+    def test_unevaluable_lengths_raise_typed_error(self):
+        # one edge e^800 times longer than a whole face, or lengths whose
+        # cosh no binary exponent can hold: no double carries the cosine law
+        for l in ([800.0, 1.0, 1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0, 1.0, 900.0], [1e300] * 6):
+            with pytest.raises(NumericalError):
+                hyper_angles_from_lengths(l)
+            with pytest.raises(NumericalError):
+                cov_hyper(l)
+
+    def test_rejects_bad_batches(self):
+        with pytest.raises(DomainError):
+            hyper_kernel(np.ones((2, 5)))
+        with pytest.raises(DomainError):
+            hyper_angles([[1.0, 1.0, math.nan, 1.0, 1.0, 1.0]])
+
+
+def wall_crossing_rays(rng, count):
+    """Segments from a point of L into a flat region, with their wall point.
+
+    Yields (wall point, unit direction into the flat region).
+    """
+    made = 0
+    while made < count:
+        inside = rng.uniform(0.05, 3.0, 6)
+        if min(phi(inside)) <= -0.9:
+            continue
+        outside = rng.uniform(0.05, 3.0, 6)
+        p = rng.integers(3)
+        outside[p] += rng.uniform(1.0, 4.0)
+        outside[p + 3] += rng.uniform(1.0, 4.0)
+        if min(phi(outside)) > -1.0:
+            continue
+        d = outside - inside
+        t = brentq(lambda t: min(phi(inside + t * d)) + 1.0, 0.0, 1.0, xtol=1e-15)
+        made += 1
+        yield inside + t * d, d / np.linalg.norm(d)
+
+
+class TestClosedFormGate:
+    """The closed-form covolume against the quadrature oracle, to 1e-10."""
+
+    GATE = 1e-10
+
+    def test_random_points_of_l(self):
+        rng = np.random.default_rng(22)
+        checked = 0
+        while checked < 40:
+            l = rng.uniform(0.05, 3.0, 6)
+            if classify_lengths(l).kind != "hyper_ideal":
+                continue
+            assert abs(cov_hyper(l) - oracle_cov(l)) <= self.GATE
+            checked += 1
+
+    def test_wall_crossing_rays_both_sides(self):
+        # 44 rays, each at two of the offsets 1e-1 ... 1e-11 on both sides
+        # of the wall, so that every offset is visited 8 times per side; the
+        # near-wall band takes over where the closed form loses accuracy
+        rng = np.random.default_rng(23)
+        offsets = [10.0**-k for k in range(1, 12)]
+        worst = 0.0
+        for i, (wall, d) in enumerate(wall_crossing_rays(rng, 44)):
+            for off in (offsets[i % 11], offsets[(i + 5) % 11]):
+                for side in (-1.0, 1.0):
+                    l = wall + side * off * d
+                    worst = max(worst, abs(cov_hyper(l) - oracle_cov(l)))
+        assert worst <= self.GATE
+
+    def test_band_next_to_wall(self):
+        # 1e-12 ... 1e-14 short of a wall the covolume is the flat one,
+        # pi (l_p + l_{p+3}), up to the offset to the power 3/2; angles
+        # computed from such lengths carry the closed form no closer than
+        # about 1e-9, so this is the near-wall band's work
+        rng = np.random.default_rng(30)
+        for wall, d in wall_crossing_rays(rng, 6):
+            p = int(np.argmin(np.minimum(phi(wall)[:3], phi(wall)[3:])))
+            for off in (1e-12, 1e-13, 1e-14):
+                l = wall - off * d
+                assert abs(cov_hyper(l) - math.pi * (l[p] + l[p + 3])) <= 1e-13
+
+    def test_flat_interiors(self):
+        rng = np.random.default_rng(24)
+        for _ in range(15):
+            l = flat_wall_point(rng.uniform(0.3, 1.2))
+            l[0] += rng.uniform(0.1, 1.0)
+            l[3] += rng.uniform(0.1, 1.0)
+            assert abs(cov_hyper(l) - oracle_cov(l)) <= self.GATE
+            assert cov_hyper(l) == pytest.approx(math.pi * (l[0] + l[3]), abs=1e-12)
+
+    def test_zero_and_negative_slots(self):
+        rng = np.random.default_rng(25)
+        for _ in range(20):
+            l = rng.uniform(0.2, 2.5, 6)
+            picked = rng.choice(6, size=rng.integers(1, 4), replace=False)
+            l[picked] = rng.choice([0.0, -0.7, -2.0], size=len(picked))
+            assert abs(cov_hyper(l) - oracle_cov(l)) <= self.GATE
+            assert cov_hyper(l) == cov_hyper(np.maximum(l, 0.0))
+
+    def test_origin(self):
+        assert abs(cov_hyper([0.0] * 6) - COV_AT_ORIGIN) <= 1e-14
+        assert abs(cov_hyper([0.0] * 6) - oracle_cov([1e-12] * 6)) <= self.GATE
+
+    def test_regular_point_against_schlafli(self):
+        vol = regular_volume_schlafli()
+        expected = 2.0 * vol + 6.0 * EQUI_ANGLE * ACOSH2
+        assert abs(cov_hyper([ACOSH2] * 6) - expected) <= self.GATE
+        assert abs(vol_hyper([ACOSH2] * 6) - vol) <= self.GATE
+        assert abs(oracle_cov([ACOSH2] * 6) - expected) <= self.GATE

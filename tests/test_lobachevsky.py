@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hypmet.errors import DomainError
-from hypmet.lobachevsky import lobachevsky
+from hypmet.lobachevsky import lobachevsky, lobachevsky_array
 
 from oracles import lobachevsky_quadrature
 
@@ -64,3 +64,14 @@ def test_agrees_with_quadrature_oracle():
 def test_non_finite_rejected(bad):
     with pytest.raises(DomainError):
         lobachevsky(bad)
+
+
+def test_array_evaluator_matches_scalar():
+    rng = np.random.default_rng(9)
+    xs = np.concatenate(
+        [rng.uniform(-20.0, 20.0, 2002), [0.0, -0.0, 1e-300, math.pi / 2, -math.pi / 2, math.pi, 1e6]]
+    )
+    got = lobachevsky_array(xs.reshape(-1, 7))
+    assert got.shape == (len(xs) // 7, 7)
+    assert np.max(np.abs(got.ravel() - [lobachevsky(x) for x in xs])) <= 1e-15
+    assert lobachevsky_array(math.pi / 4) == pytest.approx(LOB_PI_4, abs=1e-15)

@@ -16,6 +16,7 @@ from hypmet.metrics import (
     cov_complex,
     curvature,
     volume,
+    volume_of_metric,
 )
 from hypmet.triangulation import gauge_apply
 
@@ -104,6 +105,24 @@ class TestVolume:
         flat = [math.pi, 0, 0, math.pi, 0, 0]
         a = np.array([flat, flat])
         assert volume(double_tet, a, "hyper") == 0.0
+
+    def test_hyper_near_flat_wall(self, double_tet):
+        # 1e-7 short of the wall phi_0 = -1 along the flat family's first
+        # length: the volume from the angles agrees with the one from the
+        # lengths, which the kernel integrates there
+        s = 0.7
+        wall = math.acosh(2.0 * math.cosh(s) + 1.0)
+        l = np.array([wall - 1e-7, s, s, wall, s, s])
+        expected = 2 * vol_hyper(l, tol=1e-13)
+        assert expected > 0.0
+        a = angles_of_metric(double_tet, l, "hyper")
+        assert volume(double_tet, a, "hyper") == pytest.approx(expected, abs=1e-12)
+        assert volume_of_metric(double_tet, l, "hyper") == pytest.approx(expected, abs=1e-12)
+
+    def test_volume_of_metric_ideal_matches_angles(self, fig8):
+        l = np.array([0.3, -0.3])
+        expected = volume(fig8, angles_of_metric(fig8, l, "ideal"), "ideal")
+        assert volume_of_metric(fig8, l, "ideal") == expected
 
 
 class TestCovComplex:

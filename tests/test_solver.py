@@ -118,7 +118,9 @@ class TestSolveHyper:
         assert np.max(np.abs(res.lengths - ACOSH2)) <= 1e-8
         assert np.allclose(res.assignment, EQUI_ANGLE, atol=1e-8)
         assert res.w_value == pytest.approx(-2 * res.volume, abs=1e-7)
-        assert res.value_drift <= 1e-7
+        # the reported objective is the exact value at the solution
+        fresh, _ = cov_complex(double_tet, res.lengths, "hyper")
+        assert res.objective == pytest.approx(fresh - float(res.lengths @ K_HYPER), abs=1e-12)
 
     def test_fig8_hyper_target(self, fig8):
         rng = np.random.default_rng(2)
@@ -136,8 +138,8 @@ class TestSolveHyper:
         assert np.all(np.diff(trace) <= 1e-7)
 
     def test_line_search_increment_consistency(self, double_tet):
-        # running-value increments along segments agree with independent
-        # full covolume evaluations (closedness of the angle form)
+        # the line search's closed-form value differences agree with the
+        # quadrature of the angle form along the step (its closedness)
         rng = np.random.default_rng(4)
         tol = 1e-11
         for _ in range(10):
