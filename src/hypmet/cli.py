@@ -17,6 +17,7 @@ accepts.
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -267,7 +268,13 @@ def main(argv=None):
         with open(path, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader left; keep the exit flush from failing again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     return code
 
 

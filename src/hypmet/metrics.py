@@ -9,7 +9,8 @@ for the hyper-ideal flavor).  Angle assignments come in two shapes:
   each tetrahedron vertex summing to at most pi.
 
 Cone angles sum dihedral angles over edge *instances*, so an edge class
-meeting a tetrahedron in several slots is counted once per slot.  The
+meeting a tetrahedron in several slots is counted once per slot: they are
+the complex's incidence matrix applied to the (T, 6) slot angles.  The
 curvature is 2 pi minus the cone angle at interior edges and pi minus the
 cone angle at boundary edges.
 
@@ -117,9 +118,7 @@ def cone_angles(c, assignment):
         raise DomainError(
             f"assignment has {slots.shape[0]} rows for a complex with {c.n_tets} tetrahedra"
         )
-    k = np.zeros(c.num_edges)
-    np.add.at(k, c.edge_index.ravel(), slots.ravel())
-    return k
+    return c.incidence @ slots.ravel()
 
 
 def curvature(c, k):
@@ -182,9 +181,8 @@ def cov_complex(c, l, flavor, tol=1e-10):
         kernel = hyper_kernel(l[c.edge_index], tol=tol)
         return float(kernel.cov.sum()), cone_angles(c, kernel.angles)
     value = 0.0
-    grad = np.zeros(c.num_edges)
+    slot_angles = np.empty((c.n_tets, 6))
     for t in range(c.n_tets):
-        v, slot_angles = cov_ideal(c.tet_lengths(l, t))
+        v, slot_angles[t] = cov_ideal(c.tet_lengths(l, t))
         value += v
-        np.add.at(grad, c.edge_index[t], np.asarray(slot_angles))
-    return float(value), grad
+    return float(value), c.incidence @ slot_angles.ravel()

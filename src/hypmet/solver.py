@@ -11,7 +11,8 @@ angles, and the optimal value satisfies W(k) = <l*, k> - cov(l*) = -2 vol.
 Feasibility of a cone-angle target is decided by a linear program that
 maximizes the minimum slack of the defining (in)equalities; a strictly
 positive optimum certifies a positive angle assignment, which is the
-hypothesis of the existence theorems.
+hypothesis of the existence theorems.  Its edge rows are the complex's
+sparse incidence matrix, so the LP has O(T) nonzeros.
 
 The descent is a limited-memory quasi-Newton iteration with analytic
 cone-angle gradients and a backtracking Armijo line search.  For the ideal
@@ -28,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import null_space
 from scipy.optimize import linprog
+from scipy.sparse import coo_array
 
 from .errors import (
     ConsistencyError,
@@ -137,72 +139,76 @@ def feasibility(c, k, flavor, tol=1e-9):
 
     Ideal flavor: quad angles with per-tetrahedron sums pi and the target's
     instance sums per edge; hyper flavor: slot angles with per-vertex sums
-    at most pi and the same edge sums.  The optimum sign decides the status;
-    the witness realizes the slack.
+    at most pi and the same edge sums; every angle is at least the slack s.
+    Angles are written x = y + s with y >= 0, so that constraint is a bound.
+    The optimum sign decides the status; the witness y + s realizes the slack.
     """
     _check_closed(c)
     k = _check_target(c, k)
+    if flavor not in ("ideal", "hyper"):
+        raise DomainError(f"unknown flavor {flavor!r}")
     t_count, e_count = c.n_tets, c.num_edges
+    op = c.incidence
+    valence = np.diff(op.indptr)
+    instance_rows = np.repeat(np.arange(e_count), valence)
+    per_tet = 3 if flavor == "ideal" else 6
+    nvar = per_tet * t_count  # y, then s
 
     if flavor == "ideal":
-        nvar = 3 * t_count
-
-        def var(t, s):
-            return 3 * t + (s if s < 3 else s - 3)
-
-        a_eq = np.zeros((t_count + e_count, nvar + 1))
-        b_eq = np.zeros(t_count + e_count)
-        for t in range(t_count):
-            a_eq[t, 3 * t : 3 * t + 3] = 1.0
-            b_eq[t] = math.pi
-        for eid, cls in enumerate(c.edge_classes):
-            for t, s in cls:
-                a_eq[t_count + eid, var(t, s)] += 1.0
-            b_eq[t_count + eid] = k[eid]
-        a_ub = np.hstack([-np.eye(nvar), np.ones((nvar, 1))])
-        b_ub = np.zeros(nvar)
-    elif flavor == "hyper":
-        nvar = 6 * t_count
-
-        def var(t, s):
-            return 6 * t + s
-
-        a_eq = np.zeros((e_count, nvar + 1))
-        b_eq = np.zeros(e_count)
-        for eid, cls in enumerate(c.edge_classes):
-            for t, s in cls:
-                a_eq[eid, var(t, s)] += 1.0
-            b_eq[eid] = k[eid]
-        rows = [np.hstack([-np.eye(nvar), np.ones((nvar, 1))])]
-        vrows = np.zeros((4 * t_count, nvar + 1))
-        for t in range(t_count):
-            for vtx, slots in enumerate(VERTEX_SLOTS):
-                r = 4 * t + vtx
-                for s in slots:
-                    vrows[r, var(t, s)] = 1.0
-                vrows[r, -1] = 1.0
-        rows.append(vrows)
-        a_ub = np.vstack(rows)
-        b_ub = np.concatenate([np.zeros(nvar), np.full(4 * t_count, math.pi)])
+        # tet rows: sum y + 3 s = pi; edge rows: op fold y + valence s = k,
+        # where fold takes slot 6t + s to quad 3t + (s mod 3)
+        quads = np.arange(nvar)
+        tet, slot = np.divmod(op.indices, 6)
+        a_eq = _coo(
+            [np.ones(nvar), np.full(t_count, 3.0), np.ones(op.nnz), valence],
+            [quads // 3, np.arange(t_count), t_count + instance_rows, t_count + np.arange(e_count)],
+            [quads, np.full(t_count, nvar), 3 * tet + slot % 3, np.full(e_count, nvar)],
+            (t_count + e_count, nvar + 1),
+        )
+        b_eq = np.concatenate([np.full(t_count, math.pi), k])
+        a_ub = b_ub = None
     else:
-        raise DomainError(f"unknown flavor {flavor!r}")
+        # edge rows: op y + valence s = k; vertex rows: sum y + 4 s <= pi
+        a_eq = _coo(
+            [np.ones(op.nnz), valence],
+            [instance_rows, np.arange(e_count)],
+            [op.indices, np.full(e_count, nvar)],
+            (e_count, nvar + 1),
+        )
+        b_eq = k
+        vertex_cols = 6 * np.arange(t_count)[:, None, None] + np.array(VERTEX_SLOTS)
+        a_ub = _coo(
+            [np.ones(3 * 4 * t_count), np.full(4 * t_count, 4.0)],
+            [np.repeat(np.arange(4 * t_count), 3), np.arange(4 * t_count)],
+            [vertex_cols.ravel(), np.full(4 * t_count, nvar)],
+            (4 * t_count, nvar + 1),
+        )
+        b_ub = np.full(4 * t_count, math.pi)
 
     cost = np.zeros(nvar + 1)
     cost[-1] = -1.0  # maximize the slack
-    bounds = [(None, None)] * nvar + [(None, math.pi)]
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    bounds = np.zeros((nvar + 1, 2))
+    bounds[:, 1] = math.inf
+    bounds[-1] = (-math.inf, math.pi)
+    res = linprog(cost, a_ub, b_ub, a_eq, b_eq, bounds=bounds, method="highs")
     if res.status == 2:
         return FeasibilityReport("infeasible", None, -math.inf)
     if res.status != 0:
         raise NumericalError(f"feasibility LP failed: {res.message}")
     slack = float(res.x[-1])
-    shape = (t_count, 3) if flavor == "ideal" else (t_count, 6)
-    witness = res.x[:-1].reshape(shape)
+    witness = (res.x[:-1] + slack).reshape(t_count, per_tet)
     if slack > tol:
         return FeasibilityReport("positive_feasible", witness, slack)
     if slack >= -tol:
         return FeasibilityReport("nonnegative_only", np.clip(witness, 0.0, None), slack)
     return FeasibilityReport("infeasible", None, slack)
+
+
+def _coo(vals, rows, cols, shape):
+    """One sparse matrix from blocks of (value, row, column) triples."""
+    return coo_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
+    )
 
 
 # allowance for roundoff in the Armijo test's value difference

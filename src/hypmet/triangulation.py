@@ -4,15 +4,19 @@ A complex is a disjoint union of abstract tetrahedra with some faces glued
 in pairs by affine maps.  Face f of a tetrahedron is the face opposite
 vertex f; a gluing records the images of that face's vertices (listed in
 increasing order) in the target tetrahedron.  Edges and vertices of the
-complex are the equivalence classes of the per-tetrahedron edges and
-vertices generated by the gluings, computed with a union-find; classes get
-stable 0-based ids ordered by their least (tet, slot) instance so rebuilds
-and permuted inputs agree.
+complex are the equivalence classes of the per-tetrahedron edge slots and
+vertices generated by the gluings, found as connected components; classes
+get stable 0-based ids ordered by their least (tet, slot) instance so
+rebuilds and permuted inputs agree.
 
 Edge slots inside each tetrahedron follow the opposite-pair convention of
 the kernels: slots s and s+3 are opposite (see hyperideal.EDGE_VERTICES).
 Cone-angle style sums always run over edge *instances*, so an edge class
 meeting the same tetrahedron several times is counted with multiplicity.
+Complex.incidence is the E x 6T sparse matrix of those sums, a 1 at
+(edge class of slot (t, s), 6t + s), with the columns of each row in
+ascending order, so incidence @ a.ravel() adds the instances in (tet, slot)
+order.
 
 The decoration gauge: a vector w of reals on vertex classes acts on edge
 vectors by adding the endpoint values, w(v) + w(v') (twice w(v) on loops).
@@ -21,12 +25,14 @@ component by least squares.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_array, csr_array
+from scipy.sparse.csgraph import connected_components
 
 from .errors import GluingError
-from .hyperideal import EDGE_VERTICES, SLOT_OF_EDGE
+from .hyperideal import EDGE_VERTICES
 
 __all__ = [
     "Gluing",
@@ -40,6 +46,14 @@ __all__ = [
 ]
 
 FACE_VERTICES = tuple(tuple(v for v in range(4) if v != f) for f in range(4))
+
+_FACE_VERTICES = np.array(FACE_VERTICES)
+_EDGE_VERTICES = np.array(EDGE_VERTICES)
+_SLOT = np.zeros((4, 4), dtype=np.intp)  # slot of the edge between two vertices
+_SLOT[_EDGE_VERTICES[:, 0], _EDGE_VERTICES[:, 1]] = np.arange(6)
+_SLOT[_EDGE_VERTICES[:, 1], _EDGE_VERTICES[:, 0]] = np.arange(6)
+# the two faces that contain each slot: those opposite the other two vertices
+_SLOT_FACES = np.array([[f for f in range(4) if f not in e] for e in EDGE_VERTICES])
 
 
 @dataclass(frozen=True)
@@ -88,30 +102,6 @@ def load_triangulation(path):
     return GluingSpec.from_dict(data)
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
-
-    def classes(self):
-        groups = {}
-        for x in self.parent:
-            groups.setdefault(self.find(x), []).append(x)
-        return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
-
-
 @dataclass
 class Complex:
     """A built pseudo 3-manifold; immutable once constructed."""
@@ -121,9 +111,10 @@ class Complex:
     vertex_classes: tuple  # tuple of tuples of (tet, vertex) instances
     edge_index: np.ndarray  # shape (n_tets, 6), edge class id of each slot
     vertex_index: np.ndarray  # shape (n_tets, 4)
-    edge_boundary: tuple  # bool per edge class
+    edge_boundary: np.ndarray  # shape (E,), bool per edge class
     closed: bool
-    edge_endpoints: tuple = field(default=())  # (vid, vid) per edge class
+    edge_endpoints: np.ndarray  # shape (E, 2), sorted vertex class ids per edge class
+    incidence: csr_array  # shape (E, 6 n_tets), 1 at (edge_index[t, s], 6t + s)
 
     @property
     def num_edges(self):
@@ -132,18 +123,6 @@ class Complex:
     @property
     def num_vertices(self):
         return len(self.vertex_classes)
-
-    def incidence(self, eid):
-        """Edge instances of class eid as (tet, slot) pairs, with multiplicity."""
-        return self.edge_classes[eid]
-
-    def quads(self):
-        """All quads as (tet, pair) with pair in {0, 1, 2}."""
-        return [(t, p) for t in range(self.n_tets) for p in range(3)]
-
-    def quad_edge_multiplicity(self, tet, pair, eid):
-        """Number of edge instances of eid among the quad's opposite pair."""
-        return sum(1 for s in (pair, pair + 3) if self.edge_index[tet, s] == eid)
 
     def tet_lengths(self, lengths, tet):
         """Restrict an edge-class vector to the 6 slots of one tetrahedron."""
@@ -204,6 +183,17 @@ def _is_inverse_self(a, b):
     return all(bwd[fwd[v]] == v for v in src)
 
 
+def _classes(labels, width):
+    """Nodes ordered by class label, ascending within each class; the offset
+    of each class in that order; the classes as tuples of (tet, local index)
+    pairs, for nodes numbered width * tet + local index."""
+    order = np.argsort(labels, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(labels))[:-1]))
+    pairs = list(zip((order // width).tolist(), (order % width).tolist()))
+    bounds = starts.tolist() + [order.size]
+    return order, starts, tuple(tuple(pairs[i:j]) for i, j in zip(bounds[:-1], bounds[1:]))
+
+
 def build_complex(spec):
     """Glue the tetrahedra of a GluingSpec into a Complex.
 
@@ -214,53 +204,45 @@ def build_complex(spec):
     registry = _validate_and_register(spec)
     n = spec.tetrahedra
 
-    edges = _UnionFind([(t, s) for t in range(n) for s in range(6)])
-    verts = _UnionFind([(t, v) for t in range(n) for v in range(4)])
-    for (tet, face), (to_tet, to_face, perm) in registry.items():
-        vmap = dict(zip(FACE_VERTICES[face], perm))
-        for u, image in vmap.items():
-            verts.union((tet, u), (to_tet, image))
-        fv = FACE_VERTICES[face]
-        for a in range(3):
-            for b in range(a + 1, 3):
-                s = SLOT_OF_EDGE[frozenset((fv[a], fv[b]))]
-                s2 = SLOT_OF_EDGE[frozenset((vmap[fv[a]], vmap[fv[b]]))]
-                edges.union((tet, s), (to_tet, s2))
+    # one row per glued face: its tet and face, the target tet and the
+    # images of the face's vertices
+    src = np.array(list(registry), dtype=np.intp).reshape(-1, 2)
+    dst = np.array([(t, *p) for t, _, p in registry.values()], dtype=np.intp).reshape(-1, 4)
+    fv, image = _FACE_VERTICES[src[:, 1]], dst[:, 1:]
+    a, b = [0, 0, 1], [1, 2, 2]  # the face's three edges, as positions in fv
+    # one graph: the 6n slots 6t + s, then the 4n vertices 6n + 4t + v.
+    # connected_components numbers the components by their least node, so
+    # the slot classes come first, in the order of their least instance.
+    tails, heads = (
+        np.hstack([6 * t[:, :1] + _SLOT[v[:, a], v[:, b]], 6 * n + 4 * t[:, :1] + v]).ravel()
+        for t, v in ((src, fv), (dst, image))
+    )
+    graph = coo_array((np.ones(tails.size), (tails, heads)), shape=(10 * n, 10 * n))
+    labels = connected_components(graph, directed=False)[1]
+    slot_id = labels[: 6 * n]
+    num_edges = int(slot_id.max()) + 1
+    vertex_id = labels[6 * n :] - num_edges
 
-    edge_classes = tuple(tuple(c) for c in edges.classes())
-    vertex_classes = tuple(tuple(c) for c in verts.classes())
+    edge_order, edge_starts, edge_classes = _classes(slot_id, 6)
+    vertex_classes = _classes(vertex_id, 4)[2]
+    edge_index = slot_id.reshape(n, 6)
+    vertex_index = vertex_id.reshape(n, 4)
+    incidence = csr_array(
+        (np.ones(6 * n), edge_order, np.append(edge_starts, 6 * n)), shape=(num_edges, 6 * n)
+    )
 
-    edge_index = np.empty((n, 6), dtype=np.intp)
-    for eid, cls in enumerate(edge_classes):
-        for t, s in cls:
-            edge_index[t, s] = eid
-    vertex_index = np.empty((n, 4), dtype=np.intp)
-    for vid, cls in enumerate(vertex_classes):
-        for t, v in cls:
-            vertex_index[t, v] = vid
+    glued = np.zeros((n, 4), dtype=bool)
+    glued[src[:, 0], src[:, 1]] = True
+    open_slot = ~glued[:, _SLOT_FACES].all(axis=2)
+    boundary = np.bincount(slot_id, weights=open_slot.ravel(), minlength=num_edges) > 0
 
-    glued = set(registry)
-    closed = len(glued) == 4 * n
-    boundary = []
-    for cls in edge_classes:
-        flag = False
-        for t, s in cls:
-            u, v = EDGE_VERTICES[s]
-            if any((t, f) not in glued for f in range(4) if f not in (u, v)):
-                flag = True
-                break
-        boundary.append(flag)
-
-    endpoints = []
-    for cls in edge_classes:
-        ends = {
-            tuple(sorted((vertex_index[t, u], vertex_index[t, v])))
-            for t, s in cls
-            for u, v in (EDGE_VERTICES[s],)
-        }
-        if len(ends) != 1:
-            raise GluingError(f"edge class {cls} has inconsistent endpoints {ends}")
-        endpoints.append(ends.pop())
+    ends = np.sort(vertex_index[:, _EDGE_VERTICES], axis=2).reshape(-1, 2)
+    endpoints = ends[edge_order[edge_starts]]
+    bad = np.any(ends != endpoints[slot_id], axis=1)
+    if bad.any():
+        eid = int(slot_id[bad].min())
+        found = {tuple(e) for e in ends[slot_id == eid].tolist()}
+        raise GluingError(f"edge class {edge_classes[eid]} has inconsistent endpoints {found}")
 
     return Complex(
         n_tets=n,
@@ -268,18 +250,19 @@ def build_complex(spec):
         vertex_classes=vertex_classes,
         edge_index=edge_index,
         vertex_index=vertex_index,
-        edge_boundary=tuple(boundary),
-        closed=closed,
-        edge_endpoints=tuple(endpoints),
+        edge_boundary=boundary,
+        closed=bool(glued.all()),
+        edge_endpoints=endpoints,
+        incidence=incidence,
     )
 
 
 def gauge_matrix(c):
     """The linear map B: R^V -> R^E with B[e, v] = endpoints of e in class v."""
     b = np.zeros((c.num_edges, c.num_vertices))
-    for eid, (u, v) in enumerate(c.edge_endpoints):
-        b[eid, u] += 1.0
-        b[eid, v] += 1.0
+    rows = np.arange(c.num_edges)
+    b[rows, c.edge_endpoints[:, 0]] += 1.0
+    b[rows, c.edge_endpoints[:, 1]] += 1.0
     return b
 
 
@@ -287,10 +270,7 @@ def gauge_apply(c, w, x):
     """Act on an edge vector by a vertex vector: (w + x)(e) = w(u) + w(v) + x(e)."""
     w = np.asarray(w, dtype=float)
     x = np.asarray(x, dtype=float)
-    out = x.copy()
-    for eid, (u, v) in enumerate(c.edge_endpoints):
-        out[eid] += w[u] + w[v]
-    return out
+    return x + (w[c.edge_endpoints[:, 0]] + w[c.edge_endpoints[:, 1]])
 
 
 def gauge_project(c, x):

@@ -137,3 +137,21 @@ def sample_ideal_assignments(c, k, count, rng):
         w = rng.dirichlet(np.ones(len(vertices)))
         out.append((w @ vertices).reshape(t_count, 3))
     return out
+
+
+def disjoint_union(tri, copies, rng=None):
+    """`copies` unlinked copies of a triangulation dict, as one dict.
+
+    Tetrahedron t of copy i is numbered i * T + t, then renamed by a random
+    permutation when rng is given, so class ids come out in a different
+    order than the copies.
+    """
+    tets = int(tri["tets"])
+    total = copies * tets
+    name = rng.permutation(total) if rng is not None else np.arange(total)
+    gluings = [
+        dict(g, tet=int(name[i * tets + g["tet"]]), to_tet=int(name[i * tets + g["to_tet"]]))
+        for i in range(copies)
+        for g in tri["gluings"]
+    ]
+    return {"tets": total, "gluings": gluings}

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,3 +336,18 @@ class TestErrorPaths:
             assert json.loads(out.read_text())["edges"] == 2
             assert capsys.readouterr().out == ""
             out.unlink()
+
+    def test_closed_pipe_ends_without_traceback(self, fixtures_dir):
+        # the read end is closed before the interpreter has even imported
+        # hypmet, so writing the report meets a broken pipe
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        argv = [sys.executable, "-m", "hypmet.cli", "volume", "--flavor", "ideal"]
+        argv += ["--triangulation", fig8_path(fixtures_dir), "--lengths", "[0.1,-0.1]"]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert "Traceback" not in err

@@ -1,6 +1,7 @@
 """Assembled quantities over a complex: angles, cone angles, curvature,
 volume, covolume, and the gauge invariance of the shifted objective."""
 
+import json
 import math
 
 import numpy as np
@@ -18,12 +19,17 @@ from hypmet.metrics import (
     volume,
     volume_of_metric,
 )
-from hypmet.triangulation import gauge_apply
+from hypmet.triangulation import GluingSpec, build_complex, gauge_apply
 
-from oracles import central_difference
+from oracles import central_difference, disjoint_union
 
 ACOSH2 = math.acosh(2.0)
 EQUI_ANGLE = math.acos(2.0 / 3.0)
+
+
+def load_dict(path):
+    with open(path) as fh:
+        return json.load(fh)
 
 
 class TestAnglesOfMetric:
@@ -61,6 +67,19 @@ class TestConeAngles:
 
     def test_zero_assignment(self, fig8):
         assert np.allclose(cone_angles(fig8, np.zeros((2, 3))), 0.0)
+
+    def test_bit_equal_to_instance_accumulation(self, fig8, double_tet, fixtures_dir):
+        # the incidence matvec adds the instances of each edge in (tet, slot)
+        # order, exactly as np.add.at over the slots does
+        tri = disjoint_union(load_dict(fixtures_dir / "fig8.json"), 32, np.random.default_rng(7))
+        complexes = (fig8, double_tet, build_complex(GluingSpec.from_dict(tri)))
+        rng = np.random.default_rng(8)
+        for c in complexes:
+            for _ in range(50):
+                slots = rng.uniform(0.0, math.pi, (c.n_tets, 6)) * rng.choice([1e-8, 1.0, 1e3])
+                ref = np.zeros(c.num_edges)
+                np.add.at(ref, c.edge_index.ravel(), slots.ravel())
+                assert np.array_equal(cone_angles(c, slots), ref)
 
 
 class TestCurvature:
@@ -178,6 +197,16 @@ class TestCovComplex:
             _, grad = cov_complex(fig8, l, "ideal")
             a = angles_of_metric(fig8, l, "ideal")
             assert np.allclose(grad, cone_angles(fig8, a), atol=1e-12)
+
+    def test_ideal_gradient_bit_equal_to_per_tet_accumulation(self, fig8, double_tet):
+        rng = np.random.default_rng(9)
+        for c in (fig8, double_tet):
+            for _ in range(20):
+                l = rng.uniform(-1, 1, c.num_edges)
+                ref = np.zeros(c.num_edges)
+                for t in range(c.n_tets):
+                    np.add.at(ref, c.edge_index[t], np.asarray(cov_ideal(l[c.edge_index[t]])[1]))
+                assert np.array_equal(cov_complex(c, l, "ideal")[1], ref)
 
     def test_ideal_quad_sum_consistency(self, fig8):
         # per tet, sum over quads of Lambda equals half the six-slot sum

@@ -1,13 +1,18 @@
 """Variational solvers: feasibility LP, covolume minimization, duality,
 maximizer structure, rigidity."""
 
+import inspect
+import json
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse
+from scipy.optimize import linprog
 
+import hypmet.solver
 from hypmet.errors import ConsistencyError, NotPositiveFeasibleError
-from hypmet.hyperideal import mu_segment_integral
+from hypmet.hyperideal import VERTEX_SLOTS, mu_segment_integral
 from hypmet.metrics import angles_of_metric, cone_angles, cov_complex, volume
 from hypmet.solver import (
     SolveOptions,
@@ -19,9 +24,14 @@ from hypmet.solver import (
     rigidity_check,
     solve_metric,
 )
-from hypmet.triangulation import gauge_project
+from hypmet.triangulation import GluingSpec, build_complex, gauge_project
 
-from oracles import random_positive_hyper_k, random_positive_ideal_k, sample_ideal_assignments
+from oracles import (
+    disjoint_union,
+    random_positive_hyper_k,
+    random_positive_ideal_k,
+    sample_ideal_assignments,
+)
 
 TWO_PI = 2 * math.pi
 ACOSH2 = math.acosh(2.0)
@@ -65,6 +75,156 @@ class TestFeasibility:
     def test_requires_closed(self, single_tet):
         with pytest.raises(Exception):
             feasibility(single_tet, np.zeros(6), "ideal")
+
+
+def reference_feasibility(c, k, flavor):
+    """The max-slack LP in its dense form: (status, max slack).
+
+    Variables are the angles x and the slack s, with rows -x_i + s <= 0 for
+    every angle, built with per-edge-class loops and identity blocks.
+    """
+    t_count, e_count = c.n_tets, c.num_edges
+    if flavor == "ideal":
+        nvar = 3 * t_count
+        a_eq = np.zeros((t_count + e_count, nvar + 1))
+        b_eq = np.zeros(t_count + e_count)
+        for t in range(t_count):
+            a_eq[t, 3 * t : 3 * t + 3] = 1.0
+            b_eq[t] = math.pi
+        for eid, cls in enumerate(c.edge_classes):
+            for t, s in cls:
+                a_eq[t_count + eid, 3 * t + s % 3] += 1.0
+            b_eq[t_count + eid] = k[eid]
+        a_ub = np.hstack([-np.eye(nvar), np.ones((nvar, 1))])
+        b_ub = np.zeros(nvar)
+    else:
+        nvar = 6 * t_count
+        a_eq = np.zeros((e_count, nvar + 1))
+        for eid, cls in enumerate(c.edge_classes):
+            for t, s in cls:
+                a_eq[eid, 6 * t + s] += 1.0
+        b_eq = np.asarray(k, dtype=float)
+        vrows = np.zeros((4 * t_count, nvar + 1))
+        for t in range(t_count):
+            for vtx, slots in enumerate(VERTEX_SLOTS):
+                for s in slots:
+                    vrows[4 * t + vtx, 6 * t + s] = 1.0
+                vrows[4 * t + vtx, -1] = 1.0
+        a_ub = np.vstack([np.hstack([-np.eye(nvar), np.ones((nvar, 1))]), vrows])
+        b_ub = np.concatenate([np.zeros(nvar), np.full(4 * t_count, math.pi)])
+    cost = np.zeros(nvar + 1)
+    cost[-1] = -1.0
+    bounds = [(None, None)] * nvar + [(None, math.pi)]
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    if res.status == 2:
+        return "infeasible", -math.inf
+    assert res.status == 0, res.message
+    slack = float(res.x[-1])
+    if slack > 1e-9:
+        return "positive_feasible", slack
+    return ("nonnegative_only" if slack >= -1e-9 else "infeasible"), slack
+
+
+def assert_witness_meets_dense_lp(c, k, flavor, rep, tol=1e-9):
+    """Every constraint of the dense LP holds at (witness, max slack)."""
+    w, s = rep.witness, rep.max_slack
+    assert s <= math.pi + tol
+    assert np.min(w) >= s - tol
+    assert np.max(np.abs(cone_angles(c, w) - k)) <= tol
+    if flavor == "ideal":
+        assert np.max(np.abs(w.sum(axis=1) - math.pi)) <= tol
+    else:
+        vertex = np.stack([w[:, list(slots)].sum(axis=1) for slots in VERTEX_SLOTS])
+        assert np.max(vertex) + s <= math.pi + tol
+
+
+def boundary_ideal_target(c):
+    """Cone angles on the boundary of the ideal feasible set.
+
+    In each tetrahedron, pi goes on the quad that meets the tet's lowest
+    edge class most often; that maximizes the cone angle of the lowest edge
+    of every connected component, so every assignment with these cone angles
+    has zero angles and the max slack is 0.
+    """
+    alpha = np.zeros((c.n_tets, 3))
+    for t in range(c.n_tets):
+        low = c.edge_index[t].min()
+        mult = [np.count_nonzero(c.edge_index[t, [q, q + 3]] == low) for q in range(3)]
+        alpha[t, int(np.argmax(mult))] = math.pi
+    return cone_angles(c, alpha)
+
+
+def lp_targets(c, flavor, rng):
+    """(expected status, target) for each status the LP can report."""
+    if flavor == "ideal":
+        positive = random_positive_ideal_k(c, rng)
+        boundary = boundary_ideal_target(c)
+        return [
+            ("positive_feasible", positive),
+            ("nonnegative_only", boundary),
+            ("infeasible", boundary + 0.3 * (boundary - positive)),
+            ("infeasible", np.full(c.num_edges, 6 * math.pi)),
+        ]
+    # angles pi/3 fill every vertex sum to pi: slack 0 exactly
+    tight = cone_angles(c, np.full((c.n_tets, 6), math.pi / 3))
+    return [
+        ("positive_feasible", random_positive_hyper_k(c, rng)),
+        ("nonnegative_only", tight),
+        ("infeasible", 1.1 * tight),
+    ]
+
+
+@pytest.fixture(scope="module")
+def lp_complexes(fig8, double_tet, fixtures_dir):
+    out = {"fig8": fig8, "double_tet": double_tet}
+    for name in ("fig8", "double_tet"):
+        with open(fixtures_dir / f"{name}.json") as fh:
+            tri = disjoint_union(json.load(fh), 16, np.random.default_rng(11))
+        out[f"{name}x16"] = build_complex(GluingSpec.from_dict(tri))
+    return out
+
+
+class TestFeasibilityAgainstDenseLP:
+    @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
+    @pytest.mark.parametrize("name", ["fig8", "double_tet", "fig8x16", "double_tetx16"])
+    def test_status_slack_and_witness(self, lp_complexes, name, flavor):
+        c = lp_complexes[name]
+        for expected, k in lp_targets(c, flavor, np.random.default_rng(12)):
+            rep = feasibility(c, k, flavor)
+            ref_status, ref_slack = reference_feasibility(c, k, flavor)
+            assert rep.status == ref_status == expected
+            if math.isinf(ref_slack):
+                assert rep.max_slack == ref_slack
+            else:
+                assert abs(rep.max_slack - ref_slack) <= 1e-9
+            if rep.witness is not None:
+                assert_witness_meets_dense_lp(c, k, flavor, rep)
+
+    @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
+    def test_sparse_rows_of_linear_size(self, fixtures_dir, monkeypatch, flavor):
+        with open(fixtures_dir / "fig8.json") as fh:
+            tri = disjoint_union(json.load(fh), 32, np.random.default_rng(13))
+        c = build_complex(GluingSpec.from_dict(tri))
+        assert c.n_tets == 64
+        real = hypmet.solver.linprog
+        calls = []
+
+        def capture(*args, **kwargs):
+            calls.append(inspect.signature(real).bind(*args, **kwargs).arguments)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hypmet.solver, "linprog", capture)
+        if flavor == "ideal":
+            k = cone_angles(c, np.full((c.n_tets, 3), math.pi / 3))
+        else:
+            k = cone_angles(c, np.full((c.n_tets, 6), 0.5))
+        assert feasibility(c, k, flavor).positive
+        (args,) = calls
+        matrices = [args.get(name) for name in ("A_ub", "A_eq")]
+        matrices = [m for m in matrices if m is not None]
+        assert matrices
+        assert all(scipy.sparse.issparse(m) for m in matrices)
+        assert sum(m.nnz for m in matrices) <= 25 * c.n_tets + 2 * c.num_edges
 
 
 class TestSolveIdeal:

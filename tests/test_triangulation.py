@@ -1,18 +1,25 @@
-"""Complex builder: gluing combinatorics, union-find stability, gauge algebra."""
+"""Complex builder: gluing combinatorics, class-id stability, the incidence
+operator, gauge algebra."""
+
+import json
 
 import numpy as np
 import pytest
 from scipy.linalg import null_space
+from scipy.sparse import csr_array
 
 from hypmet.errors import GluingError
-from hypmet.hyperideal import EDGE_VERTICES
+from hypmet.hyperideal import EDGE_VERTICES, SLOT_OF_EDGE
 from hypmet.triangulation import (
+    FACE_VERTICES,
     GluingSpec,
     build_complex,
     gauge_apply,
     gauge_matrix,
     gauge_project,
 )
+
+from oracles import disjoint_union
 
 
 def doubled_spec():
@@ -159,17 +166,145 @@ class TestBuilderErrors:
         assert c.num_edges == 4
 
 
+class _UnionFind:
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[max(rx, ry)] = min(rx, ry)
+
+    def classes(self):
+        groups = {}
+        for x in self.parent:
+            groups.setdefault(self.find(x), []).append(x)
+        return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+
+
+def reference_complex(tri):
+    """Edge and vertex classes, boundary flags and endpoints by union-find.
+
+    Takes a triangulation dict whose gluings are listed once per face pair;
+    returns (edge_classes, vertex_classes, edge_index, edge_endpoints,
+    edge_boundary) in build_complex's conventions.
+    """
+    n = tri["tets"]
+    edges = _UnionFind([(t, s) for t in range(n) for s in range(6)])
+    verts = _UnionFind([(t, v) for t in range(n) for v in range(4)])
+    glued = set()
+    for g in tri["gluings"]:
+        tet, face, to_tet = g["tet"], g["face"], g["to_tet"]
+        glued |= {(tet, face), (to_tet, g["to_face"])}
+        vmap = dict(zip(FACE_VERTICES[face], g["perm"]))
+        for u, image in vmap.items():
+            verts.union((tet, u), (to_tet, image))
+        fv = FACE_VERTICES[face]
+        for a in range(3):
+            for b in range(a + 1, 3):
+                s = SLOT_OF_EDGE[frozenset((fv[a], fv[b]))]
+                s2 = SLOT_OF_EDGE[frozenset((vmap[fv[a]], vmap[fv[b]]))]
+                edges.union((tet, s), (to_tet, s2))
+    edge_classes = tuple(tuple(cls) for cls in edges.classes())
+    vertex_classes = tuple(tuple(cls) for cls in verts.classes())
+    edge_index = np.empty((n, 6), dtype=int)
+    for eid, cls in enumerate(edge_classes):
+        for t, s in cls:
+            edge_index[t, s] = eid
+    vertex_of = {inst: vid for vid, cls in enumerate(vertex_classes) for inst in cls}
+    endpoints = []
+    boundary = []
+    for cls in edge_classes:
+        t, s = cls[0]
+        u, v = EDGE_VERTICES[s]
+        endpoints.append(sorted((vertex_of[t, u], vertex_of[t, v])))
+        boundary.append(
+            any((t, f) not in glued for t, s in cls for f in range(4) if f not in EDGE_VERTICES[s])
+        )
+    return edge_classes, vertex_classes, edge_index, np.array(endpoints), np.array(boundary)
+
+
+def assert_matches_reference(tri):
+    c = build_complex(GluingSpec.from_dict(tri))
+    edge_classes, vertex_classes, edge_index, endpoints, boundary = reference_complex(tri)
+    assert c.edge_classes == edge_classes
+    assert c.vertex_classes == vertex_classes
+    assert np.array_equal(c.edge_index, edge_index)
+    assert np.array_equal(c.edge_endpoints, endpoints)
+    assert np.array_equal(c.edge_boundary, boundary)
+    assert c.closed == (2 * len(tri["gluings"]) == 4 * tri["tets"])
+    return c
+
+
+@pytest.fixture(scope="module")
+def fixture_dicts(fixtures_dir):
+    out = {}
+    for name in ("fig8", "double_tet"):
+        with open(fixtures_dir / f"{name}.json") as fh:
+            out[name] = json.load(fh)
+    return out
+
+
+class TestBuilderAgainstUnionFind:
+    @pytest.mark.parametrize("name", ["fig8", "double_tet"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_relabelled_unions(self, fixture_dicts, name, seed):
+        tri = disjoint_union(fixture_dicts[name], 16, np.random.default_rng(seed))
+        c = assert_matches_reference(tri)
+        assert c.closed and c.num_edges == 16 * (2 if name == "fig8" else 6)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_unglued_faces(self, fixture_dicts, seed):
+        rng = np.random.default_rng(seed)
+        tri = disjoint_union(fixture_dicts["fig8"], 8, rng)
+        keep = np.sort(rng.choice(len(tri["gluings"]), size=20, replace=False))
+        tri = dict(tri, gluings=[tri["gluings"][i] for i in keep])
+        c = assert_matches_reference(tri)
+        assert not c.closed
+        assert c.edge_boundary.any()
+
+    def test_single_tet_and_self_gluing(self):
+        assert_matches_reference({"tets": 1, "gluings": []})
+        self_glued = {"tet": 0, "face": 0, "to_tet": 0, "to_face": 0, "perm": [2, 3, 1]}
+        assert_matches_reference({"tets": 1, "gluings": [self_glued]})
+
+
+def fold(n_tets):
+    """The 6T x 3T map from slot 6t + s to quad 3t + (s mod 3)."""
+    slots = np.arange(6 * n_tets)
+    quads = 3 * (slots // 6) + slots % 3
+    return csr_array((np.ones(6 * n_tets), (slots, quads)), shape=(6 * n_tets, 3 * n_tets))
+
+
 class TestQuadIncidence:
     def test_multiplicity_counts_instances(self, fig8):
-        # every quad-edge multiplicity is 0, 1 or 2 and row-sums to 2
-        for t, p in fig8.quads():
-            total = sum(fig8.quad_edge_multiplicity(t, p, e) for e in range(fig8.num_edges))
-            assert total == 2
+        # every quad-edge multiplicity is 0, 1 or 2 and each quad's column sums to 2
+        quad_edge = (fig8.incidence @ fold(fig8.n_tets)).toarray()
+        assert set(np.unique(quad_edge)) <= {0.0, 1.0, 2.0}
+        assert np.all(quad_edge.sum(axis=0) == 2)
 
     def test_fig8_each_edge_has_six_incidences(self, fig8):
-        for e in range(fig8.num_edges):
-            mult = sum(fig8.quad_edge_multiplicity(t, p, e) for t, p in fig8.quads())
-            assert mult == 6
+        assert np.all(fig8.incidence.sum(axis=1) == 6)
+
+    def test_rows_list_the_edge_classes(self, fig8, double_tet):
+        for c in (fig8, double_tet):
+            op = c.incidence
+            assert op.shape == (c.num_edges, 6 * c.n_tets)
+            assert op.has_canonical_format
+            for eid, cls in enumerate(c.edge_classes):
+                row = op.indices[op.indptr[eid] : op.indptr[eid + 1]]
+                assert row.tolist() == [6 * t + s for t, s in cls]
+            dense = op.toarray()
+            assert np.all(dense[c.edge_index.ravel(), np.arange(6 * c.n_tets)] == 1.0)
+            assert dense.sum() == 6 * c.n_tets
 
 
 class TestGauge:
@@ -201,6 +336,22 @@ class TestGauge:
     def test_apply_loops_doubled(self, fig8):
         out = gauge_apply(fig8, np.array([0.3]), np.array([1.0, 2.0]))
         assert np.allclose(out, [1.6, 2.6])
+
+    @pytest.mark.parametrize("name", ["fig8", "double_tet"])
+    def test_matrix_and_apply_match_endpoint_loops(self, fixture_dicts, name):
+        tri = disjoint_union(fixture_dicts[name], 4, np.random.default_rng(5))
+        c = build_complex(GluingSpec.from_dict(tri))
+        b = np.zeros((c.num_edges, c.num_vertices))
+        for eid, (u, v) in enumerate(c.edge_endpoints.tolist()):
+            b[eid, u] += 1.0
+            b[eid, v] += 1.0
+        assert np.array_equal(gauge_matrix(c), b)
+        rng = np.random.default_rng(6)
+        w, x = rng.normal(size=c.num_vertices), rng.normal(size=c.num_edges)
+        looped = x.copy()
+        for eid, (u, v) in enumerate(c.edge_endpoints.tolist()):
+            looped[eid] += w[u] + w[v]
+        assert np.array_equal(gauge_apply(c, w, x), looped)
 
     def test_project_kills_column_space(self, double_tet):
         b = gauge_matrix(double_tet)
