@@ -3,9 +3,12 @@
 Commands: validate, angles, volume, solve, max-angles, classify, rigidity.
 Every run writes a single JSON report to stdout (or --output) and exits with
 0 on success, 1 on malformed input, 2 on an infeasible target, and 3 on
-numerical failure.  Reports echo the inputs and are byte-identical for
-identical inputs and seed; wall-clock timings are only included when
---timings is passed, since they would break that determinism.
+numerical failure; when the descent runs out of iterations or of line-search
+steps, the error carries the solver's diagnostics (the residual norm, the
+objective and the flavor or iteration) under "diagnostics".  Reports echo
+the inputs and are byte-identical for identical inputs and seed; wall-clock
+timings are only included when --timings is passed, since they would break
+that determinism.
 
 Angles are radians throughout.  Vectors over edges follow the stable edge
 ids assigned by the builder, which `validate` prints together with each
@@ -15,6 +18,7 @@ accepts.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -27,6 +31,8 @@ from .errors import (
     DomainError,
     GluingError,
     HypmetError,
+    LineSearchError,
+    MaxIterationsError,
     NotPositiveFeasibleError,
     NumericalError,
     UnsupportedAngleTypeError,
@@ -52,7 +58,13 @@ __all__ = ["run", "main"]
 _SOLVE_COMMANDS = ("solve", "max-angles", "classify", "rigidity")
 
 
+@functools.cache
 def _build_parser():
+    """The hypmet argument parser, built once per process.
+
+    parse_args returns a fresh Namespace on every call, so one parser
+    serves any number of commands.
+    """
     parser = argparse.ArgumentParser(
         prog="hypmet",
         description="Ideal and hyper-ideal hyperbolic polyhedral metrics on "
@@ -243,7 +255,10 @@ def _run(argv):
     except (NotPositiveFeasibleError, UnsupportedAngleTypeError) as exc:
         return 2, {"error": {"code": "infeasible", "message": str(exc)}}, args
     except (NumericalError, HypmetError) as exc:
-        return 3, {"error": {"code": "numerical_failure", "message": str(exc)}}, args
+        error = {"code": "numerical_failure", "message": str(exc)}
+        if isinstance(exc, (MaxIterationsError, LineSearchError)):
+            error["diagnostics"] = exc.diagnostics
+        return 3, {"error": error}, args
     if args.timings:
         report["timings"] = {"total_seconds": time.perf_counter() - start}
     return 0, report, args

@@ -239,7 +239,7 @@ def _phi(lp):
     to edges of length 1 (a face term below _FACE_FLOOR) raises
     NumericalError, as does any length above _MAX_LENGTH.
     """
-    top = lp.max()
+    top = lp.max(initial=0.0)
     if top > _MAX_LENGTH:
         raise NumericalError(f"edge length {top} exceeds the cosine law's range {_MAX_LENGTH}")
     ch = _libm(math.cosh, np.minimum(lp, _COSH_MAX))
@@ -253,7 +253,7 @@ def _phi(lp):
     ik, ih, jk, jh, kh = (g[:, 12 + 6 * i : 18 + 6 * i] for i in range(5))
     # (2 ca cb cc + ca^2 + cb^2 + cc^2 - 1) / 2^3m
     face = 2.0 * ca * cb * cc + e * (ca * ca) + e * (cb * cb) + e * (cc * cc) - e * e * e
-    if face.min() < _FACE_FLOOR:
+    if face.min(initial=math.inf) < _FACE_FLOOR:
         row = int(np.flatnonzero(face.min(axis=1) < _FACE_FLOOR)[0])
         raise NumericalError(
             f"edge lengths {tuple(lp[row].tolist())} spread too widely for the cosine law"

@@ -1,4 +1,4 @@
-"""Geometry of a single decorated ideal tetrahedron, possibly degenerate.
+"""Geometry of decorated ideal tetrahedra, possibly degenerate, one or many at once.
 
 A generalized decorated tetrahedron is six real edge labels l = (l_1..l_6)
 with slots i and i+3 opposite.  Its dihedral angles are the inner angles of
@@ -12,17 +12,24 @@ covolume is cov(l) = 2 * phi_star of the log side lengths, with the cone
 angles as its gradient; phi_star itself is the Legendre-type dual of minus
 the triangle volume sum(Lambda(a_i)).
 
-All side lengths are handled in log space so that large |l| never overflows,
-and near-degenerate triangles go through a sorted half-angle arctangent form
-that stays accurate where the law of cosines would cancel.
+`ideal_kernel` evaluates the angles, covolume and volume of a whole (T, 6)
+array of labels in one numpy pass; the single-tetrahedron functions are its
+T = 1 views.  All side lengths are handled in log space so that large |l|
+never overflows, and the angles come from Kahan's sorted half-angle
+arctangent form, which stays accurate where the law of cosines would cancel.
 """
 
 import math
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import DomainError
-from .lobachevsky import lobachevsky
+from .lobachevsky import lobachevsky, lobachevsky_array
 
 __all__ = [
+    "IdealKernel",
+    "ideal_kernel",
     "triangle_angles",
     "penner_angle",
     "ideal_lengths_to_angles",
@@ -35,49 +42,84 @@ __all__ = [
 PAIRS = ((0, 3), (1, 4), (2, 5))
 
 
-def _angles_from_sides(x1, x2, x3):
-    """Inner angles of the generalized Euclidean triangle with sides x_i > 0.
+class IdealKernel(NamedTuple):
+    """Per-tetrahedron output of ideal_kernel for T tetrahedra."""
 
-    Returns (a1, a2, a3) with a_i opposite x_i and a1 + a2 + a3 == pi exactly
-    (the largest angle is defined as pi minus the other two).  A tie
-    x_i >= x_j + x_k yields the degenerate (pi, 0, 0) pattern.
+    angles: np.ndarray  # (T, 3) quad angles; slots p and p + 3 carry angle p
+    cov: np.ndarray  # (T,) covolume, the gradient of which is the slot angles
+    vol: np.ndarray  # (T,) volume sum_p Lambda(a_p), 0 on the flat tetrahedra
+
+
+def _triangle_angles(x):
+    """Inner angles of the generalized Euclidean triangles with sides x, shape (T, 3).
+
+    Angle p sits opposite side x_p, and each row sums to pi exactly (the
+    largest angle is pi minus the other two).  The sides of a row are sorted
+    stably, so equal sides rank by position, into c <= b <= a, and Kahan's
+    terms are formed from them: t1 = a + (b + c), t2 = c - (a - b),
+    t3 = c + (a - b) and t4 = a + (b - c).  t2 <= 0, a side at least the sum
+    of the others, is clamped to 0, which yields the flat (pi, 0, 0) pattern
+    exactly.
     """
-    sides = (x1, x2, x3)
-    order = sorted(range(3), key=lambda i: sides[i])
-    ic, ib, ia = order  # ascending: x[ic] <= x[ib] <= x[ia]
-    a, b, c = sides[ia], sides[ib], sides[ic]
-    # Kahan-style exact-cancellation terms; t2 = 2(s - a) detects degeneracy.
-    t2 = c - (a - b)
-    out = [0.0, 0.0, 0.0]
-    if t2 <= 0.0:
-        out[ia] = math.pi
-        return tuple(out)
-    t1 = a + (b + c)
-    t3 = c + (a - b)  # 2(s - b)
-    t4 = a + (b - c)  # 2(s - c)
-    ang_b = 2.0 * math.atan2(math.sqrt(t2 * t4), math.sqrt(t1 * t3))
-    ang_c = 2.0 * math.atan2(math.sqrt(t2 * t3), math.sqrt(t1 * t4))
-    out[ib] = ang_b
-    out[ic] = ang_c
-    out[ia] = math.pi - ang_b - ang_c
-    return tuple(out)
+    # flat index of each row's sides in ascending order
+    order = x.argsort(axis=1, kind="stable") + 3 * np.arange(len(x))[:, None]
+    srt = x.take(order)  # columns c, b, a
+    c, b, a = srt.T
+    diff = srt[:, 1:] - srt[:, :-1]  # b - c, a - b
+    t43 = srt[:, ::-2] + diff  # t4, t3
+    t2 = np.maximum(c - diff[:, 1], 0.0)[:, None]
+    t1 = (a + (b + c))[:, None]
+    # halves of the angles opposite b and c:
+    # atan2(sqrt(t2 t4), sqrt(t1 t3)) and atan2(sqrt(t2 t3), sqrt(t1 t4))
+    half = np.arctan2(np.sqrt(t2 * t43), np.sqrt(t1 * t43[:, ::-1]))
+    angles = np.empty_like(x)
+    angles[:, 1::-1] = 2.0 * half
+    angles[:, 2] = math.pi - angles[:, 1] - angles[:, 0]
+    out = np.empty_like(x)
+    out.put(order, angles)
+    return out
 
 
-def _angles_from_log_sides(y1, y2, y3):
-    """Angles of the triangle with sides exp(y_i); overflow-free for any reals."""
-    m = max(y1, y2, y3)
-    return _angles_from_sides(math.exp(y1 - m), math.exp(y2 - m), math.exp(y3 - m))
+def _log_side_kernel(y):
+    """Angles, 2 phi_star and volume of log sides y, shape (T, 3), as an IdealKernel.
+
+    Each row is shifted by its maximum before exp, so any finite y is safe.
+    """
+    a = _triangle_angles(np.exp(y - y.max(axis=1, keepdims=True)))
+    lam = lobachevsky_array(a)
+    return IdealKernel(a, 2.0 * (lam + a * y).sum(axis=1), lam.sum(axis=1))
+
+
+def _check_batch(l):
+    arr = np.asarray(l, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 6:
+        raise DomainError(f"expected edge labels of shape (T, 6), got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise DomainError("edge labels must be finite")
+    return arr
+
+
+def ideal_kernel(l):
+    """Quad angles, covolume and volume of T tetrahedra with labels l, shape (T, 6).
+
+    Any finite reals are accepted; the log sides are y_p = (l_p + l_{p+3}) / 2
+    and cov = 2 sum_p (Lambda(a_p) + a_p y_p).  Raises DomainError for
+    non-finite labels.
+    """
+    l = _check_batch(l)
+    return _log_side_kernel(0.5 * (l[:, :3] + l[:, 3:]))
 
 
 def triangle_angles(x1, x2, x3):
     """Inner angles (a1, a2, a3) of the generalized Euclidean triangle.
 
-    Raises DomainError unless all sides are positive and finite.
+    The T = 1 view of the kernel's angle map.  Raises DomainError unless all
+    sides are positive and finite.
     """
     for x in (x1, x2, x3):
         if not (x > 0.0 and math.isfinite(x)):
             raise DomainError(f"triangle sides must be positive finite, got {(x1, x2, x3)}")
-    return _angles_from_sides(float(x1), float(x2), float(x3))
+    return tuple(_triangle_angles(np.array([[x1, x2, x3]], dtype=float))[0].tolist())
 
 
 def penner_angle(l_jk, l_ij, l_ik):
@@ -104,10 +146,10 @@ def _log_sides(l):
 def ideal_lengths_to_angles(l):
     """Six dihedral angles of the generalized decorated tetrahedron.
 
-    Opposite slots carry exactly equal angles; each quad sum is pi.
+    The T = 1 view of ideal_kernel.  Opposite slots carry exactly equal
+    angles; each quad sum is pi.
     """
-    y = _log_sides(_check_lengths(l))
-    a = _angles_from_log_sides(*y)
+    a = tuple(ideal_kernel([_check_lengths(l)]).angles[0].tolist())
     return a + a
 
 
@@ -157,14 +199,13 @@ def phi_star(y1, y2, y3):
     The gradient of phi_star is exactly the angle vector.  On the degenerate
     region exp(y_i) >= exp(y_j) + exp(y_k) the formula collapses to the
     closed form pi * y_i because the angles are exactly (pi, 0, 0) and
-    Lambda(pi) = 0.
+    Lambda(pi) = 0.  The T = 1 view of the kernel on log sides.
     """
     ys = (float(y1), float(y2), float(y3))
     if not all(math.isfinite(v) for v in ys):
         raise DomainError(f"phi_star requires finite arguments, got {ys}")
-    a = _angles_from_log_sides(*ys)
-    value = sum(lobachevsky(ai) + ai * yi for ai, yi in zip(a, ys))
-    return value, a
+    k = _log_side_kernel(np.array([ys]))
+    return 0.5 * float(k.cov[0]), tuple(k.angles[0].tolist())
 
 
 def cov_ideal(l):
@@ -172,8 +213,8 @@ def cov_ideal(l):
 
     Returns (value, gradient) with value = 2 * phi_star of the log sides and
     gradient slot i equal to the dihedral angle there (the Schlaefli-type
-    identity d cov / d l_i = a_i).
+    identity d cov / d l_i = a_i).  The T = 1 view of ideal_kernel.
     """
-    vals = _check_lengths(l)
-    value, a = phi_star(*_log_sides(vals))
-    return 2.0 * value, a + a
+    k = ideal_kernel([_check_lengths(l)])
+    a = tuple(k.angles[0].tolist())
+    return float(k.cov[0]), a + a

@@ -15,7 +15,7 @@ whose term ratio is (x/pi)^2 <= 1/4 on the reduced interval, so roughly
 25 terms reach full double precision.  The Bernoulli coefficients are
 generated exactly with rationals at import time.  `lobachevsky` evaluates
 one float; `lobachevsky_array` evaluates the same expansion elementwise on
-a numpy array, for the batched hyper-ideal volume.
+a numpy array, for the batched ideal and hyper-ideal kernels.
 """
 
 import math
@@ -93,24 +93,33 @@ def lobachevsky(x):
     return _core(r)
 
 
-_COEFFS_HORNER = _COEFFS[::-1]
+# the coefficients padded with zeros to 32, as (even, odd) columns of pairs
+_PAIRED = np.zeros((16, 2, 1))
+_PAIRED.flat[: len(_COEFFS)] = _COEFFS
 
 
 def lobachevsky_array(x):
     """Elementwise Lambda of a finite float array, with absolute error below 1e-12.
 
-    Same expansion as `lobachevsky`, summed in full by Horner's rule.  The
-    reduction into [-pi/2, pi/2] is exact: fmod is exact, and so is the
-    subtraction of pi from a remainder within a factor two of it.
+    Same expansion as `lobachevsky`, summed in full by Estrin's scheme:
+    with z = a^2, the 16 pairs c_2j + c_2j+1 z are formed at once, then
+    halved level by level, q_j + q_j+1 z^2, q_j + q_j+1 z^4, ..., so the
+    whole sum takes 14 elementwise numpy calls whatever the size, where a
+    Horner loop would take two per coefficient.  Each value depends on its
+    own argument only, never on its neighbours in the array.  The reduction
+    into [-pi/2, pi/2] is exact: fmod is exact, and so is the subtraction of
+    pi from a remainder within a factor two of it.
     """
     r = np.fmod(np.asarray(x, dtype=float), math.pi)
     r = np.where(r > _HALF_PI, r - math.pi, r)
     r = np.where(r < -_HALF_PI, r + math.pi, r)
     a = np.abs(r)
     a2 = a * a
-    poly = np.zeros_like(a)
-    for c in _COEFFS_HORNER:
-        poly = poly * a2 + c
+    z = a2.reshape(1, -1)
+    q = _PAIRED[:, 0] + _PAIRED[:, 1] * z
+    while len(q) > 1:
+        z = z * z
+        q = q[0::2] + q[1::2] * z
     # a - a log(2a) -> 0 as a -> 0; the placeholder 1 keeps log away from 0
-    core = a - a * np.log(2.0 * np.where(a > 0.0, a, 1.0)) + a * a2 * poly
+    core = a - a * np.log(2.0 * np.where(a > 0.0, a, 1.0)) + a * a2 * q.reshape(a.shape)
     return np.copysign(core, r)

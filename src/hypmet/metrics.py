@@ -16,8 +16,8 @@ cone angle at boundary edges.
 
 The covolume of a metric is the sum of the per-tetrahedron covolumes; its
 gradient is exactly the cone-angle vector of the metric, which is what the
-solvers exploit.  The hyper flavor evaluates all tetrahedra of a metric in
-one batched call of hyperideal.hyper_kernel.
+solvers exploit.  Each flavor evaluates all tetrahedra of a metric in one
+batched kernel call (ideal.ideal_kernel, hyperideal.hyper_kernel).
 """
 
 import math
@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedAngleTypeError
 from .hyperideal import VERTEX_SLOTS, hyper_angles, hyper_kernel, volume_from_angles
-from .ideal import cov_ideal, ideal_lengths_to_angles
-from .lobachevsky import lobachevsky
+from .ideal import ideal_kernel
+from .lobachevsky import lobachevsky_array
 
 __all__ = [
     "FLAVORS",
@@ -72,17 +72,14 @@ def angles_of_metric(c, l, flavor):
     l = _check_metric(c, l, flavor)
     if flavor == "hyper":
         return hyper_angles(l[c.edge_index])
-    out = np.empty((c.n_tets, 3))
-    for t in range(c.n_tets):
-        out[t] = ideal_lengths_to_angles(c.tet_lengths(l, t))[:3]
-    return out
+    return ideal_kernel(l[c.edge_index]).angles
 
 
 def _slot_angles(assignment):
     """View an assignment as per-slot angles of shape (n_tets, 6)."""
     a = np.asarray(assignment, dtype=float)
     if a.ndim == 2 and a.shape[1] == 3:
-        return np.hstack([a, a]), "ideal"
+        return np.concatenate((a, a), axis=1), "ideal"
     if a.ndim == 2 and a.shape[1] == 6:
         return a, "hyper"
     raise DomainError(f"assignment must have shape (T, 3) or (T, 6), got {a.shape}")
@@ -137,7 +134,7 @@ def volume(c, assignment, flavor):
     """
     a = validate_assignment(c, assignment, flavor)
     if flavor == "ideal":
-        return float(sum(lobachevsky(x) for x in a.ravel()))
+        return float(lobachevsky_array(a).sum())
     total = 0.0
     for t in range(c.n_tets):
         row = np.clip(a[t], 0.0, math.pi)
@@ -153,16 +150,14 @@ def volume(c, assignment, flavor):
 def volume_of_metric(c, l, flavor):
     """Total volume of the metric l, computed from the lengths themselves.
 
-    Hyper: the sum of the per-tetrahedron volumes of
-    hyperideal.hyper_kernel.  Going through the angles instead would reject
-    long edges whose angles round to a vertex sum of pi as type III.
-    Ideal: the volume of the metric's angles.
+    The sum of the per-tetrahedron volumes of the flavor's kernel.  Going
+    through the angles instead would reject long hyper-ideal edges whose
+    angles round to a vertex sum of pi as type III.
     """
     _check_flavor(flavor)
     l = _check_metric(c, l, flavor)
-    if flavor == "hyper":
-        return float(hyper_kernel(l[c.edge_index]).vol.sum())
-    return volume(c, angles_of_metric(c, l, flavor), flavor)
+    kernel = hyper_kernel if flavor == "hyper" else ideal_kernel
+    return float(kernel(l[c.edge_index]).vol.sum())
 
 
 def cov_complex(c, l, flavor, tol=1e-10):
@@ -179,10 +174,6 @@ def cov_complex(c, l, flavor, tol=1e-10):
     l = _check_metric(c, l, flavor, extended=True)
     if flavor == "hyper":
         kernel = hyper_kernel(l[c.edge_index], tol=tol)
-        return float(kernel.cov.sum()), cone_angles(c, kernel.angles)
-    value = 0.0
-    slot_angles = np.empty((c.n_tets, 6))
-    for t in range(c.n_tets):
-        v, slot_angles[t] = cov_ideal(c.tet_lengths(l, t))
-        value += v
-    return float(value), c.incidence @ slot_angles.ravel()
+    else:
+        kernel = ideal_kernel(l[c.edge_index])
+    return float(kernel.cov.sum()), cone_angles(c, kernel.angles)

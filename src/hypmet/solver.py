@@ -40,9 +40,8 @@ from .errors import (
     NumericalError,
 )
 from .hyperideal import VERTEX_SLOTS, classify_lengths, hyper_kernel
-from .ideal import PAIRS
-from .lobachevsky import lobachevsky
-from .metrics import angles_of_metric, cone_angles, cov_complex
+from .ideal import PAIRS, ideal_kernel
+from .metrics import cone_angles, cov_complex
 from .triangulation import gauge_matrix, gauge_project
 
 __all__ = [
@@ -342,12 +341,11 @@ def _descend(c, k, flavor, obj, x0, opts):
             )
         lengths = x
         kernel = hyper_kernel(lengths[c.edge_index])
-        assignment = kernel.angles
-        vol = float(kernel.vol.sum())
     else:
         lengths = gauge_project(c, x)
-        assignment = angles_of_metric(c, lengths, "ideal")
-        vol = float(sum(lobachevsky(v) for v in assignment.ravel()))
+        kernel = ideal_kernel(lengths[c.edge_index])
+    assignment = kernel.angles
+    vol = float(kernel.vol.sum())
 
     achieved = cone_angles(c, assignment)
     return SolveResult(
@@ -381,18 +379,17 @@ def duality_gap(c, k, result, samples, seed=0, spread=1.0):
 
     Draws `samples` points uniformly in a box of half-width `spread` around
     the solved metric and returns max(<x,k> - cov(x)) - W; convexity makes
-    this nonpositive up to solve and quadrature tolerance.
+    this nonpositive up to solve and kernel tolerance.  The tetrahedra of
+    all samples go through one call of the flavor's kernel.
     """
     _check_closed(c)
     k = _check_target(c, k)
     rng = np.random.default_rng(seed)
     base = np.asarray(result.lengths, dtype=float)
-    best = -math.inf
-    for _ in range(int(samples)):
-        x = base + rng.uniform(-spread, spread, c.num_edges)
-        v, _ = cov_complex(c, x, result.flavor)
-        best = max(best, float(x @ k) - v)
-    return best - result.w_value
+    x = base + rng.uniform(-spread, spread, (int(samples), c.num_edges))
+    kernel = ideal_kernel if result.flavor == "ideal" else hyper_kernel
+    cov = kernel(x[:, c.edge_index].reshape(-1, 6)).cov.reshape(len(x), c.n_tets).sum(axis=1)
+    return float((x @ k - cov).max(initial=-math.inf)) - result.w_value
 
 
 def classify_maximizer(c, result, angle_tol=1e-7):

@@ -337,6 +337,81 @@ class TestErrorPaths:
             assert capsys.readouterr().out == ""
             out.unlink()
 
+    def test_iteration_budget_failure_carries_diagnostics(self, fixtures_dir):
+        # a round-trip target the descent cannot reach in one iteration
+        l_star = [0.3, -0.3]
+        _, angles = run(
+            ["angles", "--flavor", "ideal", "--triangulation", fig8_path(fixtures_dir),
+             "--lengths", json.dumps(l_star)]
+        )
+        k = angles["cone_angles"]
+        argv = ["solve", "--flavor", "ideal", "--triangulation", fig8_path(fixtures_dir),
+                "--cone-angles", json.dumps(k)]
+        code, report = run(argv + ["--max-iter", "1"])
+        assert code == 3
+        error = report["error"]
+        assert error["code"] == "numerical_failure"
+        assert set(error["diagnostics"]) == {"grad_norm", "objective", "flavor"}
+        assert error["diagnostics"]["flavor"] == "ideal"
+        assert error["diagnostics"]["grad_norm"] > 1e-9
+        json.dumps(report, allow_nan=False)
+        # with the default budget the same target solves, and its report has no diagnostics
+        code, report = run(argv)
+        assert code == 0 and "error" not in report
+        assert report["lengths"] == pytest.approx([0.3, -0.3], abs=1e-7)
+
+    def test_line_search_failure_carries_diagnostics(self, fixtures_dir, monkeypatch):
+        import hypmet.solver
+        from hypmet.errors import NumericalError
+        from hypmet.metrics import cov_complex
+
+        calls = []
+
+        def failing(c, x, flavor, tol=1e-10):
+            # the start point evaluates; every trial point is out of range
+            calls.append(1)
+            if len(calls) > 1:
+                raise NumericalError("out of range")
+            return cov_complex(c, x, flavor, tol)
+
+        monkeypatch.setattr(hypmet.solver, "cov_complex", failing)
+        # a positive-feasible fig8 target (the cone angles sum to 4 pi) other than the start
+        code, report = run(
+            ["solve", "--flavor", "ideal", "--triangulation", fig8_path(fixtures_dir),
+             "--cone-angles", "[8.6, 3.966370614359172]"]
+        )
+        assert code == 3
+        diagnostics = report["error"]["diagnostics"]
+        assert set(diagnostics) == {"grad_norm", "objective", "iteration"}
+        assert diagnostics["iteration"] == 1
+
+    def test_one_parser_serves_many_commands(self, fixtures_dir):
+        # reports of successive in-process calls equal those of fresh processes
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        commands = [
+            ["angles", "--flavor", "ideal", "--triangulation", fig8_path(fixtures_dir),
+             "--lengths", "[0.2,-0.1]"],
+            ["validate", "--triangulation", double_path(fixtures_dir)],
+            ["rigidity", "--flavor", "hyper", "--triangulation", double_path(fixtures_dir),
+             "--cone-angles", json.dumps([2 * math.acos(2.0 / 3.0)] * 6), "--starts", "2"],
+            ["angles", "--flavor", "ideal", "--triangulation", fig8_path(fixtures_dir),
+             "--lengths", "[0.5,0.0]"],
+        ]
+        in_process = [run(argv) for argv in commands]
+        for argv, (code, report) in zip(commands, in_process):
+            proc = subprocess.run(
+                [sys.executable, "-m", "hypmet.cli"] + argv,
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == code == 0
+            assert json.loads(proc.stdout) == report
+        # help still prints only the help and exits 0 after the parser is built
+        assert run(["--help"]) == (0, None)
+        assert run(["solve", "--help"]) == (0, None)
+        assert run(["angles", "--flavor", "ideal"])[0] == 1
+
     def test_closed_pipe_ends_without_traceback(self, fixtures_dir):
         # the read end is closed before the interpreter has even imported
         # hypmet, so writing the report meets a broken pipe

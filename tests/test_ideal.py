@@ -1,4 +1,5 @@
-"""Decorated ideal tetrahedron kernel: examples, gradients, convexity."""
+"""Decorated ideal tetrahedron kernel: examples, gradients, convexity, and the
+batched kernel against the scalar per-tetrahedron reference it replaced."""
 
 import math
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from hypmet.errors import DomainError
 from hypmet.ideal import (
     cov_ideal,
+    ideal_kernel,
     ideal_lengths_to_angles,
     ideal_volume,
     is_decorated_ideal,
@@ -23,6 +25,62 @@ from oracles import central_difference
 
 LN2 = math.log(2.0)
 REGULAR_VOL = 1.0149416064096539  # 3 Lambda(pi/3), frozen from the oracle
+
+
+def _ref_angles_from_sides(x1, x2, x3):
+    """The scalar angle map the batched kernel replaced, kept as its reference.
+
+    Inner angles (a1, a2, a3) of the generalized Euclidean triangle with
+    sides x_i > 0, a_i opposite x_i; the largest angle is pi minus the other
+    two, and a side at least the sum of the others gives (pi, 0, 0).
+    """
+    sides = (x1, x2, x3)
+    order = sorted(range(3), key=lambda i: sides[i])
+    ic, ib, ia = order  # ascending: x[ic] <= x[ib] <= x[ia]
+    a, b, c = sides[ia], sides[ib], sides[ic]
+    t2 = c - (a - b)
+    out = [0.0, 0.0, 0.0]
+    if t2 <= 0.0:
+        out[ia] = math.pi
+        return tuple(out)
+    t1 = a + (b + c)
+    t3 = c + (a - b)
+    t4 = a + (b - c)
+    ang_b = 2.0 * math.atan2(math.sqrt(t2 * t4), math.sqrt(t1 * t3))
+    ang_c = 2.0 * math.atan2(math.sqrt(t2 * t3), math.sqrt(t1 * t4))
+    out[ib] = ang_b
+    out[ic] = ang_c
+    out[ia] = math.pi - ang_b - ang_c
+    return tuple(out)
+
+
+def _ref_phi_star(y1, y2, y3):
+    """Scalar phi_star reference: (value, angles) from log sides."""
+    m = max(y1, y2, y3)
+    a = _ref_angles_from_sides(math.exp(y1 - m), math.exp(y2 - m), math.exp(y3 - m))
+    value = sum(lobachevsky(ai) + ai * yi for ai, yi in zip(a, (y1, y2, y3)))
+    return value, a
+
+
+def _ref_kernel(rows):
+    """Per-row (angles, cov, vol) from the scalar reference, as arrays."""
+    angles, cov, vol = [], [], []
+    for l in rows:
+        y = [0.5 * (l[p] + l[p + 3]) for p in range(3)]
+        value, a = _ref_phi_star(*y)
+        angles.append(a)
+        cov.append(2.0 * value)
+        vol.append(sum(lobachevsky(ai) for ai in a))
+    return np.array(angles), np.array(cov), np.array(vol)
+
+
+def _near_flat_rows(deltas):
+    """Labels with sides (1, s, s), 2 s = 1 - delta: past the flat frontier for delta > 0."""
+    rows = []
+    for d in deltas:
+        ys = math.log(0.5 * (1.0 - d))
+        rows.append([0.0, ys, ys, 0.0, ys, ys])
+    return np.array(rows)
 
 
 class TestTriangleAngles:
@@ -247,3 +305,136 @@ class TestCovIdeal:
             v1, a1 = cov_ideal(l + shift)
             assert np.allclose(a0, a1, atol=1e-9)
             assert v1 - v0 == pytest.approx(math.pi * w.sum(), abs=1e-9)
+
+
+class TestIdealKernel:
+    """ideal_kernel against the scalar reference, and its T = 1 views."""
+
+    def test_random_rows_match_reference(self):
+        rows = np.random.default_rng(11).uniform(-3.0, 3.0, (400, 6))
+        k = ideal_kernel(rows)
+        angles, cov, vol = _ref_kernel(rows)
+        assert k.angles.shape == (400, 3) and k.cov.shape == (400,) and k.vol.shape == (400,)
+        assert np.max(np.abs(k.angles - angles)) <= 1e-13
+        assert np.max(np.abs(k.cov - cov)) <= 1e-12
+        assert np.max(np.abs(k.vol - vol)) <= 1e-13
+        assert np.max(np.abs(k.angles.sum(axis=1) - math.pi)) <= 1e-15
+
+    def test_views_are_the_kernel_rows(self):
+        rows = np.random.default_rng(12).uniform(-2.0, 2.0, (30, 6))
+        k = ideal_kernel(rows)
+        for t, l in enumerate(rows):
+            value, grad = cov_ideal(l)
+            assert value == k.cov[t]
+            assert grad == tuple(k.angles[t]) * 2
+            assert ideal_lengths_to_angles(l) == grad
+            y = [0.5 * (l[p] + l[p + 3]) for p in range(3)]
+            assert phi_star(*y) == (0.5 * k.cov[t], tuple(k.angles[t]))
+
+    def test_exact_ties_break_by_slot(self):
+        # equal sides rank by position (a stable sort): the largest-ranked
+        # slot takes pi minus the other two angles, bit for bit
+        for sides, top in (
+            ((1.0, 1.0, 1.0), 2),
+            ((1.0, 1.0, 0.5), 1),
+            ((1.0, 0.5, 1.0), 2),
+            ((0.5, 1.0, 1.0), 2),
+            ((0.75, 0.5, 0.5), 0),
+            ((0.5, 0.75, 0.5), 1),
+        ):
+            a = triangle_angles(*sides)
+            others = [p for p in range(3) if p != top]
+            assert a[top] == math.pi - a[others[-1]] - a[others[0]]
+            assert np.max(np.abs(np.subtract(a, _ref_angles_from_sides(*sides)))) <= 1e-15
+        assert triangle_angles(1.0, 1.0, 1.0) == pytest.approx((math.pi / 3,) * 3, abs=1e-15)
+        # ties on the flat frontier: sides (2, 1, 1) in every position
+        for sides in ((2.0, 1.0, 1.0), (1.0, 2.0, 1.0), (1.0, 1.0, 2.0)):
+            assert triangle_angles(*sides) == _ref_angles_from_sides(*sides)
+        # labels with exactly equal log sides
+        rows = np.array(
+            [[0.0] * 6, [1.0, 1.0, -1.0, 1.0, 1.0, -1.0], [5.0, -3.0, 5.0, 5.0, -3.0, 5.0]]
+        )
+        k = ideal_kernel(rows)
+        angles, cov, _ = _ref_kernel(rows)
+        assert np.max(np.abs(k.angles - angles)) <= 1e-15
+        assert np.max(np.abs(k.cov - cov)) <= 1e-14
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-8, 1e-10, 1e-12])
+    def test_near_degeneracy(self, delta):
+        # the angle map on identical sides matches the reference to rounding,
+        # short of the flat frontier and past it
+        for s in (0.5 * (1.0 - delta), 0.5 * (1.0 + delta)):
+            got = triangle_angles(1.0, s, s)
+            want = _ref_angles_from_sides(1.0, s, s)
+            assert np.max(np.abs(np.subtract(got, want))) <= 1e-15
+        assert triangle_angles(1.0, 0.5 * (1.0 - delta), 0.5 * (1.0 - delta)) == (math.pi, 0.0, 0.0)
+        # from labels, an ulp of exp moves the angles by about 1e-16 / sqrt(delta),
+        # and the covolume (whose gradient they are) only by rounding
+        rows = _near_flat_rows([delta, -delta])
+        k = ideal_kernel(rows)
+        angles, cov, vol = _ref_kernel(rows)
+        assert np.max(np.abs(k.cov - cov)) <= 1e-14
+        assert np.max(np.abs(k.angles - angles)) <= 1e-14 / math.sqrt(delta)
+        assert np.max(np.abs(k.vol - vol)) <= 1e-14 / math.sqrt(delta)
+        assert tuple(k.angles[0]) == (math.pi, 0.0, 0.0) and k.vol[0] == 0.0
+        assert k.cov[0] == 0.0
+        assert np.min(k.angles[1]) > 0.0
+
+    def test_large_labels_never_overflow(self):
+        rng = np.random.default_rng(13)
+        rows = np.concatenate(
+            [
+                rng.uniform(-700.0, 700.0, (200, 6)),
+                [[700.0, -700.0, 0.0, 700.0, -700.0, 0.0], [-700.0] * 6, [700.0] * 6],
+            ]
+        )
+        k = ideal_kernel(rows)
+        angles, cov, vol = _ref_kernel(rows)
+        assert np.all(np.isfinite(k.cov)) and np.all(np.isfinite(k.angles))
+        assert np.max(np.abs(k.angles - angles)) <= 1e-13
+        assert np.max(np.abs(k.cov - cov) / np.maximum(1.0, np.abs(cov))) <= 1e-14
+        assert np.max(np.abs(k.vol - vol)) <= 1e-13
+
+    def test_mixed_flat_and_realized_rows(self):
+        rng = np.random.default_rng(14)
+        realized = rng.uniform(-0.3, 0.3, (20, 6))
+        flat = np.zeros((20, 6))
+        for t in range(20):
+            p = t % 3
+            flat[t, p] = flat[t, p + 3] = rng.uniform(1.5, 4.0)  # side exp(y) >= 2 * 1
+        rows = np.empty((40, 6))
+        rows[0::2], rows[1::2] = realized, flat
+        k = ideal_kernel(rows)
+        for t in range(20):
+            p = t % 3
+            y = flat[t, p]
+            pattern = [0.0, 0.0, 0.0]
+            pattern[p] = math.pi
+            assert list(k.angles[2 * t + 1]) == pattern
+            assert k.cov[2 * t + 1] == 2.0 * (math.pi * y)
+            assert k.vol[2 * t + 1] == 0.0
+            assert np.min(k.angles[2 * t]) > 0.0
+        # each row is the T = 1 kernel of that row, bit for bit
+        for t in range(40):
+            one = ideal_kernel(rows[t : t + 1])
+            assert np.array_equal(one.angles[0], k.angles[t])
+            assert one.cov[0] == k.cov[t] and one.vol[0] == k.vol[t]
+        angles, cov, _ = _ref_kernel(rows)
+        assert np.max(np.abs(k.angles - angles)) <= 1e-13
+        assert np.max(np.abs(k.cov - cov)) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        rows = np.zeros((3, 6))
+        rows[1, 4] = bad
+        with pytest.raises(DomainError):
+            ideal_kernel(rows)
+        with pytest.raises(DomainError):
+            cov_ideal(rows[1])
+
+    def test_shape_checked(self):
+        for bad in (np.zeros(6), np.zeros((2, 5)), np.zeros((1, 2, 6))):
+            with pytest.raises(DomainError):
+                ideal_kernel(bad)
+        k = ideal_kernel(np.zeros((0, 6)))
+        assert k.angles.shape == (0, 3) and k.cov.shape == (0,)

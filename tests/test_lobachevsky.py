@@ -75,3 +75,17 @@ def test_array_evaluator_matches_scalar():
     assert got.shape == (len(xs) // 7, 7)
     assert np.max(np.abs(got.ravel() - [lobachevsky(x) for x in xs])) <= 1e-15
     assert lobachevsky_array(math.pi / 4) == pytest.approx(LOB_PI_4, abs=1e-15)
+
+
+def test_array_evaluator_small_sizes_and_position_independence():
+    # each value depends on its own argument only: a slice, a single
+    # element and a reshaped array give the values of the whole array
+    rng = np.random.default_rng(10)
+    xs = rng.uniform(-10.0, 10.0, 96)
+    full = lobachevsky_array(xs)
+    for j in range(len(xs)):
+        assert lobachevsky_array(xs[j]) == full[j]
+        assert lobachevsky_array(xs[j : j + 3])[0] == full[j]
+    assert np.array_equal(lobachevsky_array(xs.reshape(6, 8, 2)).ravel(), full)
+    assert np.max(np.abs(full - [lobachevsky(x) for x in xs])) <= 1e-15
+    assert lobachevsky_array(np.zeros((0, 3))).shape == (0, 3)

@@ -364,6 +364,32 @@ class TestDualityGap:
         gap = duality_gap(double_tet, K_HYPER, res, samples=100, seed=7)
         assert gap <= 1e-8
 
+    @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
+    @pytest.mark.parametrize("name", ["fig8", "double_tet"])
+    def test_batched_samples_match_per_sample_loop(self, request, name, flavor):
+        # one kernel call over all samples gives the gap of the old per-sample loop
+        c = request.getfixturevalue(name)
+        rng = np.random.default_rng(8)
+        make_k = random_positive_ideal_k if flavor == "ideal" else random_positive_hyper_k
+        k = make_k(c, rng)
+        res = solve_metric(c, k, flavor)
+        for samples, seed, spread in ((50, 3, 1.0), (7, 4, 0.1), (1, 5, 0.5)):
+            gap = duality_gap(c, k, res, samples=samples, seed=seed, spread=spread)
+            want = _per_sample_duality_gap(c, k, res, samples, seed, spread)
+            assert abs(gap - want) <= 1e-12
+        assert duality_gap(c, k, res, samples=0) == -math.inf
+
+
+def _per_sample_duality_gap(c, k, result, samples, seed, spread):
+    """The per-sample loop duality_gap replaced: one cov_complex call per sample."""
+    rng = np.random.default_rng(seed)
+    best = -math.inf
+    for _ in range(samples):
+        x = result.lengths + rng.uniform(-spread, spread, c.num_edges)
+        v, _ = cov_complex(c, x, result.flavor)
+        best = max(best, float(x @ k) - v)
+    return best - result.w_value
+
 
 class TestClassifyMaximizer:
     def test_fig8_realized(self, fig8):
