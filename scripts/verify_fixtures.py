@@ -36,7 +36,7 @@ def run_case(name, c, k, flavor, starts, samples):
 
     ok = (
         rep.positive
-        and result.converged
+        and result.grad_norm <= 1e-9
         and gap <= 1e-8
         and rigid.ok
         and abs(result.w_value + 2 * result.volume) <= 1e-7

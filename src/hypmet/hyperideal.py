@@ -175,7 +175,7 @@ _PAIR_SLOTS = np.array([[s in p for s in range(6)] for p in _PAIRS])
 # (which carry the covolume to 1e-14 down to 1e-5 from pi, 3e-11 at 1e-6)
 _BAND = 1e-3
 # the cosine law runs on cosh values scaled by a power of two once a length
-# exceeds _SCALE_FROM (below it cosh^6 fits a double unscaled); math.cosh
+# exceeds _SCALE_FROM (below it cosh^6 fits a double unscaled); cosh
 # overflows past _COSH_MAX, where cosh l = e^l / 2 to double precision
 _SCALE_FROM = 64.0
 _COSH_MAX = 700.0
@@ -231,8 +231,9 @@ def _phi(lp):
     otherwise, so long edges cannot overflow.  Terms of degree below three
     carry the matching powers of 2^-m, and the two face terms of the
     denominator are scaled by even powers of two before their product is
-    taken.  Every rescaling is exact, so phi is the unscaled cosine law to
-    the last bit wherever that does not overflow.
+    taken.  Every rescaling is exact, so phi is the unscaled cosine law on
+    numpy's cosh to the last bit wherever that does not overflow (math.cosh
+    may differ in the last bit, so a scalar cosine law agrees to a few ulp).
 
     The one scale per tetrahedron also sets the range: a face without the
     longest edge scales like 2^-3m, so one edge longer than about 216 next
@@ -242,7 +243,7 @@ def _phi(lp):
     top = lp.max(initial=0.0)
     if top > _MAX_LENGTH:
         raise NumericalError(f"edge length {top} exceeds the cosine law's range {_MAX_LENGTH}")
-    ch = _libm(math.cosh, np.minimum(lp, _COSH_MAX))
+    ch = np.cosh(np.minimum(lp, _COSH_MAX))
     m = np.floor(lp.max(axis=1, keepdims=True) / _LN2)
     m[m <= _SCALE_FROM / _LN2] = 0.0
     shift = -m.astype(int)
@@ -265,21 +266,8 @@ def _phi(lp):
     return np.where(ch == 1.0, 1.0, num / den)
 
 
-def _libm(fn, x):
-    """fn (from math) applied elementwise.
-
-    numpy's vectorized cosh and arccos differ from the C library's in the
-    last bit for about a fifth of all arguments.  The C library keeps the
-    angle map, and with it angle reports and solver paths, bit-identical to
-    the scalar cosine law; numpy's functions move the converged lengths of
-    a hyper solve by a few ulp.  On a 2-vCPU x86-64 machine the loop takes
-    about 10% of a kernel call at T = 32 and about 30% at T = 512 or more.
-    """
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
 def _angles(ph):
-    return _libm(math.acos, np.maximum(np.minimum(ph, 1.0), -1.0))
+    return np.arccos(np.maximum(np.minimum(ph, 1.0), -1.0))
 
 
 def phi(l):

@@ -14,20 +14,19 @@ positive optimum certifies a positive angle assignment, which is the
 hypothesis of the existence theorems.  Its edge rows are the complex's
 sparse incidence matrix, so the LP has O(T) nonzeros.
 
-The descent is a limited-memory quasi-Newton iteration with analytic
-cone-angle gradients and a backtracking Armijo line search.  For the ideal
-flavor the search directions are projected onto the orthogonal complement
-of the decoration gauge subspace col(B), which removes the flat directions.
-Both objectives are closed-form: one covolume call per trial point returns
-the value and the gradient, and the Armijo test compares that value with
-the cached value at the current point, up to a fixed roundoff allowance.
+The descent, one for both flavors, is a limited-memory quasi-Newton
+iteration with analytic gradients and a backtracking Armijo line search.
+Every ideal metric's cone angles meet the vertex sums (B^T k_x)_v = pi n_v
+(n_v corners in vertex class v), so the residual for a target that meets
+them is orthogonal to the gauge subspace col(B) and needs no projection.
+One covolume call per trial point gives value and gradient; the Armijo test
+allows 8 ulp of |cov(x)| + |<x, k>| at both points (at least 1e-13).
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import null_space
 from scipy.optimize import linprog
 from scipy.sparse import coo_array
 
@@ -42,7 +41,7 @@ from .errors import (
 from .hyperideal import VERTEX_SLOTS, classify_lengths, hyper_kernel
 from .ideal import PAIRS, ideal_kernel
 from .metrics import cone_angles, cov_complex
-from .triangulation import gauge_matrix, gauge_project
+from .triangulation import gauge_project
 
 __all__ = [
     "SolveOptions",
@@ -52,7 +51,6 @@ __all__ = [
     "RigidityReport",
     "feasibility",
     "solve_metric",
-    "max_volume_angles",
     "duality_gap",
     "classify_maximizer",
     "rigidity_check",
@@ -61,13 +59,10 @@ __all__ = [
 
 @dataclass
 class SolveOptions:
-    """Stopping and line-search controls for solve_metric."""
+    """Stopping controls for solve_metric."""
 
     tol: float = 1e-9
     max_iter: int = 5000
-    memory: int = 20
-    armijo: float = 1e-4
-    feasibility_tol: float = 1e-9
 
 
 @dataclass
@@ -95,7 +90,6 @@ class SolveResult:
     objective: float  # cov(l*) - <l*, k> = -w_value
     iterations: int
     grad_norm: float
-    converged: bool
     objective_trace: list = field(default_factory=list, repr=False)
 
 
@@ -210,35 +204,20 @@ def _coo(vals, rows, cols, shape):
     )
 
 
-# allowance for roundoff in the Armijo test's value difference
+# L-BFGS history length, Armijo constant, LP slack of a positive target
+_MEMORY = 20
+_ARMIJO = 1e-4
+_FEASIBILITY_TOL = 1e-9
+# the Armijo test's roundoff allowance, absolute and per unit of f's terms
 _ROUNDOFF = 1e-13
+_ULPS = 8.0 * np.finfo(float).eps
 
 
-class _Objective:
-    """f(x) = cov(x) - <x, k> and its residual k_x - k, from one covolume call.
-
-    The ideal flavor projects gradients onto the orthogonal complement of
-    the decoration gauge subspace col(B); the hyper flavor runs over all of
-    R^E with the extended covolume.
-    """
-
-    def __init__(self, c, k, flavor):
-        self.c = c
-        self.k = k
-        self.flavor = flavor
-        # orthonormal basis of the complement of col(B)
-        self.basis = null_space(gauge_matrix(c).T) if flavor == "ideal" else None
-
-    def evaluate(self, x):
-        v, kx = cov_complex(self.c, x, self.flavor)
-        return v - float(x @ self.k), kx - self.k
-
-    def project(self, g):
-        if self.basis is None:
-            return g
-        if self.basis.size == 0:
-            return np.zeros_like(g)
-        return self.basis @ (self.basis.T @ g)
+def _evaluate(c, k, flavor, x):
+    """f(x) = cov(x) - <x, k>, the residual k_x - k, and the size of f's terms."""
+    v, kx = cov_complex(c, x, flavor)
+    xk = float(x @ k)
+    return v - xk, kx - k, abs(v) + abs(xk)
 
 
 def _two_loop(g, history):
@@ -257,34 +236,52 @@ def _two_loop(g, history):
     return q
 
 
-def solve_metric(c, k, flavor, opts=None):
-    """Minimize cov(x) - <x, k> to the metric with prescribed cone angles.
+def _reachable_target(c, k, flavor, tol):
+    """The checked target; NotPositiveFeasibleError unless the descent can reach it.
 
-    Requires a closed complex and a positive-feasible target (checked by the
-    LP); convergence means the achieved cone angles match k to opts.tol in
-    the max norm.  The ideal flavor iterates orthogonally to the decoration
-    gauge and reports the gauge-projected minimizer; the hyper flavor
-    iterates over all of R^E using the extended covolume, and the critical
-    point is checked to have positive lengths.
+    Ideal targets off a vertex sum pi n_v by more than (B^T 1)_v tol are out
+    of reach, since |B^T r|_v <= (B^T 1)_v max|r|; then the LP decides.
     """
-    opts = opts or SolveOptions()
     _check_closed(c)
     k = _check_target(c, k)
-    report = feasibility(c, k, flavor, tol=opts.feasibility_tol)
+    if flavor == "ideal":
+        ends = c.edge_endpoints.ravel()
+        corners = np.bincount(c.vertex_index.ravel(), minlength=c.num_vertices)
+        miss = np.abs(np.bincount(ends, np.repeat(k, 2), c.num_vertices) - math.pi * corners)
+        allowed = tol * np.bincount(ends, minlength=c.num_vertices)
+        v = int(np.argmax(miss - allowed))
+        if miss[v] > allowed[v]:
+            raise NotPositiveFeasibleError(
+                f"target misses the vertex sum pi n_v at vertex {v} by {miss[v]:.3e} > {allowed[v]:.3e}"
+            )
+    report = feasibility(c, k, flavor, tol=_FEASIBILITY_TOL)
     if not report.positive:
         raise NotPositiveFeasibleError(
             f"target has no positive angle assignment (status {report.status}, "
             f"max slack {report.max_slack})"
         )
+    return k
 
+
+def solve_metric(c, k, flavor, opts=None):
+    """Minimize cov(x) - <x, k> to the metric with prescribed cone angles.
+
+    Requires a closed complex and a positive-feasible target (checked by the
+    LP, and for the ideal flavor by the vertex sums); convergence means the
+    achieved cone angles match k to opts.tol in the max norm.  The ideal
+    flavor reports the gauge-projected minimizer; the hyper flavor iterates
+    over all of R^E using the extended covolume, and the critical point is
+    checked to have positive lengths.
+    """
+    opts = opts or SolveOptions()
+    k = _reachable_target(c, k, flavor, opts.tol)
     x = np.zeros(c.num_edges) if flavor == "ideal" else np.ones(c.num_edges)
-    return _descend(c, k, flavor, _Objective(c, k, flavor), x, opts)
+    return _descend(c, k, flavor, x, opts)
 
 
-def _descend(c, k, flavor, obj, x0, opts):
+def _descend(c, k, flavor, x0, opts):
     x = np.asarray(x0, dtype=float)
-    f, r = obj.evaluate(x)
-    g = obj.project(r)
+    f, r, size = _evaluate(c, k, flavor, x)
     history = []
     trace = [f]
     iterations = 0
@@ -299,22 +296,23 @@ def _descend(c, k, flavor, obj, x0, opts):
                 {"grad_norm": gnorm, "objective": f, "flavor": flavor},
             )
         iterations += 1
-        d = -_two_loop(g, history)
-        gd = float(g @ d)
+        d = -_two_loop(r, history)
+        gd = float(r @ d)
         if gd >= 0.0:
             history.clear()
-            d = -g
-            gd = float(g @ d)
+            d = -r
+            gd = float(r @ d)
         alpha = 1.0
         for _ in range(50):
             x_new = x + alpha * d
             try:
-                f_new, r_new = obj.evaluate(x_new)
+                f_new, r_new, size_new = _evaluate(c, k, flavor, x_new)
             except NumericalError:
                 # the trial point lies beyond the range the kernel evaluates
                 alpha *= 0.5
                 continue
-            if f_new - f <= opts.armijo * alpha * gd + _ROUNDOFF:
+            allowance = max(_ROUNDOFF, _ULPS * (size + size_new))
+            if f_new - f <= _ARMIJO * alpha * gd + allowance:
                 break
             alpha *= 0.5
         else:
@@ -322,15 +320,14 @@ def _descend(c, k, flavor, obj, x0, opts):
                 "backtracking found no acceptable step",
                 {"grad_norm": gnorm, "objective": f, "iteration": iterations},
             )
-        g_new = obj.project(r_new)
         s = x_new - x
-        y = g_new - g
+        y = r_new - r
         sy = float(s @ y)
         if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
             history.append((s, y, 1.0 / sy))
-            if len(history) > opts.memory:
+            if len(history) > _MEMORY:
                 history.pop(0)
-        x, f, r, g = x_new, f_new, r_new, g_new
+        x, f, r, size = x_new, f_new, r_new, size_new
         trace.append(f)
 
     if flavor == "hyper":
@@ -359,19 +356,8 @@ def _descend(c, k, flavor, obj, x0, opts):
         objective=f,
         iterations=iterations,
         grad_norm=float(np.max(np.abs(r))),
-        converged=True,
         objective_trace=trace,
     )
-
-
-def max_volume_angles(c, k, flavor, opts=None):
-    """The unique maximum-volume angle assignment with cone angles k.
-
-    Returns (assignment, volume): the dihedral angles of the covolume
-    minimizer and their total volume.
-    """
-    result = solve_metric(c, k, flavor, opts=opts)
-    return result.assignment, result.volume
 
 
 def duality_gap(c, k, result, samples, seed=0, spread=1.0):
@@ -454,11 +440,7 @@ def rigidity_check(c, k, flavor, starts=10, opts=None, seed=0, tolerance=1e-7):
     minimizer is unique, so disagreement signals a solver problem.
     """
     opts = opts or SolveOptions()
-    _check_closed(c)
-    k = _check_target(c, k)
-    report = feasibility(c, k, flavor, tol=opts.feasibility_tol)
-    if not report.positive:
-        raise NotPositiveFeasibleError(f"rigidity check needs a positive-feasible target, got {report.status}")
+    k = _reachable_target(c, k, flavor, opts.tol)
     rng = np.random.default_rng(seed)
 
     results = []
@@ -467,7 +449,7 @@ def rigidity_check(c, k, flavor, starts=10, opts=None, seed=0, tolerance=1e-7):
             x0 = rng.uniform(-1.0, 1.0, c.num_edges)
         else:
             x0 = rng.uniform(0.2, 3.0, c.num_edges)
-        results.append(_descend(c, k, flavor, _Objective(c, k, flavor), x0, opts))
+        results.append(_descend(c, k, flavor, x0, opts))
 
     max_angle = 0.0
     max_len = 0.0
