@@ -82,15 +82,18 @@ __all__ = [
     "HyperKernel",
     "vertex_edge_length",
     "phi",
+    "flat_pairs",
     "classify_lengths",
     "hyper_angles",
     "hyper_angles_from_lengths",
     "hyper_kernel",
+    "hyper_jacobian",
     "psi",
     "classify_angles",
     "cov_hyper",
     "vol_hyper",
     "volume_from_angles",
+    "volumes_from_angles",
     "mu_segment_integral",
     "COV_AT_ORIGIN",
 ]
@@ -139,6 +142,14 @@ _GATHER = np.concatenate(
     + [np.array([row[i] for row in _SLOT_TABLE]) for i in range(5)]
 )
 
+# hyper_jacobian's scatter positions: (face, slot) of the three slots of each
+# face, in the order of _GATHER's face columns; (slot s, slot u) of the
+# slots s, ik, ih, jk, jh and kh of each slot s
+_FACE_ROWS = np.tile(np.arange(4), (3, 1))
+_FACE_COLS = np.array(list(zip(*_FACE_SLOTS)))
+_NUM_ROWS = np.tile(np.arange(6), (6, 1))
+_NUM_COLS = np.array([list(range(6))] + [[row[i] for row in _SLOT_TABLE] for i in range(5)])
+
 # slot of the edge shared by faces f != g
 _SHARED = np.array(
     [[_slot(*(set(f) & set(g))) if f != g else 0 for g in FACES] for f in FACES]
@@ -184,6 +195,8 @@ _LN2 = math.log(2.0)
 _MAX_LENGTH = 1e12
 # scaled face terms below this are too close to underflow for the cosine law
 _FACE_FLOOR = 1e-280
+# how far an angle may sit off 0, pi or a vertex sum off pi for the type tests
+_ANGLE_TOL = 1e-9
 
 
 def _check_six(l, name="edge lengths"):
@@ -223,7 +236,16 @@ def vertex_edge_length(l_ij, l_ik, l_jk):
 
 
 def _phi(lp):
-    """phi of an array (T, 6) of nonnegative lengths; exactly 1 where cosh l is 1.
+    """phi of an array (T, 6) of nonnegative lengths; exactly 1 where cosh l is 1."""
+    return _cosine_law(lp)[0]
+
+
+def _cosine_law(lp):
+    """phi of nonnegative lengths lp, shape (T, 6), and the terms it is made of.
+
+    Returns phi (exactly 1 where cosh l is 1), the scaled cosh values c, the
+    scale e = 2^-m of each row, the gathered columns of c (see _GATHER), the
+    face terms and the denominators.
 
     The cosine law is evaluated on c = cosh(l) / 2^m, one binary exponent m
     per tetrahedron: m = 0 while its lengths stay below _SCALE_FROM (cosh^6
@@ -263,7 +285,7 @@ def _phi(lp):
     unit = np.ldexp(face, -2 * half)
     den = np.ldexp(np.sqrt(unit[:, _F1] * unit[:, _F2]), half[:, _F1] + half[:, _F2])
     num = e * (ik * ih) + e * (jk * jh) + c * (ik * jh + ih * jk) - (c * c - e * e) * kh
-    return np.where(ch == 1.0, 1.0, num / den)
+    return np.where(ch == 1.0, 1.0, num / den), c, e, g, face, den
 
 
 def _angles(ph):
@@ -299,33 +321,52 @@ class LengthClass:
         return self.kind == "hyper_ideal"
 
 
+def flat_pairs(l, tol=1e-9):
+    """The flat pair of each of T positive length rows, shape (T, 6), and phi.
+
+    Returns (pair, phi): pair[t] is the opposite pair of row t with phi <=
+    -1 + tol on one of its slots, or -1 when no pair qualifies (the row lies
+    in the closure of L); phi holds the rows' six cosine-law values.  Two
+    distinct flat pairs cannot coexist, so a row showing both raises
+    ConsistencyError, and a non-positive length raises DomainError; either
+    names the first such row.
+    """
+    l = np.asarray(l, dtype=float)
+    low = np.flatnonzero(l.min(axis=1) <= 0.0)
+    if low.size:
+        t = int(low[0])
+        raise DomainError(f"tetrahedron {t} has non-positive lengths {l[t]}")
+    ph = _phi(l)
+    flat = np.minimum(ph[:, :3], ph[:, 3:]) <= -1.0 + tol
+    two = np.flatnonzero(flat.sum(axis=1) > 1)
+    if two.size:
+        t = int(two[0])
+        raise ConsistencyError(
+            f"tetrahedron {t}: two opposite pairs report phi <= -1 (pairs "
+            f"{np.flatnonzero(flat[t]).tolist()}, phi={ph[t]}); this is "
+            "excluded by the flat-region disjointness"
+        )
+    return np.where(flat.any(axis=1), flat.argmax(axis=1), -1), ph
+
+
 def classify_lengths(l, tol=1e-9):
     """Locate a positive length vector relative to L and the flat regions.
 
-    A pair with phi <= -1 + tol is flagged flat; |phi + 1| <= tol lands on
-    the boundary wall, anything further below -1 in the interior of the flat
-    region.  Two distinct flat pairs cannot coexist; seeing both raises
-    ConsistencyError.  Points with every phi inside (-1 + tol, 1 - tol), and
-    also points near the small-length frontier where some phi approaches 1
-    without any pair reaching -1, classify as hyper_ideal (they lie in the
-    closure of L, not in any flat region).
+    The T = 1 view of flat_pairs: a pair with phi <= -1 + tol is flagged
+    flat; |phi + 1| <= tol lands on the boundary wall, anything further
+    below -1 in the interior of the flat region.  Points with every phi
+    inside (-1 + tol, 1 - tol), and also points near the small-length
+    frontier where some phi approaches 1 without any pair reaching -1,
+    classify as hyper_ideal (they lie in the closure of L, not in any flat
+    region).
     """
-    vals = _check_six(l)
-    if min(vals) <= 0.0:
-        raise DomainError(f"classify_lengths requires strictly positive lengths, got {vals}")
-    ph = phi(vals)
-    flat_pairs = [p for p in range(3) if ph[p] <= -1.0 + tol or ph[p + 3] <= -1.0 + tol]
-    if len(flat_pairs) > 1:
-        raise ConsistencyError(
-            f"two opposite pairs report phi <= -1 (pairs {flat_pairs}, phi={ph}); "
-            "this is excluded by the flat-region disjointness"
-        )
-    if flat_pairs:
-        p = flat_pairs[0]
-        if min(ph[p], ph[p + 3]) < -1.0 - tol:
-            return LengthClass("flat_interior", p, ph)
-        return LengthClass("flat_boundary", p, ph)
-    return LengthClass("hyper_ideal", None, ph)
+    pair, ph = flat_pairs([_check_six(l)], tol)
+    p, ph = int(pair[0]), tuple(ph[0].tolist())
+    if p < 0:
+        return LengthClass("hyper_ideal", None, ph)
+    if min(ph[p], ph[p + 3]) < -1.0 - tol:
+        return LengthClass("flat_interior", p, ph)
+    return LengthClass("flat_boundary", p, ph)
 
 
 def hyper_angles(l):
@@ -377,6 +418,44 @@ def hyper_kernel(l, tol=1e-10):
         cov[t] = _cov_near_wall(lp[t], int(near[t].argmax()), tol)
         vol[t] = 0.5 * (cov[t] - float(a[t] @ lp[t]))
     return HyperKernel(ph, a, cov, vol)
+
+
+def hyper_jacobian(l):
+    """Jacobian of the extended dihedral angles in the lengths of T tetrahedra, shape (T, 6, 6).
+
+    By the chain rule through the cosine law, d a_s = -d phi_s / sin a_s,
+    where phi_s = num_s / sqrt(F1 F2) is differentiated in c = cosh l (see
+    _cosine_law) and dc/dl = sinh l.  By Schlaefli's formula the angles are
+    the gradient of the covolume, so the Jacobian is symmetric.  It is zero
+    on the rows and columns of clamped slots (l <= 0), and a zero block on
+    flat tetrahedra and on those in the near-wall band, where sin a -> 0
+    makes the derivative blow up.
+    """
+    lp = np.maximum(_check_batch(l), 0.0)
+    ph, c, e, g, face, den = _cosine_law(lp)
+    ca, cb, cc = g[:, 0:4], g[:, 4:8], g[:, 8:12]
+    ik, ih, jk, jh, kh = (g[:, 12 + 6 * i : 18 + 6 * i] for i in range(5))
+    # d log F_f / d c_u on the three slots of each face f
+    dlog_face = np.zeros((len(lp), 4, 6))
+    dface = np.stack([cb * cc + e * ca, ca * cc + e * cb, ca * cb + e * cc], axis=1)
+    dlog_face[:, _FACE_ROWS, _FACE_COLS] = 2.0 * dface / face[:, None]
+    # d num_s / d c_u on the slots s, ik, ih, jk, jh and kh of slot s
+    dnum = np.zeros((len(lp), 6, 6))
+    dnum[:, _NUM_ROWS, _NUM_COLS] = np.stack(
+        [ik * jh + ih * jk - 2.0 * c * kh, e * ih + c * jh, e * ik + c * jk,
+         e * jh + c * ih, e * jk + c * ik, e * e - c * c],
+        axis=1,
+    )
+    dphi = dnum / den[:, :, None] - 0.5 * ph[:, :, None] * (dlog_face[:, _F1] + dlog_face[:, _F2])
+    sh = np.where(lp < _COSH_MAX, np.sinh(np.minimum(lp, _COSH_MAX)) * e, c)
+    inside = np.abs(ph) < 1.0
+    sin = np.sqrt(1.0 - np.where(inside, ph, 0.0) ** 2)
+    jac = np.where(inside[:, :, None], -dphi * sh[:, None, :] / sin[:, :, None], 0.0)
+    a = _angles(ph)
+    flat = np.minimum(ph[:, :3], ph[:, 3:]).min(axis=1) <= -1.0
+    band = (np.minimum(a[:, :3], a[:, 3:]) > math.pi - _BAND).any(axis=1)
+    jac[flat | band] = 0.0
+    return jac
 
 
 def _volume(a):
@@ -501,7 +580,7 @@ def _vertex_sums(a):
     return tuple(a[s1] + a[s2] + a[s3] for s1, s2, s3 in VERTEX_SLOTS)
 
 
-def classify_angles(a, tol=1e-9):
+def classify_angles(a, tol=_ANGLE_TOL):
     """Type I / II / III classification of an angle vector in closure(B).
 
     Type I: every vertex sum strictly below pi.  Type II: pi on one opposite
@@ -659,6 +738,27 @@ def vol_hyper(l, tol=1e-10):
     if min(vals) <= 0.0:
         raise DomainError(f"vol_hyper requires strictly positive lengths, got {vals}")
     return float(hyper_kernel([vals], tol=tol).vol[0])
+
+
+def volumes_from_angles(a):
+    """Volumes of T tetrahedra from angle vectors in closure(B), shape (T, 6).
+
+    The batched volume_from_angles: type-I rows take the closed form, type-II
+    rows (the flat pattern of one pair, within _ANGLE_TOL) volume 0, and the
+    first type-III row raises UnsupportedAngleTypeError naming its index.
+    """
+    a = np.asarray(a, dtype=float)
+    v = np.array(VERTEX_SLOTS)
+    type_1 = ((a[:, v[:, 0]] + a[:, v[:, 1]] + a[:, v[:, 2]]) < math.pi).all(axis=1)
+    off = np.abs(a[:, None, :] - math.pi * _PAIR_SLOTS)
+    type_2 = (off <= _ANGLE_TOL).all(axis=2).any(axis=1)
+    bad = np.flatnonzero(~(type_1 | type_2))
+    if bad.size:
+        t = int(bad[0])
+        raise UnsupportedAngleTypeError(f"tetrahedron {t} carries a type-III angle vector {a[t]}")
+    vol = np.zeros(len(a))
+    vol[type_1] = _volume(a[type_1])
+    return vol
 
 
 def volume_from_angles(a):

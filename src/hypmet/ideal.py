@@ -30,6 +30,7 @@ from .lobachevsky import lobachevsky, lobachevsky_array
 __all__ = [
     "IdealKernel",
     "ideal_kernel",
+    "ideal_jacobian",
     "triangle_angles",
     "penner_angle",
     "ideal_lengths_to_angles",
@@ -108,6 +109,39 @@ def ideal_kernel(l):
     """
     l = _check_batch(l)
     return _log_side_kernel(0.5 * (l[:, :3] + l[:, 3:]))
+
+
+def _cotangent_map():
+    """Matrix (3, 36) taking (cot a_1, cot a_2, cot a_3) to a tetrahedron's 6 x 6 Jacobian."""
+    m = np.zeros((3, 3, 3))  # m[i] is the cotangent form's coefficient of cot a_i
+    for p in range(3):
+        q, r = (p + 1) % 3, (p + 2) % 3
+        m[q, p, p] = m[r, p, p] = 1.0
+        m[r, p, q] = m[r, q, p] = -1.0
+    return 0.5 * np.tile(m, (1, 2, 2)).reshape(3, 36)
+
+
+_COTANGENT_MAP = _cotangent_map()
+
+
+def ideal_jacobian(l):
+    """Jacobian of the slot angles in the labels of T tetrahedra, shape (T, 6, 6).
+
+    The cotangent form of the triangle-angle map on log sides
+    (Bobenko-Pinkall-Springborn, Geom. Topol. 2015): d a_p / d y_p =
+    cot a_q + cot a_r and d a_p / d y_q = -cot a_r, with y_p = (l_p + l_{p+3}) / 2,
+    so d a_p / d l_s is half the entry at (p, s mod 3).  It is symmetric,
+    and the all-ones vector of each tetrahedron lies in its kernel.  Flat
+    tetrahedra, whose angles (pi, 0, 0) stay put nearby, get a zero block.
+    """
+    l = _check_batch(l)
+    y = 0.5 * (l[:, :3] + l[:, 3:])
+    a = _triangle_angles(np.exp(y - y.max(axis=1, keepdims=True)))
+    flat = (a.min(axis=1) <= 0.0)[:, None]
+    cot = np.where(flat, 0.0, 1.0 / np.tan(np.where(flat, 1.0, a)))
+    # a broadcast sum: a matrix product this small would page in BLAS's gemm
+    # code, about 0.25 MB of resident memory
+    return (cot[:, :, None] * _COTANGENT_MAP).sum(axis=1).reshape(-1, 6, 6)
 
 
 def triangle_angles(x1, x2, x3):

@@ -24,8 +24,8 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedAngleTypeError
-from .hyperideal import VERTEX_SLOTS, hyper_angles, hyper_kernel, volume_from_angles
+from .errors import DomainError
+from .hyperideal import VERTEX_SLOTS, hyper_angles, hyper_kernel, volumes_from_angles
 from .ideal import ideal_kernel
 from .lobachevsky import lobachevsky_array
 
@@ -135,16 +135,7 @@ def volume(c, assignment, flavor):
     a = validate_assignment(c, assignment, flavor)
     if flavor == "ideal":
         return float(lobachevsky_array(a).sum())
-    total = 0.0
-    for t in range(c.n_tets):
-        row = np.clip(a[t], 0.0, math.pi)
-        try:
-            total += volume_from_angles(tuple(row))
-        except UnsupportedAngleTypeError:
-            raise UnsupportedAngleTypeError(
-                f"tetrahedron {t} carries a type-III angle vector {a[t]}"
-            ) from None
-    return float(total)
+    return float(volumes_from_angles(np.clip(a, 0.0, math.pi)).sum())
 
 
 def volume_of_metric(c, l, flavor):

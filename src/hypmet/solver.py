@@ -14,13 +14,28 @@ positive optimum certifies a positive angle assignment, which is the
 hypothesis of the existence theorems.  Its edge rows are the complex's
 sparse incidence matrix, so the LP has O(T) nonzeros.
 
-The descent, one for both flavors, is a limited-memory quasi-Newton
-iteration with analytic gradients and a backtracking Armijo line search.
+The descent, one for both flavors, is a damped Newton iteration.  The
+Hessian of f is the Jacobian of the cone angles, H = op blockdiag(J_t) op^T,
+with op the complex's incidence operator and J_t the closed-form Jacobian
+of one tetrahedron's slot angles in its lengths (ideal.ideal_jacobian,
+hyperideal.hyper_jacobian); it is assembled sparse and factored with
+SuperLU.  The ideal H vanishes on the decoration gauge col(B), so its
+system is bordered by the gauge matrix B and the step stays in ker B^T.
 Every ideal metric's cone angles meet the vertex sums (B^T k_x)_v = pi n_v
 (n_v corners in vertex class v), so the residual for a target that meets
-them is orthogonal to the gauge subspace col(B) and needs no projection.
-One covolume call per trial point gives value and gradient; the Armijo test
-allows 8 ulp of |cov(x)| + |<x, k>| at both points (at least 1e-13).
+them is orthogonal to col(B) and needs no projection.
+
+The step solves (H + mu I) d = -r with mu = |r| min(1, |r|) in the max
+norm.  Flat and near-wall tetrahedra contribute zero blocks, and where the
+covolume is linear along a direction H cannot bound the step: the plain
+Newton step there ran to lengths of 1e17 and more from random starts on a
+16-tetrahedron cover.  The shift keeps such steps the size of the
+residual, and near the solution, where mu = |r|^2, it leaves the
+convergence quadratic.  Where the factorization is singular anyway, or
+the step is no descent direction, the step is the steepest-descent -r.
+A backtracking Armijo line search damps the step.  One covolume call per
+trial point gives value and gradient; the Armijo test allows 8 ulp of
+|cov(x)| + |<x, k>| at both points (at least 1e-13).
 """
 
 import math
@@ -28,7 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import coo_array
+from scipy.sparse import coo_array, csc_array
+from scipy.sparse.linalg import splu
 
 from .errors import (
     ConsistencyError,
@@ -38,8 +54,8 @@ from .errors import (
     NotPositiveFeasibleError,
     NumericalError,
 )
-from .hyperideal import VERTEX_SLOTS, classify_lengths, hyper_kernel
-from .ideal import PAIRS, ideal_kernel
+from .hyperideal import VERTEX_SLOTS, flat_pairs, hyper_jacobian, hyper_kernel
+from .ideal import ideal_jacobian, ideal_kernel
 from .metrics import cone_angles, cov_complex
 from .triangulation import gauge_project
 
@@ -204,8 +220,7 @@ def _coo(vals, rows, cols, shape):
     )
 
 
-# L-BFGS history length, Armijo constant, LP slack of a positive target
-_MEMORY = 20
+# Armijo constant, LP slack of a positive target
 _ARMIJO = 1e-4
 _FEASIBILITY_TOL = 1e-9
 # the Armijo test's roundoff allowance, absolute and per unit of f's terms
@@ -220,20 +235,65 @@ def _evaluate(c, k, flavor, x):
     return v - xk, kx - k, abs(v) + abs(xk)
 
 
-def _two_loop(g, history):
-    q = g.copy()
-    alphas = []
-    for s, y, rho in reversed(history):
-        a = rho * float(s @ q)
-        alphas.append(a)
-        q -= a * y
-    if history:
-        s, y, rho = history[-1]
-        q *= float(s @ y) / float(y @ y)
-    for (s, y, rho), a in zip(history, reversed(alphas)):
-        b = rho * float(y @ q)
-        q += (a - b) * s
-    return q
+class _NewtonSystem:
+    """The Newton matrix H = op blockdiag(J_t) op^T of one complex and flavor.
+
+    op is the incidence operator, so H[e, f] sums J_t[s, s'] over the slots
+    s of e and s' of f in each tetrahedron t.  Its sparsity pattern depends
+    on the complex alone: it is built on the first step and kept, and each
+    step scatters the (T, 6, 6) blocks into the fixed CSC data with one
+    bincount.  The ideal H vanishes on the gauge directions col(B), so it
+    is bordered, [[H, B], [B^T, 0]], which confines the step to ker B^T.
+    B has full column rank, since each tetrahedron's vertices span
+    triangles; H + B B^T would be dense wherever one vertex class has most
+    edges (every fig8 cover has V = 1).
+    """
+
+    def __init__(self, c, flavor):
+        self.c = c
+        self.flavor = flavor
+        self.matrix = None
+
+    def _build(self):
+        c = self.c
+        e_count = c.num_edges
+        rows = np.broadcast_to(c.edge_index[:, :, None], (c.n_tets, 6, 6)).ravel()
+        cols = np.broadcast_to(c.edge_index[:, None, :], (c.n_tets, 6, 6)).ravel()
+        n = e_count
+        if self.flavor == "ideal":
+            # B[e, v] counts the endpoints of edge e in vertex class v
+            edges = np.repeat(np.arange(e_count), 2)
+            ends = e_count + c.edge_endpoints.ravel()
+            rows = np.concatenate([rows, edges, ends])
+            cols = np.concatenate([cols, ends, edges])
+            n += c.num_vertices
+        keys, pos = np.unique(cols * n + rows, return_inverse=True)
+        self.pos = pos[: 36 * c.n_tets]
+        self.fixed = np.bincount(pos[36 * c.n_tets :], minlength=len(keys)).astype(float)
+        self.diagonal = np.searchsorted(keys, np.arange(e_count) * (n + 1))
+        # SuperLU takes C int indices; given as such, they are not copied per step
+        indices = (keys % n).astype(np.intc)
+        indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.intc)
+        self.matrix = csc_array((self.fixed.copy(), indices, indptr), shape=(n, n))
+
+    def step(self, x, r, shift):
+        """The step d with (H + shift I) d = -r at x, or -r if that is no descent direction."""
+        if self.matrix is None:
+            self._build()
+        jacobian = ideal_jacobian if self.flavor == "ideal" else hyper_jacobian
+        blocks = jacobian(x[self.c.edge_index]).ravel()
+        data = self.fixed + np.bincount(self.pos, blocks, len(self.fixed))
+        data[self.diagonal] += shift
+        self.matrix.data[:] = data
+        rhs = np.zeros(self.matrix.shape[0])
+        rhs[: len(r)] = -r
+        try:
+            d = splu(self.matrix).solve(rhs)[: len(r)]
+        except RuntimeError:  # exactly singular
+            return -r
+        if not np.isfinite(d).all() or float(r @ d) >= 0.0:
+            return -r
+        return d
 
 
 def _reachable_target(c, k, flavor, tol):
@@ -280,9 +340,9 @@ def solve_metric(c, k, flavor, opts=None):
 
 
 def _descend(c, k, flavor, x0, opts):
+    newton = _NewtonSystem(c, flavor)
     x = np.asarray(x0, dtype=float)
     f, r, size = _evaluate(c, k, flavor, x)
-    history = []
     trace = [f]
     iterations = 0
 
@@ -296,12 +356,8 @@ def _descend(c, k, flavor, x0, opts):
                 {"grad_norm": gnorm, "objective": f, "flavor": flavor},
             )
         iterations += 1
-        d = -_two_loop(r, history)
+        d = newton.step(x, r, gnorm * min(gnorm, 1.0))
         gd = float(r @ d)
-        if gd >= 0.0:
-            history.clear()
-            d = -r
-            gd = float(r @ d)
         alpha = 1.0
         for _ in range(50):
             x_new = x + alpha * d
@@ -320,13 +376,6 @@ def _descend(c, k, flavor, x0, opts):
                 "backtracking found no acceptable step",
                 {"grad_norm": gnorm, "objective": f, "iteration": iterations},
             )
-        s = x_new - x
-        y = r_new - r
-        sy = float(s @ y)
-        if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            history.append((s, y, 1.0 / sy))
-            if len(history) > _MEMORY:
-                history.pop(0)
         x, f, r, size = x_new, f_new, r_new, size_new
         trace.append(f)
 
@@ -385,49 +434,52 @@ def classify_maximizer(c, result, angle_tol=1e-7):
     form the flat pattern (pi on one opposite pair, 0 elsewhere) and the
     lengths must certify the degeneration: the ideal flavor checks the
     collapsed side inequality, the hyper flavor that the lengths lie outside
-    the hyper-ideal set.  Any other zero-angle pattern raises
+    the hyper-ideal set (a pair with phi <= -1 + angle_tol, as in
+    hyperideal.flat_pairs).  Any other zero-angle pattern raises
     ConsistencyError, since the structure theorems exclude it for true
-    maximizers.
+    maximizers.  All tetrahedra are classified at once; an error names the
+    first tetrahedron showing its defect.
     """
-    verdicts = []
-    for t in range(c.n_tets):
-        lt = c.tet_lengths(result.lengths, t)
-        if result.flavor == "ideal":
-            quad = np.asarray(result.assignment[t])
-            if np.min(quad) > angle_tol:
-                verdicts.append(TetVerdict(t, "realized", float(np.min(quad))))
-                continue
-            pair = int(np.argmax(quad))
-            pattern = (
-                abs(quad[pair] - math.pi) <= angle_tol
-                and all(quad[p] <= angle_tol for p in range(3) if p != pair)
+    lengths = np.asarray(result.lengths, dtype=float)[c.edge_index]
+    a = np.asarray(result.assignment, dtype=float)
+    low = a.min(axis=1)
+    rows = np.arange(c.n_tets)
+    if result.flavor == "ideal":
+        realized = low > angle_tol
+        pattern = (np.abs(a.max(axis=1) - math.pi) <= angle_tol) & (
+            (a <= angle_tol).sum(axis=1) >= 2
+        )
+        sides = np.exp(0.5 * (lengths[:, :3] + lengths[:, 3:]))
+        residual = 2.0 * sides[rows, a.argmax(axis=1)] - sides.sum(axis=1)
+        bad = np.flatnonzero(~realized & (~pattern | (residual < -angle_tol)))
+        if bad.size:
+            t = int(bad[0])
+            if not pattern[t]:
+                raise ConsistencyError(
+                    f"tetrahedron {t} has a zero angle without the flat pattern: {a[t]}"
+                )
+            raise ConsistencyError(
+                f"flat tetrahedron {t} violates the collapsed side inequality "
+                f"(residual {residual[t]})"
             )
-            if not pattern:
-                raise ConsistencyError(
-                    f"tetrahedron {t} has a zero angle without the flat pattern: {quad}"
-                )
-            sides = [math.exp(0.5 * (lt[p] + lt[q])) for p, q in PAIRS]
-            others = [p for p in range(3) if p != pair]
-            residual = sides[pair] - sides[others[0]] - sides[others[1]]
-            if residual < -angle_tol:
-                raise ConsistencyError(
-                    f"flat tetrahedron {t} violates the collapsed side inequality "
-                    f"(residual {residual})"
-                )
-            verdicts.append(TetVerdict(t, "flat_ideal", float(residual)))
-        else:
-            slot = np.asarray(result.assignment[t])
-            cls = classify_lengths(lt, tol=angle_tol)
-            if cls.is_hyper_ideal:
-                if np.min(slot) <= angle_tol:
-                    raise ConsistencyError(
-                        f"tetrahedron {t} has a zero angle but hyper-ideal lengths: {slot}"
-                    )
-                verdicts.append(TetVerdict(t, "realized", float(np.min(slot))))
-            else:
-                residual = -1.0 - min(cls.phi[cls.pair], cls.phi[cls.pair + 3])
-                verdicts.append(TetVerdict(t, "flat_hyper", float(residual)))
-    return verdicts
+        flat_kind = "flat_ideal"
+    else:
+        pair, ph = flat_pairs(lengths, angle_tol)
+        realized = pair < 0
+        bad = np.flatnonzero(realized & (low <= angle_tol))
+        if bad.size:
+            t = int(bad[0])
+            raise ConsistencyError(
+                f"tetrahedron {t} has a zero angle but hyper-ideal lengths: {a[t]}"
+            )
+        residual = -1.0 - np.minimum(ph[rows, pair], ph[rows, pair + 3])
+        flat_kind = "flat_hyper"
+    return [
+        TetVerdict(t, "realized", float(low[t]))
+        if realized[t]
+        else TetVerdict(t, flat_kind, float(residual[t]))
+        for t in range(c.n_tets)
+    ]
 
 
 def rigidity_check(c, k, flavor, starts=10, opts=None, seed=0, tolerance=1e-7):

@@ -155,3 +155,26 @@ def disjoint_union(tri, copies, rng=None):
         for g in tri["gluings"]
     ]
     return {"tets": total, "gluings": gluings}
+
+
+FIG8_COCYCLE = (-1, 0, -1, 0)
+
+
+def cyclic_cover(tri, cocycle, n):
+    """The n-fold cyclic cover of a triangulation dict, built from a face cocycle.
+
+    Tetrahedron (t, i), i in Z/n, is numbered i * T + t; gluing g from tet t
+    lifts to (t, i) -> (t', i + cocycle[g] mod n) with the same permutation.
+    With FIG8_COCYCLE on the four gluings of fixtures/fig8.json every n gives
+    a closed, connected cover with 2n tetrahedra, 2n edge classes of valence
+    6 and one vertex class.
+    """
+    tets = int(tri["tets"])
+    return {
+        "tets": n * tets,
+        "gluings": [
+            dict(g, tet=i * tets + g["tet"], to_tet=((i + c) % n) * tets + g["to_tet"])
+            for i in range(n)
+            for g, c in zip(tri["gluings"], cocycle, strict=True)
+        ],
+    }

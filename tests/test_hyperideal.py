@@ -18,13 +18,19 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from hypmet.errors import DomainError, NumericalError, UnsupportedAngleTypeError
+from hypmet.errors import (
+    ConsistencyError,
+    DomainError,
+    NumericalError,
+    UnsupportedAngleTypeError,
+)
 from hypmet.hyperideal import (
     COV_AT_ORIGIN,
     EDGE_VERTICES,
     classify_angles,
     classify_lengths,
     cov_hyper,
+    flat_pairs,
     hyper_angles,
     hyper_angles_from_lengths,
     hyper_kernel,
@@ -220,6 +226,23 @@ class TestClassifyLengths:
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             classify_lengths([0.0, 1, 1, 1, 1, 1])
+
+    def test_batched_rows_match_the_scalar_view(self):
+        deep = flat_wall_point(0.5)[[1, 0, 2, 4, 3, 5]]  # the wall of pair 1
+        deep[[1, 4]] += 0.6
+        rows = [[ACOSH2] * 6, flat_wall_point(0.5), deep, [1e-6, 1.0, 1.2, 0.9, 1.1, 1.3]]
+        pair, ph = flat_pairs(rows)
+        assert pair.tolist() == [-1, 0, 1, -1]
+        for row, p, values in zip(rows, pair, ph):
+            cls = classify_lengths(row)
+            assert cls.pair == (None if p < 0 else p) and cls.phi == tuple(values.tolist())
+
+    def test_batched_errors_name_the_row(self):
+        with pytest.raises(DomainError, match="tetrahedron 1 "):
+            flat_pairs([[ACOSH2] * 6, [1.0, 1, 1, -0.5, 1, 1]])
+        # a tolerance past 2 flags every pair of the equilateral row
+        with pytest.raises(ConsistencyError, match="tetrahedron 0: two opposite pairs"):
+            flat_pairs([[ACOSH2] * 6], tol=2.5)
 
 
 class TestHyperAngles:

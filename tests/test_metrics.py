@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hypmet.errors import DomainError, UnsupportedAngleTypeError
-from hypmet.hyperideal import vol_hyper
+from hypmet.hyperideal import vol_hyper, volume_from_angles
 from hypmet.ideal import cov_ideal
 from hypmet.lobachevsky import lobachevsky
 from hypmet.metrics import (
@@ -142,6 +142,55 @@ class TestVolume:
         l = np.array([0.3, -0.3])
         expected = volume(fig8, angles_of_metric(fig8, l, "ideal"), "ideal")
         assert volume_of_metric(fig8, l, "ideal") == expected
+
+
+def hyper_volume_loop(c, a):
+    """The per-tetrahedron loop the hyper branch of volume replaced."""
+    total = 0.0
+    for t in range(c.n_tets):
+        row = np.clip(a[t], 0.0, math.pi)
+        try:
+            total += volume_from_angles(tuple(row))
+        except UnsupportedAngleTypeError:
+            raise UnsupportedAngleTypeError(
+                f"tetrahedron {t} carries a type-III angle vector {a[t]}"
+            ) from None
+    return float(total)
+
+
+class TestHyperVolumeAgainstLoop:
+    @pytest.mark.parametrize("name", ["fig8", "double_tet"])
+    def test_realized_flat_and_mixed(self, request, name):
+        c = request.getfixturevalue(name)
+        rng = np.random.default_rng(61)
+        flat = [math.pi, 0, 0, math.pi, 0, 0]
+        for _ in range(5):
+            a = angles_of_metric(c, rng.uniform(0.5, 2.0, c.num_edges), "hyper")
+            assert volume(c, a, "hyper") == pytest.approx(hyper_volume_loop(c, a), abs=1e-13)
+            a[0] = flat
+            assert volume(c, a, "hyper") == pytest.approx(hyper_volume_loop(c, a), abs=1e-13)
+
+    def test_near_flat_wall(self, double_tet):
+        s = 0.7
+        wall = math.acosh(2.0 * math.cosh(s) + 1.0)
+        a = angles_of_metric(double_tet, np.array([wall - 1e-7, s, s, wall, s, s]), "hyper")
+        expected = hyper_volume_loop(double_tet, a)
+        assert expected > 0.0
+        assert volume(double_tet, a, "hyper") == pytest.approx(expected, abs=1e-13)
+
+    def test_type_three_names_the_tetrahedron(self, fixtures_dir):
+        with open(fixtures_dir / "double_tet.json") as fh:
+            c = build_complex(GluingSpec.from_dict(disjoint_union(json.load(fh), 2)))
+        al = 0.7
+        a = np.full((4, 6), 0.3)
+        a[2] = [0.0, al, math.pi - al, 0.0, al, math.pi - al]
+        a[3] = a[2]
+        with pytest.raises(UnsupportedAngleTypeError) as loop:
+            hyper_volume_loop(c, a)
+        with pytest.raises(UnsupportedAngleTypeError) as batched:
+            volume(c, a, "hyper")
+        assert str(batched.value) == str(loop.value)
+        assert str(batched.value).startswith("tetrahedron 2 carries a type-III angle vector")
 
 
 class TestCovComplex:

@@ -12,7 +12,8 @@ from scipy.optimize import linprog
 
 import hypmet.solver
 from hypmet.errors import ConsistencyError, NotPositiveFeasibleError
-from hypmet.hyperideal import VERTEX_SLOTS, mu_segment_integral
+from hypmet.hyperideal import VERTEX_SLOTS, classify_lengths, mu_segment_integral
+from hypmet.ideal import PAIRS
 from hypmet.metrics import angles_of_metric, cone_angles, cov_complex, volume
 from hypmet.solver import (
     SolveOptions,
@@ -26,6 +27,8 @@ from hypmet.solver import (
 from hypmet.triangulation import GluingSpec, build_complex, gauge_project
 
 from oracles import (
+    FIG8_COCYCLE,
+    cyclic_cover,
     disjoint_union,
     random_positive_hyper_k,
     random_positive_ideal_k,
@@ -332,6 +335,54 @@ class TestSolveHyper:
             assert abs(inc - (v1 - v0)) <= 2 * tol * 10
 
 
+@pytest.fixture(scope="module")
+def fig8_cover(fixtures_dir):
+    """The connected T-tetrahedron cyclic cover of fig8, one build per T."""
+    with open(fixtures_dir / "fig8.json") as fh:
+        base = json.load(fh)
+    built = {}
+
+    def cover(tets):
+        if tets not in built:
+            tri = cyclic_cover(base, FIG8_COCYCLE, tets // 2)
+            built[tets] = build_complex(GluingSpec.from_dict(tri))
+        return built[tets]
+
+    return cover
+
+
+class TestRoundTripsAtScale:
+    """Newton's iteration count does not grow with T: at most 10 per solve."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_ideal_on_512_tets(self, fig8_cover, seed):
+        # the draws of the benchmark's ideal round trips; with a 1e-9
+        # residual alone, seed 0 once left the gauge class by 2.4e-7
+        c = fig8_cover(512)
+        lengths = np.random.default_rng(seed).uniform(-0.25, 0.25, c.num_edges)
+        k = cone_angles(c, angles_of_metric(c, lengths, "ideal"))
+        res = solve_metric(c, k, "ideal")
+        assert res.iterations <= 10
+        assert np.max(np.abs(gauge_project(c, res.lengths - lengths))) <= 1e-8
+
+    def test_random_starts_on_a_16_tet_cover(self, fig8_cover):
+        # from these starts the unshifted Newton step ran to lengths of 1e17
+        # and more, where flat tetrahedra leave H nearly singular, and the
+        # line search gave up
+        c = fig8_cover(16)
+        k = random_positive_ideal_k(c, np.random.default_rng(1000))
+        rep = rigidity_check(c, k, "ideal", starts=3, seed=0)
+        assert rep.ok and max(rep.iterations) <= 10
+
+    def test_hyper_on_256_tets(self, fig8_cover):
+        c = fig8_cover(256)
+        lengths = ACOSH2 + np.random.default_rng(0).uniform(-0.2, 0.2, c.num_edges)
+        k = cone_angles(c, angles_of_metric(c, lengths, "hyper"))
+        res = solve_metric(c, k, "hyper")
+        assert res.iterations <= 10
+        assert np.max(np.abs(res.lengths - lengths)) <= 1e-8
+
+
 class TestMaxVolumeAngles:
     def test_fig8_regular(self, fig8):
         res = solve_metric(fig8, [TWO_PI, TWO_PI], "ideal")
@@ -472,6 +523,121 @@ class TestClassifyMaximizer:
         )
         with pytest.raises(ConsistencyError):
             classify_maximizer(double_tet, res)
+
+
+def classify_loop(c, result, angle_tol=1e-7):
+    """The per-tetrahedron loop classify_maximizer replaced: (verdicts, error)."""
+    verdicts = []
+    try:
+        for t in range(c.n_tets):
+            lt = c.tet_lengths(result.lengths, t)
+            if result.flavor == "ideal":
+                quad = np.asarray(result.assignment[t])
+                if np.min(quad) > angle_tol:
+                    verdicts.append((t, "realized", float(np.min(quad))))
+                    continue
+                pair = int(np.argmax(quad))
+                pattern = abs(quad[pair] - math.pi) <= angle_tol and all(
+                    quad[p] <= angle_tol for p in range(3) if p != pair
+                )
+                if not pattern:
+                    raise ConsistencyError(
+                        f"tetrahedron {t} has a zero angle without the flat pattern: {quad}"
+                    )
+                sides = [math.exp(0.5 * (lt[p] + lt[q])) for p, q in PAIRS]
+                others = [p for p in range(3) if p != pair]
+                residual = sides[pair] - sides[others[0]] - sides[others[1]]
+                if residual < -angle_tol:
+                    raise ConsistencyError(
+                        f"flat tetrahedron {t} violates the collapsed side inequality "
+                        f"(residual {residual})"
+                    )
+                verdicts.append((t, "flat_ideal", float(residual)))
+            else:
+                slot = np.asarray(result.assignment[t])
+                cls = classify_lengths(lt, tol=angle_tol)
+                if cls.is_hyper_ideal:
+                    if np.min(slot) <= angle_tol:
+                        raise ConsistencyError(
+                            f"tetrahedron {t} has a zero angle but hyper-ideal lengths: {slot}"
+                        )
+                    verdicts.append((t, "realized", float(np.min(slot))))
+                else:
+                    residual = -1.0 - min(cls.phi[cls.pair], cls.phi[cls.pair + 3])
+                    verdicts.append((t, "flat_hyper", float(residual)))
+    except ConsistencyError as exc:
+        return verdicts, str(exc)
+    return verdicts, None
+
+
+def synthetic_result(c, lengths, flavor, assignment=None):
+    """A converged-looking SolveResult at the given lengths."""
+    if assignment is None:
+        assignment = angles_of_metric(c, lengths, flavor)
+    k = cone_angles(c, assignment)
+    lengths = np.asarray(lengths, dtype=float)
+    return SolveResult(flavor, lengths, assignment, k, k, 0.0, 0.0, 0.0, 0, 0.0)
+
+
+class TestClassifyAgainstLoop:
+    """The batched classify_maximizer against the loop it replaced."""
+
+    def check(self, c, result):
+        want, error = classify_loop(c, result)
+        if error is None:
+            got = classify_maximizer(c, result)
+            assert [(v.tet, v.verdict) for v in got] == [w[:2] for w in want]
+            assert np.max(np.abs([v.residual - w[2] for v, w in zip(got, want)])) <= 1e-12
+            return [v.verdict for v in got]
+        with pytest.raises(ConsistencyError) as exc:
+            classify_maximizer(c, result)
+        assert str(exc.value) == error
+        return error
+
+    @pytest.mark.parametrize("name", ["fig8", "double_tet"])
+    @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
+    def test_realized_maximizers(self, request, name, flavor):
+        c = request.getfixturevalue(name)
+        make = random_positive_ideal_k if flavor == "ideal" else random_positive_hyper_k
+        for seed in range(3):
+            res = solve_metric(c, make(c, np.random.default_rng(seed)), flavor)
+            assert set(self.check(c, res)) == {"realized"}
+
+    def test_flat_and_realized_tetrahedra_together(self, fixtures_dir):
+        with open(fixtures_dir / "double_tet.json") as fh:
+            c = build_complex(GluingSpec.from_dict(disjoint_union(json.load(fh), 3)))
+        first = c.edge_index[::2]  # tetrahedra 0, 2, 4, one per copy
+        ideal = np.zeros(c.num_edges)
+        ideal[first[0]] = [2 * math.log(2), 0, 0, 2 * math.log(2), 0, 0]
+        ideal[first[1]] = [0.3, -0.2, 0.1, 0.0, 0.2, -0.1]
+        ideal[first[2]] = [1.5, 0, 0, 1.5, 0, 0]
+        assert self.check(c, synthetic_result(c, ideal, "ideal")) == ["flat_ideal"] * 2 + [
+            "realized"
+        ] * 2 + ["flat_ideal"] * 2
+        s = 0.5
+        wall = math.acosh(2 * math.cosh(s) + 1)
+        hyper = np.full(c.num_edges, ACOSH2)
+        hyper[first[0]] = [wall + 0.4, s, s, wall + 0.4, s, s]
+        hyper[first[2]] = [s, wall, s, s, wall, s]
+        verdicts = self.check(c, synthetic_result(c, hyper, "hyper"))
+        assert verdicts == ["flat_hyper"] * 2 + ["realized"] * 2 + ["flat_hyper"] * 2
+
+    def test_errors_name_the_first_offending_tetrahedron(self, fixtures_dir):
+        with open(fixtures_dir / "double_tet.json") as fh:
+            c = build_complex(GluingSpec.from_dict(disjoint_union(json.load(fh), 2)))
+        assignment = np.full((4, 3), math.pi / 3)
+        assignment[2:] = [math.pi / 2, math.pi / 2, 0.0]  # not the flat pattern
+        error = self.check(c, synthetic_result(c, np.zeros(12), "ideal", assignment))
+        assert error.startswith("tetrahedron 2 has a zero angle without the flat pattern")
+        # the flat pattern on sides (1, 1, 1), which violate the collapsed side inequality
+        assignment[2:] = [math.pi, 0.0, 0.0]
+        assert "flat tetrahedron 2" in self.check(
+            c, synthetic_result(c, np.zeros(12), "ideal", assignment)
+        )
+        slots = np.full((4, 6), EQUI_ANGLE)
+        slots[3, 1] = 0.0
+        error = self.check(c, synthetic_result(c, np.full(12, ACOSH2), "hyper", slots))
+        assert error.startswith("tetrahedron 3 has a zero angle")
 
 
 class TestRigidity:
