@@ -3,7 +3,9 @@
 
 For each fixture and flavor: LP feasibility of a symmetric cone-angle
 target, covolume minimization, maximizer classification, a sampled duality
-gap, and a multi-start rigidity check.  Prints a compact report; exits
+gap, and a multi-start rigidity check; then a target on the boundary of the
+positive ones (LP status nonnegative_only), which the solver must refuse
+with NotPositiveFeasibleError.  Prints a compact report with timings; exits
 nonzero if anything disagrees with the theory.
 
 Usage: python scripts/verify_fixtures.py [--starts N] [--samples N]
@@ -19,6 +21,7 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from hypmet.errors import NotPositiveFeasibleError
 from hypmet.solver import classify_maximizer, duality_gap, feasibility, rigidity_check, solve_metric
 from hypmet.triangulation import build_complex, load_triangulation
 
@@ -56,6 +59,24 @@ def run_case(name, c, k, flavor, starts, samples):
     return ok
 
 
+def run_refusal(name, c, k, flavor):
+    status = feasibility(c, k, flavor).status
+    t0 = time.perf_counter()
+    try:
+        solve_metric(c, k, flavor)
+        outcome = "solved"
+    except NotPositiveFeasibleError as exc:
+        outcome = f"refused: {exc}"
+    elapsed = time.perf_counter() - t0
+
+    ok = status == "nonnegative_only" and outcome.startswith("refused")
+    print(f"== {name} / {flavor} boundary target")
+    print(f"   feasibility     {status}")
+    print(f"   solve           {outcome}")
+    print(f"   [{'ok' if ok else 'FAILED'}] ({1e3 * elapsed:.1f}ms)")
+    return ok
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--starts", type=int, default=10)
@@ -72,9 +93,18 @@ def main():
         ("double_tet", dbl, np.full(6, 2 * math.pi / 3), "ideal"),
         ("double_tet", dbl, np.full(6, 2 * equi), "hyper"),
     ]
+    # zero cone angles force zero angles; angles pi/3 fill every vertex sum to pi
+    boundary = [
+        ("fig8", fig8, np.array([4 * math.pi, 0.0]), "ideal"),
+        ("fig8", fig8, np.full(2, 2 * math.pi), "hyper"),
+        ("double_tet", dbl, np.array([2 * math.pi, 0, 0, 2 * math.pi, 0, 0]), "ideal"),
+        ("double_tet", dbl, np.full(6, 2 * math.pi / 3), "hyper"),
+    ]
     ok = True
     for name, c, k, flavor in cases:
         ok &= run_case(name, c, k, flavor, args.starts, args.samples)
+    for name, c, k, flavor in boundary:
+        ok &= run_refusal(name, c, k, flavor)
     print("all cases ok" if ok else "FAILURES above")
     return 0 if ok else 1
 

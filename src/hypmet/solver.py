@@ -8,10 +8,16 @@ whose minimizers are exactly the metrics with cone angles k; their dihedral
 angles are the unique maximum-volume angle assignment with those cone
 angles, and the optimal value satisfies W(k) = <l*, k> - cov(l*) = -2 vol.
 
-Feasibility of a cone-angle target is decided by a linear program that
-maximizes the minimum slack of the defining (in)equalities; a strictly
-positive optimum certifies a positive angle assignment, which is the
-hypothesis of the existence theorems.  Its edge rows are the complex's
+The existence theorems need a positive angle assignment with cone angles
+k.  The critical points of f are the metrics with cone angles k, so a
+converged solve whose angles are positive is itself such an assignment
+(the Casson-Rivin principle; Rivin, Ann. Math. 1994): the solvers certify
+a target by their solution, whose LP slack must exceed _CERTIFY_MARGIN,
+and solve no linear program on success.  The feasibility LP, which
+maximizes the minimum slack of the defining (in)equalities, decides where
+the solution cannot: a solve that does not certify, raises, or runs
+_GATE_AFTER iterations unconverged consults it once, and a target without
+a strictly positive optimum is refused.  Its edge rows are the complex's
 sparse incidence matrix, so the LP has O(T) nonzeros.
 
 The descent, one for both flavors, is a damped Newton iteration.  The
@@ -223,6 +229,19 @@ def _coo(vals, rows, cols, shape):
 # Armijo constant, LP slack of a positive target
 _ARMIJO = 1e-4
 _FEASIBILITY_TOL = 1e-9
+# The LP slack a converged solution must keep to certify its target, with a
+# residual rho <= _FEASIBILITY_TOL.  Taking rho out of the angles moves each
+# LP row by O(rho): for hyper, spread over the edge's slots it moves every
+# angle by <= rho and every vertex sum by <= 3 rho; for ideal, a correction
+# with zero tetrahedron sums exists (B^T r = 0 up to the vertex-sum gate)
+# of size a constant of the complex times rho.  A margin of 1000 times the
+# LP's threshold leaves the certified slack positive.
+_CERTIFY_MARGIN = 1e-6
+# An unconverged descent consults the LP at this iteration.  Round trips and
+# random starts converge within about 15; targets near the boundary of the
+# feasible set take more and pay one LP.  The bound moves only the time a
+# target without a positive assignment takes to be refused, never a result.
+_GATE_AFTER = 20
 # the Armijo test's roundoff allowance, absolute and per unit of f's terms
 _ROUNDOFF = 1e-13
 _ULPS = 8.0 * np.finfo(float).eps
@@ -296,11 +315,21 @@ class _NewtonSystem:
         return d
 
 
+def _check_options(opts):
+    opts = opts or SolveOptions()
+    if not (math.isfinite(opts.tol) and opts.tol > 0.0):
+        raise DomainError(f"tol must be finite and positive, got {opts.tol}")
+    if opts.max_iter < 0:
+        raise DomainError(f"max_iter must be nonnegative, got {opts.max_iter}")
+    return opts
+
+
 def _reachable_target(c, k, flavor, tol):
-    """The checked target; NotPositiveFeasibleError unless the descent can reach it.
+    """The checked target; NotPositiveFeasibleError if the vertex sums put it out of reach.
 
     Ideal targets off a vertex sum pi n_v by more than (B^T 1)_v tol are out
-    of reach, since |B^T r|_v <= (B^T 1)_v max|r|; then the LP decides.
+    of reach, since |B^T r|_v <= (B^T 1)_v max|r|.  Positivity is left to
+    the descent's certificate.
     """
     _check_closed(c)
     k = _check_target(c, k)
@@ -314,32 +343,75 @@ def _reachable_target(c, k, flavor, tol):
             raise NotPositiveFeasibleError(
                 f"target misses the vertex sum pi n_v at vertex {v} by {miss[v]:.3e} > {allowed[v]:.3e}"
             )
-    report = feasibility(c, k, flavor, tol=_FEASIBILITY_TOL)
-    if not report.positive:
-        raise NotPositiveFeasibleError(
-            f"target has no positive angle assignment (status {report.status}, "
-            f"max slack {report.max_slack})"
-        )
     return k
+
+
+def _certifies(result):
+    """Whether a converged solution is itself a positive angle assignment for its target.
+
+    Its LP slack is the minimum angle, and for hyper also pi minus the
+    largest vertex sum; the ideal kernel's tetrahedron sums are pi by
+    construction.
+    """
+    a = result.assignment
+    slack = float(a.min())
+    if result.flavor == "hyper":
+        slack = min(slack, math.pi - float(a[:, VERTEX_SLOTS].sum(axis=2).max()))
+    return result.grad_norm <= _FEASIBILITY_TOL and slack > _CERTIFY_MARGIN
+
+
+def _certified_descent(c, k, flavor, x0, opts):
+    """_descend, with the target certified by its solution or else by one LP.
+
+    The LP is consulted at most once: when the descent raises, when it
+    reaches iteration _GATE_AFTER unconverged, or when its result does not
+    certify.  A target without a positive angle assignment then raises
+    NotPositiveFeasibleError; otherwise the descent's own outcome stands.
+    """
+    consulted = False
+
+    def consult():
+        nonlocal consulted
+        if consulted:
+            return
+        consulted = True
+        report = feasibility(c, k, flavor, tol=_FEASIBILITY_TOL)
+        if not report.positive:
+            raise NotPositiveFeasibleError(
+                f"target has no positive angle assignment (status {report.status}, "
+                f"max slack {report.max_slack})"
+            )
+
+    try:
+        result = _descend(c, k, flavor, x0, opts, stalled=consult)
+    except Exception:
+        consult()
+        raise
+    if not _certifies(result):
+        consult()
+    return result
 
 
 def solve_metric(c, k, flavor, opts=None):
     """Minimize cov(x) - <x, k> to the metric with prescribed cone angles.
 
-    Requires a closed complex and a positive-feasible target (checked by the
-    LP, and for the ideal flavor by the vertex sums); convergence means the
-    achieved cone angles match k to opts.tol in the max norm.  The ideal
-    flavor reports the gauge-projected minimizer; the hyper flavor iterates
-    over all of R^E using the extended covolume, and the critical point is
-    checked to have positive lengths.
+    Requires a closed complex and a positive-feasible target: the ideal
+    vertex sums are checked first, and positivity is certified by the
+    converged angles or, where they cannot, by the feasibility LP.
+    Convergence means the achieved cone angles match k to opts.tol in the
+    max norm; opts.tol must be finite and positive and opts.max_iter
+    nonnegative (DomainError otherwise).  The ideal flavor reports the
+    gauge-projected minimizer; the hyper flavor iterates over all of R^E
+    using the extended covolume, and the critical point is checked to have
+    positive lengths.
     """
-    opts = opts or SolveOptions()
+    opts = _check_options(opts)
     k = _reachable_target(c, k, flavor, opts.tol)
     x = np.zeros(c.num_edges) if flavor == "ideal" else np.ones(c.num_edges)
-    return _descend(c, k, flavor, x, opts)
+    return _certified_descent(c, k, flavor, x, opts)
 
 
-def _descend(c, k, flavor, x0, opts):
+def _descend(c, k, flavor, x0, opts, stalled=None):
     newton = _NewtonSystem(c, flavor)
     x = np.asarray(x0, dtype=float)
     f, r, size = _evaluate(c, k, flavor, x)
@@ -355,6 +427,8 @@ def _descend(c, k, flavor, x0, opts):
                 f"no convergence in {opts.max_iter} iterations",
                 {"grad_norm": gnorm, "objective": f, "flavor": flavor},
             )
+        if iterations == _GATE_AFTER and stalled is not None:
+            stalled()
         iterations += 1
         d = newton.step(x, r, gnorm * min(gnorm, 1.0))
         gd = float(r @ d)
@@ -485,23 +559,28 @@ def classify_maximizer(c, result, angle_tol=1e-7):
 def rigidity_check(c, k, flavor, starts=10, opts=None, seed=0, tolerance=1e-7):
     """Multi-start realization of the rigidity theorems.
 
-    Runs solve_metric from `starts` random initial metrics and reports the
-    maximum pairwise deviation of the resulting angle assignments and
+    Runs the descent from `starts` >= 1 random initial metrics and reports
+    the maximum pairwise deviation of the resulting angle assignments and
     lengths (gauge-projected for the ideal flavor, raw for the hyper
     flavor).  A deviation above `tolerance` sets ok=False: rigidity says the
-    minimizer is unique, so disagreement signals a solver problem.
+    minimizer is unique, so disagreement signals a solver problem.  Targets
+    and options are checked as in solve_metric; the first start certifies
+    the target, so the later ones skip the LP gate.
     """
-    opts = opts or SolveOptions()
+    if starts < 1:
+        raise DomainError(f"rigidity needs at least one start, got {starts}")
+    opts = _check_options(opts)
     k = _reachable_target(c, k, flavor, opts.tol)
     rng = np.random.default_rng(seed)
 
     results = []
-    for _ in range(starts):
+    for i in range(starts):
         if flavor == "ideal":
             x0 = rng.uniform(-1.0, 1.0, c.num_edges)
         else:
             x0 = rng.uniform(0.2, 3.0, c.num_edges)
-        results.append(_descend(c, k, flavor, x0, opts))
+        descend = _certified_descent if i == 0 else _descend
+        results.append(descend(c, k, flavor, x0, opts))
 
     max_angle = 0.0
     max_len = 0.0

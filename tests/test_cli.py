@@ -312,6 +312,30 @@ class TestErrorPaths:
         assert code == 2
         assert report["error"]["code"] == "infeasible"
 
+    def test_rigidity_without_starts_is_malformed(self, fixtures_dir):
+        argv = ["rigidity", "--flavor", "ideal", "--triangulation", fig8_path(fixtures_dir),
+                "--cone-angles", json.dumps([TWO_PI, TWO_PI]), "--starts"]
+        code, report = run(argv + ["0"])
+        assert code == 1
+        assert report["error"]["code"] == "malformed_input"
+        assert "start" in report["error"]["message"]
+        code, report = run(argv + ["1"])
+        assert code == 0 and len(report["iterations"]) == 1
+
+    @pytest.mark.parametrize("command", ["solve", "rigidity"])
+    @pytest.mark.parametrize("option", [["--tol", "0"], ["--tol=-1e-9"], ["--tol", "nan"],
+                                        ["--max-iter", "-1"]])
+    def test_bad_solver_options_are_malformed(self, fixtures_dir, command, option):
+        # the start already solves this target, so a spin would end in exit 3
+        code, report = run(
+            [command, "--flavor", "ideal", "--triangulation", fig8_path(fixtures_dir),
+             "--cone-angles", json.dumps([TWO_PI, TWO_PI])] + option
+        )
+        assert code == 1
+        assert report["error"]["code"] == "malformed_input"
+        name = option[0].split("=")[0].lstrip("-").replace("-", "_")
+        assert report["error"]["message"].startswith(name)
+
     def test_timings_flag_adds_timings(self, fixtures_dir):
         argv = ["validate", "--triangulation", fig8_path(fixtures_dir)]
         _, plain = run(argv)

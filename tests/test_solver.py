@@ -1,6 +1,7 @@
 """Variational solvers: feasibility LP, covolume minimization, duality,
 maximizer structure, rigidity."""
 
+import dataclasses
 import inspect
 import json
 import math
@@ -11,7 +12,13 @@ import scipy.sparse
 from scipy.optimize import linprog
 
 import hypmet.solver
-from hypmet.errors import ConsistencyError, NotPositiveFeasibleError
+from hypmet.errors import (
+    ConsistencyError,
+    DomainError,
+    LineSearchError,
+    MaxIterationsError,
+    NotPositiveFeasibleError,
+)
 from hypmet.hyperideal import VERTEX_SLOTS, classify_lengths, mu_segment_integral
 from hypmet.ideal import PAIRS
 from hypmet.metrics import angles_of_metric, cone_angles, cov_complex, volume
@@ -24,7 +31,7 @@ from hypmet.solver import (
     rigidity_check,
     solve_metric,
 )
-from hypmet.triangulation import GluingSpec, build_complex, gauge_project
+from hypmet.triangulation import GluingSpec, build_complex, gauge_matrix, gauge_project
 
 from oracles import (
     FIG8_COCYCLE,
@@ -381,6 +388,210 @@ class TestRoundTripsAtScale:
         res = solve_metric(c, k, "hyper")
         assert res.iterations <= 10
         assert np.max(np.abs(res.lengths - lengths)) <= 1e-8
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """The number of feasibility LPs solved since the fixture was set up."""
+    real = hypmet.solver.linprog
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hypmet.solver, "linprog", counting)
+    return calls
+
+
+@pytest.fixture
+def newton_steps(monkeypatch):
+    """The number of Newton steps taken since the fixture was set up."""
+    real = hypmet.solver._NewtonSystem.step
+    calls = []
+
+    def counting(self, *args):
+        calls.append(1)
+        return real(self, *args)
+
+    monkeypatch.setattr(hypmet.solver._NewtonSystem, "step", counting)
+    return calls
+
+
+def refusal_message(c, k, flavor):
+    """The LP's refusal of a non-positive target, as the solvers word it."""
+    rep = feasibility(c, k, flavor)
+    assert not rep.positive
+    return (
+        f"target has no positive angle assignment (status {rep.status}, "
+        f"max slack {rep.max_slack})"
+    )
+
+
+def near_boundary_targets(c, flavor, fractions):
+    """Targets a fraction t of the way from the boundary to a positive target.
+
+    The max slack is concave along the segment and 0 at its boundary end, so
+    it is at least t times the positive target's slack.
+    """
+    targets = lp_targets(c, flavor, np.random.default_rng(12))
+    positive, boundary = targets[0][1], targets[1][1]
+    return [boundary + t * (positive - boundary) for t in fractions]
+
+
+class TestCertificateGate:
+    """A converged solve with positive angles certifies its own target.
+
+    The feasibility LP runs at most once per call: only when the solution
+    does not certify, the descent raises, or it runs 20 iterations
+    unconverged.
+    """
+
+    @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
+    @pytest.mark.parametrize("name", ["fig8", "double_tet", "fig8_16"])
+    def test_positive_targets_solve_without_lp(self, request, fig8_cover, lp_calls, name, flavor):
+        c = fig8_cover(16) if name == "fig8_16" else request.getfixturevalue(name)
+        draw = random_positive_ideal_k if flavor == "ideal" else random_positive_hyper_k
+        k = draw(c, np.random.default_rng(14))
+        res = solve_metric(c, k, flavor)
+        assert np.max(np.abs(res.achieved_cone_angles - k)) <= 1e-9
+        rep = rigidity_check(c, k, flavor, starts=10, seed=3)
+        assert rep.ok
+        assert lp_calls == []
+
+    @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
+    @pytest.mark.parametrize("name", ["fig8", "double_tet", "fig8x16", "double_tetx16"])
+    def test_refusals_keep_the_lp_message(
+        self, lp_complexes, lp_calls, newton_steps, name, flavor
+    ):
+        c = lp_complexes[name]
+        corners = np.bincount(c.vertex_index.ravel(), minlength=c.num_vertices)
+        for expected, k in lp_targets(c, flavor, np.random.default_rng(12)):
+            if expected == "positive_feasible":
+                continue
+            vertex_miss = np.max(np.abs(gauge_matrix(c).T @ k - math.pi * corners))
+            if flavor == "ideal" and vertex_miss > 1e-6:
+                # refused by the vertex sums, before any LP or descent
+                message, lps = "target misses the vertex sum", 0
+            else:
+                message, lps = refusal_message(c, k, flavor), 1
+            for solve in (
+                lambda: solve_metric(c, k, flavor),
+                lambda: rigidity_check(c, k, flavor, starts=10),
+            ):
+                lp_calls.clear()
+                newton_steps.clear()
+                with pytest.raises(NotPositiveFeasibleError) as exc:
+                    solve()
+                assert str(exc.value).startswith(message)
+                assert len(lp_calls) == lps
+                assert len(newton_steps) <= 20 * lps
+
+    @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
+    @pytest.mark.parametrize("name", ["fig8", "double_tet"])
+    def test_near_boundary_targets_still_solve(self, request, lp_calls, name, flavor):
+        # ideal targets closer to the boundary than this fail to converge
+        # (see test_ideal_targets_nearer_the_boundary_fail)
+        c = request.getfixturevalue(name)
+        fractions = [8e-5, 4e-5] if flavor == "ideal" else [5e-5, 1e-5, 1e-6, 1e-7, 1e-8]
+        for k in near_boundary_targets(c, flavor, fractions):
+            slack = feasibility(c, k, flavor).max_slack
+            assert 1e-9 < slack <= 1e-4
+            lp_calls.clear()
+            res = solve_metric(c, k, flavor)
+            assert np.max(np.abs(res.achieved_cone_angles - k)) <= 1e-9
+            assert len(lp_calls) <= 1
+            if not lp_calls:  # the witness certified the target
+                assert feasibility(c, k, flavor).positive
+
+    @pytest.mark.xfail(
+        raises=LineSearchError, strict=True, reason="the ideal descent stalls near the boundary"
+    )
+    @pytest.mark.parametrize("name", ["fig8", "double_tet"])
+    def test_ideal_targets_nearer_the_boundary_fail(self, request, name):
+        # positive-feasible, LP max slack about 1e-7: the descent's line
+        # search gives up, as it did before the certificate
+        c = request.getfixturevalue(name)
+        (k,) = near_boundary_targets(c, "ideal", [1e-7])
+        assert feasibility(c, k, "ideal").positive
+        solve_metric(c, k, "ideal")
+
+    @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
+    def test_certificate_needs_residual_and_margin(self, double_tet, flavor):
+        # the solution's LP slack must exceed 1e-6, 1000 times the LP's
+        # threshold, at a residual within the LP's 1e-9
+        draw = random_positive_ideal_k if flavor == "ideal" else random_positive_hyper_k
+        k = draw(double_tet, np.random.default_rng(15))
+        res = solve_metric(double_tet, k, flavor)
+        certifies = hypmet.solver._certifies
+        assert certifies(res)
+        assert not certifies(dataclasses.replace(res, grad_norm=2e-9))
+        for slack in (1e-6, 1e-9, 0.0):
+            a = res.assignment.copy()
+            a[1, 2] = slack
+            assert not certifies(dataclasses.replace(res, assignment=a))
+        if flavor == "hyper":
+            a = res.assignment.copy()
+            a[0, 3] += math.pi - 1e-7 - a[0, list(VERTEX_SLOTS[2])].sum()
+            assert not certifies(dataclasses.replace(res, assignment=a))
+
+    @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
+    def test_loose_tol_keeps_the_lp_verdict(self, double_tet, lp_calls, flavor):
+        # a residual above 1e-9 cannot certify, so the LP decides
+        opts = SolveOptions(tol=1e-3)
+        targets = lp_targets(double_tet, flavor, np.random.default_rng(12))
+        (_, positive), (_, boundary) = targets[:2]
+        message = refusal_message(double_tet, boundary, flavor)
+        lp_calls.clear()
+        res = solve_metric(double_tet, positive, flavor, opts)
+        assert np.max(np.abs(res.achieved_cone_angles - positive)) <= 1e-3
+        assert res.grad_norm > 1e-9 and len(lp_calls) == 1
+        lp_calls.clear()
+        with pytest.raises(NotPositiveFeasibleError) as exc:
+            solve_metric(double_tet, boundary, flavor, opts)
+        assert str(exc.value) == message
+        assert len(lp_calls) == 1
+
+    @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
+    def test_one_iteration_budget(self, double_tet, lp_calls, flavor):
+        opts = SolveOptions(max_iter=1)
+        targets = lp_targets(double_tet, flavor, np.random.default_rng(12))
+        (_, positive), (_, boundary) = targets[:2]
+        with pytest.raises(MaxIterationsError):
+            solve_metric(double_tet, positive, flavor, opts)
+        assert len(lp_calls) == 1
+        message = refusal_message(double_tet, boundary, flavor)
+        lp_calls.clear()
+        with pytest.raises(NotPositiveFeasibleError) as exc:
+            solve_metric(double_tet, boundary, flavor, opts)
+        assert str(exc.value) == message
+        assert len(lp_calls) == 1
+
+
+class TestSolverOptions:
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+    def test_tol_must_be_finite_and_positive(self, fig8, tol):
+        opts = SolveOptions(tol=tol)
+        with pytest.raises(DomainError, match="tol"):
+            solve_metric(fig8, [TWO_PI, TWO_PI], "ideal", opts)
+        with pytest.raises(DomainError, match="tol"):
+            rigidity_check(fig8, [TWO_PI, TWO_PI], "ideal", opts=opts)
+
+    def test_max_iter_must_be_nonnegative(self, fig8):
+        opts = SolveOptions(max_iter=-1)
+        with pytest.raises(DomainError, match="max_iter"):
+            solve_metric(fig8, [TWO_PI, TWO_PI], "ideal", opts)
+        with pytest.raises(DomainError, match="max_iter"):
+            rigidity_check(fig8, [TWO_PI, TWO_PI], "ideal", opts=opts)
+        # a zero budget is valid: the regular target's start is its solution
+        res = solve_metric(fig8, [TWO_PI, TWO_PI], "ideal", SolveOptions(max_iter=0))
+        assert res.iterations == 0
+
+    def test_rigidity_needs_a_start(self, fig8):
+        for starts in (0, -1):
+            with pytest.raises(DomainError, match="start"):
+                rigidity_check(fig8, [TWO_PI, TWO_PI], "ideal", starts=starts)
+        assert len(rigidity_check(fig8, [TWO_PI, TWO_PI], "ideal", starts=1).iterations) == 1
 
 
 class TestMaxVolumeAngles:
