@@ -3,12 +3,14 @@
 Commands: validate, angles, volume, solve, max-angles, classify, rigidity.
 Every run writes a single JSON report to stdout (or --output) and exits with
 0 on success, 1 on malformed input, 2 on an infeasible target, and 3 on
-numerical failure; when the descent runs out of iterations or of line-search
-steps, the error carries the solver's diagnostics (the residual norm, the
-objective and the flavor or iteration) under "diagnostics".  Reports echo
-the inputs and are byte-identical for identical inputs and seed; wall-clock
-timings are only included when --timings is passed, since they would break
-that determinism.
+numerical failure.  An unreadable or non-UTF-8 triangulation, a vector
+entry that is not a JSON number, a negative --seed and an unwritable
+--output (reported on stdout) are malformed input.  When the descent runs
+out of iterations or of line-search steps, the error carries the solver's
+diagnostics (the residual norm, the objective and the flavor or iteration)
+under "diagnostics".  Reports echo the inputs and are byte-identical for
+identical inputs and seed; wall-clock timings are only included when
+--timings is passed, since they would break that determinism.
 
 Angles are radians throughout.  Vectors over edges follow the stable edge
 ids assigned by the builder, which `validate` prints together with each
@@ -53,8 +55,6 @@ from .solver import (
 from .triangulation import build_complex, load_triangulation
 
 __all__ = ["run", "main"]
-
-_SOLVE_COMMANDS = ("solve", "max-angles", "classify", "rigidity")
 
 
 @functools.cache
@@ -102,14 +102,17 @@ def _build_parser():
 def _parse_vector(text, size, what):
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
         raise DomainError(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(data, list) or len(data) != size:
         raise DomainError(f"{what} must be a JSON array of length {size}")
+    # JSON's true and false would read as 1 and 0, its strings as their numbers
+    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in data):
+        raise DomainError(f"{what} must contain numbers, got {data}")
     try:
         return np.asarray([float(v) for v in data])
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{what} must contain numbers: {exc}") from exc
+    except OverflowError as exc:
+        raise DomainError(f"{what} must contain numbers a float can hold: {exc}") from exc
 
 
 def _target(args, c):
@@ -232,6 +235,10 @@ def _execute(args):
     return report
 
 
+def _malformed(exc):
+    return {"error": {"code": "malformed_input", "message": str(exc)}}
+
+
 def _run(argv):
     """Parse and execute one command: (exit_code, report or None, parsed args or None).
 
@@ -249,8 +256,8 @@ def _run(argv):
     start = time.perf_counter()
     try:
         report = _execute(args)
-    except (GluingError, DomainError, FileNotFoundError, json.JSONDecodeError) as exc:
-        return 1, {"error": {"code": "malformed_input", "message": str(exc)}}, args
+    except (GluingError, DomainError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return 1, _malformed(exc), args
     except (NotPositiveFeasibleError, UnsupportedAngleTypeError) as exc:
         return 2, {"error": {"code": "infeasible", "message": str(exc)}}, args
     except (NumericalError, HypmetError) as exc:
@@ -276,19 +283,21 @@ def main(argv=None):
     code, report, args = _run(sys.argv[1:] if argv is None else list(argv))
     if report is None:
         return code
-    text = json.dumps(report, indent=2)
     path = getattr(args, "output", None)
     if path and "error" not in report:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    else:
         try:
-            print(text)
-            sys.stdout.flush()
-        except BrokenPipeError:  # the reader left; keep the exit flush from failing again
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+            with open(path, "w") as fh:
+                fh.write(json.dumps(report, indent=2) + "\n")
+            return code
+        except OSError as exc:  # reported on stdout instead
+            code, report = 1, _malformed(exc)
+    try:
+        print(json.dumps(report, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left; keep the exit flush from failing again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -200,6 +200,7 @@ _ANGLE_TOL = 1e-9
 
 
 def _check_six(l, name="edge lengths"):
+    """One finite 6-vector as a tuple of floats; name is the noun of the error messages."""
     if len(l) != 6:
         raise DomainError(f"expected 6 {name}, got {len(l)}")
     vals = tuple(float(v) for v in l)
@@ -208,12 +209,13 @@ def _check_six(l, name="edge lengths"):
     return vals
 
 
-def _check_batch(l):
+def _check_batch(l, name="edge lengths"):
+    """A finite float array of shape (T, 6); name is the noun of the error messages."""
     arr = np.asarray(l, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 6:
-        raise DomainError(f"expected an array of shape (T, 6), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("edge lengths must be finite")
+        raise DomainError(f"expected {name} of shape (T, 6), got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{name} must be finite")
     return arr
 
 
@@ -385,6 +387,20 @@ def hyper_angles_from_lengths(l):
     return tuple(_angles(_phi(np.maximum(np.array([vals]), 0.0)))[0].tolist())
 
 
+def _regions(ph, a):
+    """The flat and the near-wall rows of phi and the angles a, shape (T, 6).
+
+    Returns (pair, near): pair[t] is the flat pair of row t, the pair with the
+    least phi once some phi <= -1, and -1 where there is none; near, shape
+    (T, 3), marks on the other rows the pairs whose two angles both lie
+    within _BAND of pi, the near-wall band.
+    """
+    pair_min = np.minimum(ph[:, :3], ph[:, 3:])
+    pair = np.where(pair_min.min(axis=1) <= -1.0, pair_min.argmin(axis=1), -1)
+    near = (np.minimum(a[:, :3], a[:, 3:]) > math.pi - _BAND) & (pair < 0)[:, None]
+    return pair, near
+
+
 class HyperKernel(NamedTuple):
     """Per-tetrahedron output of hyper_kernel for T tetrahedra."""
 
@@ -406,14 +422,12 @@ def hyper_kernel(l, tol=1e-10):
     ph = _phi(lp)
     a = _angles(ph)
     vol = _volume(a)
-    pair_min = np.minimum(ph[:, :3], ph[:, 3:])
-    flat = np.flatnonzero(pair_min.min(axis=1) <= -1.0)
+    pair, near = _regions(ph, a)
+    flat = np.flatnonzero(pair >= 0)
     vol[flat] = 0.0
     cov = 2.0 * vol + np.einsum("ij,ij->i", a, lp)
-    p = pair_min[flat].argmin(axis=1)
+    p = pair[flat]
     cov[flat] = math.pi * (lp[flat, p] + lp[flat, p + 3])
-    near = np.minimum(a[:, :3], a[:, 3:]) > math.pi - _BAND
-    near[flat] = False
     for t in np.flatnonzero(near.any(axis=1)):
         cov[t] = _cov_near_wall(lp[t], int(near[t].argmax()), tol)
         vol[t] = 0.5 * (cov[t] - float(a[t] @ lp[t]))
@@ -451,10 +465,8 @@ def hyper_jacobian(l):
     inside = np.abs(ph) < 1.0
     sin = np.sqrt(1.0 - np.where(inside, ph, 0.0) ** 2)
     jac = np.where(inside[:, :, None], -dphi * sh[:, None, :] / sin[:, :, None], 0.0)
-    a = _angles(ph)
-    flat = np.minimum(ph[:, :3], ph[:, 3:]).min(axis=1) <= -1.0
-    band = (np.minimum(a[:, :3], a[:, 3:]) > math.pi - _BAND).any(axis=1)
-    jac[flat | band] = 0.0
+    pair, near = _regions(ph, _angles(ph))
+    jac[(pair >= 0) | near.any(axis=1)] = 0.0
     return jac
 
 
@@ -576,31 +588,27 @@ def _cov_near_wall(lp, p, tol):
     return math.pi * (lp[p] + lp[p + 3] + 2.0 * t_star) - value
 
 
-def _vertex_sums(a):
-    return tuple(a[s1] + a[s2] + a[s3] for s1, s2, s3 in VERTEX_SLOTS)
+def _angle_types(a):
+    """Vertex sums (T, 4) and the type-I and type-II rows of angle vectors a, shape (T, 6)."""
+    sums = a[:, VERTEX_SLOTS].sum(axis=2)
+    type_2 = (np.abs(a[:, None, :] - math.pi * _PAIR_SLOTS) <= _ANGLE_TOL).all(axis=2).any(axis=1)
+    return sums, (sums < math.pi).all(axis=1), type_2
 
 
-def classify_angles(a, tol=_ANGLE_TOL):
+def classify_angles(a):
     """Type I / II / III classification of an angle vector in closure(B).
 
     Type I: every vertex sum strictly below pi.  Type II: pi on one opposite
-    pair and 0 elsewhere (within tol).  Type III: everything else.  Raises
-    DomainError when a is not in closure(B) beyond tol.
+    pair and 0 elsewhere (within _ANGLE_TOL).  Type III: everything else.
+    Raises DomainError when a is not in closure(B) beyond _ANGLE_TOL.
     """
     vals = _check_six(a, "dihedral angles")
-    if min(vals) < -tol:
+    if min(vals) < -_ANGLE_TOL:
         raise DomainError(f"angles must be nonnegative, got {vals}")
-    sums = _vertex_sums(vals)
-    if max(sums) > math.pi + tol:
-        raise DomainError(f"vertex angle sums must be at most pi, got {sums}")
-    if all(s < math.pi for s in sums):
-        return "type_I"
-    for p in range(3):
-        on = abs(vals[p] - math.pi) <= tol and abs(vals[p + 3] - math.pi) <= tol
-        off = all(abs(vals[s]) <= tol for s in range(6) if s not in (p, p + 3))
-        if on and off:
-            return "type_II"
-    return "type_III"
+    sums, type_1, type_2 = _angle_types(np.array([vals]))
+    if sums.max() > math.pi + _ANGLE_TOL:
+        raise DomainError(f"vertex angle sums must be at most pi, got {tuple(sums[0].tolist())}")
+    return "type_I" if type_1[0] else "type_II" if type_2[0] else "type_III"
 
 
 def psi(a):
@@ -748,10 +756,7 @@ def volumes_from_angles(a):
     first type-III row raises UnsupportedAngleTypeError naming its index.
     """
     a = np.asarray(a, dtype=float)
-    v = np.array(VERTEX_SLOTS)
-    type_1 = ((a[:, v[:, 0]] + a[:, v[:, 1]] + a[:, v[:, 2]]) < math.pi).all(axis=1)
-    off = np.abs(a[:, None, :] - math.pi * _PAIR_SLOTS)
-    type_2 = (off <= _ANGLE_TOL).all(axis=2).any(axis=1)
+    _, type_1, type_2 = _angle_types(a)
     bad = np.flatnonzero(~(type_1 | type_2))
     if bad.size:
         t = int(bad[0])

@@ -25,6 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
+from .hyperideal import _check_batch, _check_six
 from .lobachevsky import lobachevsky, lobachevsky_array
 
 __all__ = [
@@ -91,15 +92,6 @@ def _log_side_kernel(y):
     return IdealKernel(a, 2.0 * (lam + a * y).sum(axis=1), lam.sum(axis=1))
 
 
-def _check_batch(l):
-    arr = np.asarray(l, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 6:
-        raise DomainError(f"expected edge labels of shape (T, 6), got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise DomainError("edge labels must be finite")
-    return arr
-
-
 def ideal_kernel(l):
     """Quad angles, covolume and volume of T tetrahedra with labels l, shape (T, 6).
 
@@ -107,7 +99,7 @@ def ideal_kernel(l):
     and cov = 2 sum_p (Lambda(a_p) + a_p y_p).  Raises DomainError for
     non-finite labels.
     """
-    l = _check_batch(l)
+    l = _check_batch(l, "edge labels")
     return _log_side_kernel(0.5 * (l[:, :3] + l[:, 3:]))
 
 
@@ -134,7 +126,7 @@ def ideal_jacobian(l):
     and the all-ones vector of each tetrahedron lies in its kernel.  Flat
     tetrahedra, whose angles (pi, 0, 0) stay put nearby, get a zero block.
     """
-    l = _check_batch(l)
+    l = _check_batch(l, "edge labels")
     y = 0.5 * (l[:, :3] + l[:, 3:])
     a = _triangle_angles(np.exp(y - y.max(axis=1, keepdims=True)))
     flat = (a.min(axis=1) <= 0.0)[:, None]
@@ -164,44 +156,28 @@ def penner_angle(l_jk, l_ij, l_ik):
     return math.exp(0.5 * (l_jk - l_ij - l_ik))
 
 
-def _check_lengths(l):
-    if len(l) != 6:
-        raise DomainError(f"expected 6 edge labels, got {len(l)}")
-    vals = tuple(float(v) for v in l)
-    if not all(math.isfinite(v) for v in vals):
-        raise DomainError(f"edge labels must be finite, got {vals}")
-    return vals
-
-
-def _log_sides(l):
-    return tuple(0.5 * (l[p] + l[q]) for p, q in PAIRS)
-
-
 def ideal_lengths_to_angles(l):
     """Six dihedral angles of the generalized decorated tetrahedron.
 
     The T = 1 view of ideal_kernel.  Opposite slots carry exactly equal
     angles; each quad sum is pi.
     """
-    a = tuple(ideal_kernel([_check_lengths(l)]).angles[0].tolist())
+    a = tuple(ideal_kernel([_check_six(l, "edge labels")]).angles[0].tolist())
     return a + a
 
 
 def is_decorated_ideal(l):
     """True iff l is realized by a genuine decorated ideal tetrahedron.
 
-    Checks the strict triangle inequalities on the sides exp((l_p + l_{p+3})/2).
+    The T = 1 view of the kernel's flat clamp: the strict triangle
+    inequalities on the sides exp((l_p + l_{p+3})/2) hold exactly when every
+    angle is positive.
     """
-    y = _log_sides(_check_lengths(l))
-    m = max(y)
-    x = [math.exp(v - m) for v in y]
-    return all(x[j] + x[k] > x[i] for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+    return bool(ideal_kernel([_check_six(l, "edge labels")]).angles.min() > 0.0)
 
 
 def _check_angles(a):
-    if len(a) != 6:
-        raise DomainError(f"expected 6 dihedral angles, got {len(a)}")
-    vals = tuple(float(v) for v in a)
+    vals = _check_six(a, "dihedral angles")
     for i in range(3):
         if abs(vals[i] - vals[i + 3]) > 1e-9:
             raise DomainError(f"opposite slots must carry equal angles, got {vals}")
@@ -249,6 +225,6 @@ def cov_ideal(l):
     gradient slot i equal to the dihedral angle there (the Schlaefli-type
     identity d cov / d l_i = a_i).  The T = 1 view of ideal_kernel.
     """
-    k = ideal_kernel([_check_lengths(l)])
+    k = ideal_kernel([_check_six(l, "edge labels")])
     a = tuple(k.angles[0].tolist())
     return float(k.cov[0]), a + a

@@ -41,6 +41,8 @@ __all__ = [
 ]
 
 FLAVORS = ("ideal", "hyper")
+# how far an assignment's angles may fall below 0, and its sums off pi
+_ASSIGNMENT_TOL = 1e-10
 
 
 def _check_flavor(flavor):
@@ -48,15 +50,19 @@ def _check_flavor(flavor):
         raise DomainError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
 
 
+def _check_edge_vector(c, x, what):
+    """x as a finite float vector with one entry per edge class of c."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (c.num_edges,):
+        raise DomainError(f"{what} must have one entry per edge ({c.num_edges}), got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise DomainError(f"{what} must be finite")
+    return x
+
+
 def _check_metric(c, l, flavor, extended=False):
-    l = np.asarray(l, dtype=float)
-    if l.shape != (c.num_edges,):
-        raise DomainError(
-            f"metric must assign one value to each of the {c.num_edges} edges, "
-            f"got shape {l.shape}"
-        )
-    if not np.all(np.isfinite(l)):
-        raise DomainError("metric values must be finite")
+    _check_flavor(flavor)
+    l = _check_edge_vector(c, l, "metric values")
     if flavor == "hyper" and not extended and np.min(l) <= 0.0:
         raise DomainError("hyper-ideal metrics require strictly positive lengths")
     return l
@@ -68,54 +74,45 @@ def angles_of_metric(c, l, flavor):
     Returns shape (n_tets, 3) of quad angles for the ideal flavor and
     (n_tets, 6) of slot angles for the hyper flavor.
     """
-    _check_flavor(flavor)
     l = _check_metric(c, l, flavor)
     if flavor == "hyper":
         return hyper_angles(l[c.edge_index])
     return ideal_kernel(l[c.edge_index]).angles
 
 
-def _slot_angles(assignment):
-    """View an assignment as per-slot angles of shape (n_tets, 6)."""
-    a = np.asarray(assignment, dtype=float)
-    if a.ndim == 2 and a.shape[1] == 3:
-        return np.concatenate((a, a), axis=1), "ideal"
-    if a.ndim == 2 and a.shape[1] == 6:
-        return a, "hyper"
-    raise DomainError(f"assignment must have shape (T, 3) or (T, 6), got {a.shape}")
-
-
-def validate_assignment(c, assignment, flavor, tol=1e-10):
-    """Check the linear constraints of an angle assignment; DomainError if violated."""
+def validate_assignment(c, assignment, flavor):
+    """Check an assignment's linear constraints to _ASSIGNMENT_TOL; DomainError if violated."""
     a = np.asarray(assignment, dtype=float)
     _check_flavor(flavor)
     expected = (c.n_tets, 3 if flavor == "ideal" else 6)
     if a.shape != expected:
         raise DomainError(f"{flavor} assignment must have shape {expected}, got {a.shape}")
-    if not np.all(np.isfinite(a)) or np.min(a) < -tol:
+    if not np.all(np.isfinite(a)) or np.min(a) < -_ASSIGNMENT_TOL:
         raise DomainError("assignment angles must be finite and nonnegative")
     if flavor == "ideal":
         sums = a.sum(axis=1)
-        if np.max(np.abs(sums - math.pi)) > tol:
+        if np.max(np.abs(sums - math.pi)) > _ASSIGNMENT_TOL:
             raise DomainError(f"per-tetrahedron quad sums must equal pi, got {sums}")
     else:
-        for slots in VERTEX_SLOTS:
-            sums = a[:, list(slots)].sum(axis=1)
-            if np.max(sums) > math.pi + tol:
-                raise DomainError(
-                    f"per-vertex angle sums must be at most pi, got {sums.max()}"
-                )
+        top = a[:, VERTEX_SLOTS].sum(axis=2).max()
+        if top > math.pi + _ASSIGNMENT_TOL:
+            raise DomainError(f"per-vertex angle sums must be at most pi, got {top}")
     return a
 
 
 def cone_angles(c, assignment):
-    """Cone angle at each edge class: instance-multiplicity angle sum."""
-    slots, _ = _slot_angles(assignment)
-    if slots.shape[0] != c.n_tets:
-        raise DomainError(
-            f"assignment has {slots.shape[0]} rows for a complex with {c.n_tets} tetrahedra"
-        )
-    return c.incidence @ slots.ravel()
+    """Cone angle at each edge class: instance-multiplicity angle sum.
+
+    The assignment is (T, 3) quad angles or (T, 6) slot angles.
+    """
+    a = np.asarray(assignment, dtype=float)
+    if a.ndim != 2 or a.shape[1] not in (3, 6):
+        raise DomainError(f"assignment must have shape (T, 3) or (T, 6), got {a.shape}")
+    if a.shape[0] != c.n_tets:
+        raise DomainError(f"assignment has {len(a)} rows for a complex with {c.n_tets} tetrahedra")
+    if a.shape[1] == 3:
+        a = np.concatenate((a, a), axis=1)
+    return c.incidence @ a.ravel()
 
 
 def curvature(c, k):
@@ -145,7 +142,6 @@ def volume_of_metric(c, l, flavor):
     through the angles instead would reject long hyper-ideal edges whose
     angles round to a vertex sum of pi as type III.
     """
-    _check_flavor(flavor)
     l = _check_metric(c, l, flavor)
     kernel = hyper_kernel if flavor == "hyper" else ideal_kernel
     return float(kernel(l[c.edge_index]).vol.sum())
@@ -161,7 +157,6 @@ def cov_complex(c, l, flavor, tol=1e-10):
     all of R^E.  tol is the accuracy target of the hyper kernel's
     near-wall band integral (see hyperideal.hyper_kernel).
     """
-    _check_flavor(flavor)
     l = _check_metric(c, l, flavor, extended=True)
     if flavor == "hyper":
         kernel = hyper_kernel(l[c.edge_index], tol=tol)

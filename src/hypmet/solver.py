@@ -62,7 +62,7 @@ from .errors import (
 )
 from .hyperideal import VERTEX_SLOTS, flat_pairs, hyper_jacobian, hyper_kernel
 from .ideal import ideal_jacobian, ideal_kernel
-from .metrics import cone_angles, cov_complex
+from .metrics import _check_edge_vector, _check_flavor, cone_angles, cov_complex
 from .triangulation import gauge_project
 
 __all__ = [
@@ -77,6 +77,32 @@ __all__ = [
     "classify_maximizer",
     "rigidity_check",
 ]
+
+
+# Armijo constant, LP slack of a positive target
+_ARMIJO = 1e-4
+_FEASIBILITY_TOL = 1e-9
+# how far classify_maximizer lets a flat tetrahedron's angles sit off 0
+# and pi, and its flat pair's phi above -1
+_MAXIMIZER_TOL = 1e-7
+# the largest deviation between rigidity_check's solutions it reports ok
+_RIGIDITY_TOL = 1e-7
+# The LP slack a converged solution must keep to certify its target, with a
+# residual rho <= _FEASIBILITY_TOL.  Taking rho out of the angles moves each
+# LP row by O(rho): for hyper, spread over the edge's slots it moves every
+# angle by <= rho and every vertex sum by <= 3 rho; for ideal, a correction
+# with zero tetrahedron sums exists (B^T r = 0 up to the vertex-sum gate)
+# of size a constant of the complex times rho.  A margin of 1000 times the
+# LP's threshold leaves the certified slack positive.
+_CERTIFY_MARGIN = 1e-6
+# An unconverged descent consults the LP at this iteration.  Round trips and
+# random starts converge within about 15; targets near the boundary of the
+# feasible set take more and pay one LP.  The bound moves only the time a
+# target without a positive assignment takes to be refused, never a result.
+_GATE_AFTER = 20
+# the Armijo test's roundoff allowance, absolute and per unit of f's terms
+_ROUNDOFF = 1e-13
+_ULPS = 8.0 * np.finfo(float).eps
 
 
 @dataclass
@@ -133,35 +159,32 @@ class RigidityReport:
     iterations: list
 
 
-def _check_closed(c):
+def _check_target(c, k):
+    """The cone-angle target k on the closed complex c as a finite vector over its edges."""
     if not c.closed:
         raise DomainError("solver operations require a closed complex")
+    return _check_edge_vector(c, k, "cone-angle target")
 
 
-def _check_target(c, k):
-    k = np.asarray(k, dtype=float)
-    if k.shape != (c.num_edges,):
-        raise DomainError(
-            f"cone-angle target must have one entry per edge ({c.num_edges}), got {k.shape}"
-        )
-    if not np.all(np.isfinite(k)):
-        raise DomainError("cone-angle target must be finite")
-    return k
+def _rng(seed):
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}") from exc
 
 
-def feasibility(c, k, flavor, tol=1e-9):
+def feasibility(c, k, flavor):
     """Classify a cone-angle target by maximizing the minimum constraint slack.
 
     Ideal flavor: quad angles with per-tetrahedron sums pi and the target's
     instance sums per edge; hyper flavor: slot angles with per-vertex sums
     at most pi and the same edge sums; every angle is at least the slack s.
     Angles are written x = y + s with y >= 0, so that constraint is a bound.
-    The optimum sign decides the status; the witness y + s realizes the slack.
+    The optimum sign decides the status, against _FEASIBILITY_TOL; the
+    witness y + s realizes the slack.
     """
-    _check_closed(c)
     k = _check_target(c, k)
-    if flavor not in ("ideal", "hyper"):
-        raise DomainError(f"unknown flavor {flavor!r}")
+    _check_flavor(flavor)
     t_count, e_count = c.n_tets, c.num_edges
     op = c.incidence
     valence = np.diff(op.indptr)
@@ -212,9 +235,9 @@ def feasibility(c, k, flavor, tol=1e-9):
         raise NumericalError(f"feasibility LP failed: {res.message}")
     slack = float(res.x[-1])
     witness = (res.x[:-1] + slack).reshape(t_count, per_tet)
-    if slack > tol:
+    if slack > _FEASIBILITY_TOL:
         return FeasibilityReport("positive_feasible", witness, slack)
-    if slack >= -tol:
+    if slack >= -_FEASIBILITY_TOL:
         return FeasibilityReport("nonnegative_only", np.clip(witness, 0.0, None), slack)
     return FeasibilityReport("infeasible", None, slack)
 
@@ -224,27 +247,6 @@ def _coo(vals, rows, cols, shape):
     return coo_array(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
     )
-
-
-# Armijo constant, LP slack of a positive target
-_ARMIJO = 1e-4
-_FEASIBILITY_TOL = 1e-9
-# The LP slack a converged solution must keep to certify its target, with a
-# residual rho <= _FEASIBILITY_TOL.  Taking rho out of the angles moves each
-# LP row by O(rho): for hyper, spread over the edge's slots it moves every
-# angle by <= rho and every vertex sum by <= 3 rho; for ideal, a correction
-# with zero tetrahedron sums exists (B^T r = 0 up to the vertex-sum gate)
-# of size a constant of the complex times rho.  A margin of 1000 times the
-# LP's threshold leaves the certified slack positive.
-_CERTIFY_MARGIN = 1e-6
-# An unconverged descent consults the LP at this iteration.  Round trips and
-# random starts converge within about 15; targets near the boundary of the
-# feasible set take more and pay one LP.  The bound moves only the time a
-# target without a positive assignment takes to be refused, never a result.
-_GATE_AFTER = 20
-# the Armijo test's roundoff allowance, absolute and per unit of f's terms
-_ROUNDOFF = 1e-13
-_ULPS = 8.0 * np.finfo(float).eps
 
 
 def _evaluate(c, k, flavor, x):
@@ -331,7 +333,6 @@ def _reachable_target(c, k, flavor, tol):
     of reach, since |B^T r|_v <= (B^T 1)_v max|r|.  Positivity is left to
     the descent's certificate.
     """
-    _check_closed(c)
     k = _check_target(c, k)
     if flavor == "ideal":
         ends = c.edge_endpoints.ravel()
@@ -375,7 +376,7 @@ def _certified_descent(c, k, flavor, x0, opts):
         if consulted:
             return
         consulted = True
-        report = feasibility(c, k, flavor, tol=_FEASIBILITY_TOL)
+        report = feasibility(c, k, flavor)
         if not report.positive:
             raise NotPositiveFeasibleError(
                 f"target has no positive angle assignment (status {report.status}, "
@@ -491,9 +492,8 @@ def duality_gap(c, k, result, samples, seed=0, spread=1.0):
     this nonpositive up to solve and kernel tolerance.  The tetrahedra of
     all samples go through one call of the flavor's kernel.
     """
-    _check_closed(c)
     k = _check_target(c, k)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     base = np.asarray(result.lengths, dtype=float)
     x = base + rng.uniform(-spread, spread, (int(samples), c.num_edges))
     kernel = ideal_kernel if result.flavor == "ideal" else hyper_kernel
@@ -501,31 +501,32 @@ def duality_gap(c, k, result, samples, seed=0, spread=1.0):
     return float((x @ k - cov).max(initial=-math.inf)) - result.w_value
 
 
-def classify_maximizer(c, result, angle_tol=1e-7):
+def classify_maximizer(c, result):
     """Per-tetrahedron structure of a converged maximizer.
 
     Realized tetrahedra have all angles positive; otherwise the angles must
     form the flat pattern (pi on one opposite pair, 0 elsewhere) and the
     lengths must certify the degeneration: the ideal flavor checks the
     collapsed side inequality, the hyper flavor that the lengths lie outside
-    the hyper-ideal set (a pair with phi <= -1 + angle_tol, as in
-    hyperideal.flat_pairs).  Any other zero-angle pattern raises
-    ConsistencyError, since the structure theorems exclude it for true
-    maximizers.  All tetrahedra are classified at once; an error names the
-    first tetrahedron showing its defect.
+    the hyper-ideal set (a pair with phi <= -1 + _MAXIMIZER_TOL, as in
+    hyperideal.flat_pairs); angles within _MAXIMIZER_TOL of 0 count as zero.
+    Any other zero-angle pattern raises ConsistencyError, since the
+    structure theorems exclude it for true maximizers.  All tetrahedra are
+    classified at once; an error names the first tetrahedron showing its
+    defect.
     """
     lengths = np.asarray(result.lengths, dtype=float)[c.edge_index]
     a = np.asarray(result.assignment, dtype=float)
     low = a.min(axis=1)
     rows = np.arange(c.n_tets)
     if result.flavor == "ideal":
-        realized = low > angle_tol
-        pattern = (np.abs(a.max(axis=1) - math.pi) <= angle_tol) & (
-            (a <= angle_tol).sum(axis=1) >= 2
+        realized = low > _MAXIMIZER_TOL
+        pattern = (np.abs(a.max(axis=1) - math.pi) <= _MAXIMIZER_TOL) & (
+            (a <= _MAXIMIZER_TOL).sum(axis=1) >= 2
         )
         sides = np.exp(0.5 * (lengths[:, :3] + lengths[:, 3:]))
         residual = 2.0 * sides[rows, a.argmax(axis=1)] - sides.sum(axis=1)
-        bad = np.flatnonzero(~realized & (~pattern | (residual < -angle_tol)))
+        bad = np.flatnonzero(~realized & (~pattern | (residual < -_MAXIMIZER_TOL)))
         if bad.size:
             t = int(bad[0])
             if not pattern[t]:
@@ -538,9 +539,9 @@ def classify_maximizer(c, result, angle_tol=1e-7):
             )
         flat_kind = "flat_ideal"
     else:
-        pair, ph = flat_pairs(lengths, angle_tol)
+        pair, ph = flat_pairs(lengths, _MAXIMIZER_TOL)
         realized = pair < 0
-        bad = np.flatnonzero(realized & (low <= angle_tol))
+        bad = np.flatnonzero(realized & (low <= _MAXIMIZER_TOL))
         if bad.size:
             t = int(bad[0])
             raise ConsistencyError(
@@ -556,22 +557,23 @@ def classify_maximizer(c, result, angle_tol=1e-7):
     ]
 
 
-def rigidity_check(c, k, flavor, starts=10, opts=None, seed=0, tolerance=1e-7):
+def rigidity_check(c, k, flavor, starts=10, opts=None, seed=0):
     """Multi-start realization of the rigidity theorems.
 
     Runs the descent from `starts` >= 1 random initial metrics and reports
     the maximum pairwise deviation of the resulting angle assignments and
     lengths (gauge-projected for the ideal flavor, raw for the hyper
-    flavor).  A deviation above `tolerance` sets ok=False: rigidity says the
-    minimizer is unique, so disagreement signals a solver problem.  Targets
-    and options are checked as in solve_metric; the first start certifies
-    the target, so the later ones skip the LP gate.
+    flavor), the largest spread max - min of any entry.  A deviation above
+    _RIGIDITY_TOL sets ok=False: rigidity says the minimizer is unique, so
+    disagreement signals a solver problem.  Targets and options are checked
+    as in solve_metric, and a seed numpy rejects raises DomainError; the
+    first start certifies the target, so the later ones skip the LP gate.
     """
     if starts < 1:
         raise DomainError(f"rigidity needs at least one start, got {starts}")
     opts = _check_options(opts)
     k = _reachable_target(c, k, flavor, opts.tol)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
 
     results = []
     for i in range(starts):
@@ -582,24 +584,15 @@ def rigidity_check(c, k, flavor, starts=10, opts=None, seed=0, tolerance=1e-7):
         descend = _certified_descent if i == 0 else _descend
         results.append(descend(c, k, flavor, x0, opts))
 
-    max_angle = 0.0
-    max_len = 0.0
-    for i in range(len(results)):
-        for j in range(i + 1, len(results)):
-            max_angle = max(
-                max_angle,
-                float(np.max(np.abs(results[i].assignment - results[j].assignment))),
-            )
-            max_len = max(
-                max_len,
-                float(np.max(np.abs(results[i].lengths - results[j].lengths))),
-            )
+    # the largest |a_i - a_j| of an entry is max - min, and rounding is monotone
+    max_angle = float(np.ptp([r.assignment for r in results], axis=0).max())
+    max_len = float(np.ptp([r.lengths for r in results], axis=0).max())
     return RigidityReport(
-        ok=(max_angle <= tolerance and max_len <= tolerance),
+        ok=(max_angle <= _RIGIDITY_TOL and max_len <= _RIGIDITY_TOL),
         flavor=flavor,
         starts=starts,
         max_angle_deviation=max_angle,
         max_length_deviation=max_len,
-        tolerance=tolerance,
+        tolerance=_RIGIDITY_TOL,
         iterations=[r.iterations for r in results],
     )

@@ -66,10 +66,6 @@ class Gluing:
     to_face: int
     perm: tuple  # images of the face's vertices, listed in increasing source order
 
-    def vertex_map(self):
-        """Full source-vertex -> target-vertex map of the affine gluing."""
-        return dict(zip(FACE_VERTICES[self.face], self.perm))
-
 
 @dataclass(frozen=True)
 class GluingSpec:
@@ -96,8 +92,8 @@ class GluingSpec:
 
 
 def load_triangulation(path):
-    """Read a GluingSpec from the JSON triangulation format."""
-    with open(path) as fh:
+    """Read a GluingSpec from the JSON triangulation format, which is UTF-8 text."""
+    with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     return GluingSpec.from_dict(data)
 
@@ -123,11 +119,6 @@ class Complex:
     @property
     def num_vertices(self):
         return len(self.vertex_classes)
-
-    def tet_lengths(self, lengths, tet):
-        """Restrict an edge-class vector to the 6 slots of one tetrahedron."""
-        lengths = np.asarray(lengths, dtype=float)
-        return lengths[self.edge_index[tet]]
 
 
 def _validate_and_register(spec):

@@ -274,6 +274,54 @@ class TestErrorPaths:
         assert code == 1
         assert report["error"]["code"] == "malformed_input"
 
+    def test_directory_as_triangulation(self, tmp_path):
+        code, report = run(["validate", "--triangulation", str(tmp_path)])
+        assert code == 1
+        assert report["error"]["code"] == "malformed_input"
+
+    def test_triangulation_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"tets": 1, "gluings": [], "name": "caf\u00e9"}'.encode("latin-1"))
+        code, report = run(["validate", "--triangulation", str(path)])
+        assert code == 1
+        assert report["error"]["code"] == "malformed_input"
+
+    def test_unwritable_output_is_a_json_error(self, fixtures_dir, tmp_path, capsys):
+        from hypmet.cli import main
+
+        for out in (tmp_path / "missing" / "x.json", tmp_path):
+            argv = ["validate", "--triangulation", fig8_path(fixtures_dir), "--output", str(out)]
+            assert main(argv) == 1
+            report = json.loads(capsys.readouterr().out)
+            assert report["error"]["code"] == "malformed_input"
+            assert str(out) in report["error"]["message"]
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["true", "false", '"6.283185307179586"', "null", "[6.28]", "1" + "0" * 400],
+        ids=["true", "false", "string", "null", "array", "huge-int"],
+    )
+    def test_vector_entries_must_be_numbers(self, fixtures_dir, entry):
+        argv = ["solve", "--flavor", "ideal", "--triangulation", fig8_path(fixtures_dir)]
+        code, report = run(argv + ["--cone-angles", f"[{entry}, 6.283185307179586]"])
+        assert code == 1
+        assert report["error"]["code"] == "malformed_input"
+        assert "numbers" in report["error"]["message"]
+
+    def test_integer_entries_read_as_numbers(self, fixtures_dir):
+        argv = ["angles", "--flavor", "ideal", "--triangulation", fig8_path(fixtures_dir)]
+        assert run(argv + ["--lengths", "[0, 1]"]) == run(argv + ["--lengths", "[0.0, 1.0]"])
+
+    def test_negative_seed_is_malformed(self, fixtures_dir):
+        argv = ["rigidity", "--flavor", "ideal", "--triangulation", fig8_path(fixtures_dir),
+                "--cone-angles", json.dumps([TWO_PI, TWO_PI]), "--starts", "2", "--seed"]
+        code, report = run(argv + ["-1"])
+        assert code == 1
+        assert report["error"]["code"] == "malformed_input"
+        assert "seed" in report["error"]["message"]
+        assert run(argv + ["0"])[0] == 0
+
     def test_malformed_vector(self, fixtures_dir):
         code, report = run(
             [

@@ -174,6 +174,22 @@ class TestIsDecoratedIdeal:
         r = math.log(1.5)
         assert is_decorated_ideal([r, 0, 0, r, 0, 0])
 
+    def test_agrees_with_the_triangle_inequalities(self):
+        # the rule is_decorated_ideal checked before it became a view of the kernel
+        def strict_triangle(l):
+            y = [0.5 * (l[p] + l[p + 3]) for p in range(3)]
+            x = [math.exp(v - max(y)) for v in y]
+            return all(x[j] + x[k] > x[i] for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+
+        rows = np.random.default_rng(21).uniform(-3.0, 3.0, (2000, 6))
+        got = [is_decorated_ideal(l) for l in rows]
+        assert got == [strict_triangle(l) for l in rows]
+        assert 0 < sum(got) < len(got)
+        with pytest.raises(DomainError, match="edge labels"):
+            is_decorated_ideal([0.0] * 5)
+        with pytest.raises(DomainError, match="edge labels"):
+            is_decorated_ideal([math.nan] + [0.0] * 5)
+
 
 class TestIdealVolume:
     def test_regular(self):

@@ -207,7 +207,7 @@ class TestCovComplex:
         rng = np.random.default_rng(0)
         l = rng.uniform(-1, 1, 6)
         value, _ = cov_complex(double_tet, l, "ideal")
-        per_tet = sum(cov_ideal(double_tet.tet_lengths(l, t))[0] for t in range(2))
+        per_tet = sum(cov_ideal(l[double_tet.edge_index[t]])[0] for t in range(2))
         assert value == pytest.approx(per_tet, abs=0.0)
 
     def test_gradient_fd_ideal(self, fig8, double_tet):

@@ -9,7 +9,8 @@ import pytest
 from scipy.linalg import block_diag
 
 import hypmet.solver
-from hypmet.hyperideal import hyper_angles, hyper_jacobian
+from hypmet import hyperideal
+from hypmet.hyperideal import hyper_angles, hyper_jacobian, hyper_kernel
 from hypmet.ideal import ideal_jacobian, ideal_kernel
 from hypmet.metrics import angles_of_metric, cone_angles, cov_complex
 from hypmet.solver import _NewtonSystem, rigidity_check, solve_metric
@@ -114,6 +115,33 @@ class TestHyperJacobian:
         jac = hyper_jacobian(rows)
         assert np.all(jac[:4] == 0.0)
         assert np.all(np.abs(jac[4]) > 0.0)
+
+    def test_zero_blocks_are_the_kernels_flat_and_band_rows(self, monkeypatch):
+        # the wall-scan family (t, s, s, t, s, s) on both sides of its wall t*
+        rows = np.array(
+            [
+                flat_wall_row(s, past=sign * 10.0 ** -e)
+                for s in (0.5, 1.0, 2.0)
+                for e in range(2, 13)
+                for sign in (-1.0, 1.0)
+            ]
+        )
+        band = []
+        integrate = hyperideal._cov_near_wall
+
+        def recording(lp, p, tol):
+            band.append(lp.tolist())
+            return integrate(lp, p, tol)
+
+        monkeypatch.setattr(hyperideal, "_cov_near_wall", recording)
+        kernel = hyper_kernel(rows)
+        in_band = np.array([row in band for row in rows.tolist()])
+        # flat rows get volume 0 and the covolume pi (l_0 + l_3) of pair 0
+        flat = ~in_band & (kernel.vol == 0.0)
+        assert np.all(kernel.cov[flat] == math.pi * (rows[flat, 0] + rows[flat, 3]))
+        assert in_band.sum() > 0 and flat.sum() > 0 and (~in_band & ~flat).sum() > 0
+        zeroed = np.all(hyper_jacobian(rows) == 0.0, axis=(1, 2))
+        assert np.array_equal(zeroed, in_band | flat)
 
     def test_clamped_slots_give_zero_rows_and_columns(self):
         rows = np.random.default_rng(44).uniform(0.8, 1.8, (30, 6))

@@ -333,7 +333,7 @@ class TestSolveHyper:
             y = x + rng.uniform(-0.5, 0.5, 6)
             inc = sum(
                 mu_segment_integral(
-                    double_tet.tet_lengths(x, t), double_tet.tet_lengths(y, t), tol=tol
+                    x[double_tet.edge_index[t]], y[double_tet.edge_index[t]], tol=tol
                 )
                 for t in range(2)
             )
@@ -593,6 +593,14 @@ class TestSolverOptions:
                 rigidity_check(fig8, [TWO_PI, TWO_PI], "ideal", starts=starts)
         assert len(rigidity_check(fig8, [TWO_PI, TWO_PI], "ideal", starts=1).iterations) == 1
 
+    def test_negative_seed_is_a_domain_error(self, fig8):
+        k = [TWO_PI, TWO_PI]
+        with pytest.raises(DomainError, match="seed"):
+            rigidity_check(fig8, k, "ideal", starts=2, seed=-1)
+        res = solve_metric(fig8, k, "ideal")
+        with pytest.raises(DomainError, match="seed"):
+            duality_gap(fig8, k, res, samples=3, seed=-1)
+
 
 class TestMaxVolumeAngles:
     def test_fig8_regular(self, fig8):
@@ -741,7 +749,7 @@ def classify_loop(c, result, angle_tol=1e-7):
     verdicts = []
     try:
         for t in range(c.n_tets):
-            lt = c.tet_lengths(result.lengths, t)
+            lt = result.lengths[c.edge_index[t]]
             if result.flavor == "ideal":
                 quad = np.asarray(result.assignment[t])
                 if np.min(quad) > angle_tol:
@@ -868,6 +876,37 @@ class TestRigidity:
         k = random_positive_ideal_k(fig8, rng)
         rep = rigidity_check(fig8, k, "ideal", starts=5, seed=11)
         assert rep.ok
+
+    @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
+    @pytest.mark.parametrize("name", ["fig8", "double_tet"])
+    def test_deviations_equal_the_pair_loop(self, request, monkeypatch, name, flavor):
+        # the spread max - min of each entry against the O(starts^2) loop it replaced
+        c = request.getfixturevalue(name)
+        make_k = random_positive_ideal_k if flavor == "ideal" else random_positive_hyper_k
+        k = make_k(c, np.random.default_rng(13))
+        results = []
+        descend = hypmet.solver._descend
+
+        def recording(*args, **kwargs):
+            results.append(descend(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(hypmet.solver, "_descend", recording)
+        for starts in (1, 2, 10):
+            results.clear()
+            rep = rigidity_check(c, k, flavor, starts=starts, seed=14)
+            assert len(results) == starts
+            max_angle = max_len = 0.0
+            for i in range(starts):
+                for j in range(i + 1, starts):
+                    a, b = results[i], results[j]
+                    max_angle = max(max_angle, float(np.max(np.abs(a.assignment - b.assignment))))
+                    max_len = max(max_len, float(np.max(np.abs(a.lengths - b.lengths))))
+            assert rep.max_angle_deviation == max_angle
+            assert rep.max_length_deviation == max_len
+            assert rep.ok == (max(max_angle, max_len) <= rep.tolerance)
+            if starts > 1:
+                assert max_angle > 0.0 or max_len > 0.0
 
 
 class TestWConvexity:
