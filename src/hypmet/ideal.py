@@ -32,6 +32,7 @@ __all__ = [
     "IdealKernel",
     "ideal_kernel",
     "ideal_jacobian",
+    "cotangent_jacobian",
     "triangle_angles",
     "penner_angle",
     "ideal_lengths_to_angles",
@@ -128,7 +129,15 @@ def ideal_jacobian(l):
     """
     l = _check_batch(l, "edge labels")
     y = 0.5 * (l[:, :3] + l[:, 3:])
-    a = _triangle_angles(np.exp(y - y.max(axis=1, keepdims=True)))
+    return cotangent_jacobian(_triangle_angles(np.exp(y - y.max(axis=1, keepdims=True))))
+
+
+def cotangent_jacobian(a):
+    """ideal_jacobian from the quad angles a, shape (T, 3), of the T tetrahedra.
+
+    These are the angles ideal_kernel returns, so a descent that has just
+    evaluated a point gets its Jacobian without recomputing them.
+    """
     flat = (a.min(axis=1) <= 0.0)[:, None]
     cot = np.where(flat, 0.0, 1.0 / np.tan(np.where(flat, 1.0, a)))
     # a broadcast sum: a matrix product this small would page in BLAS's gemm

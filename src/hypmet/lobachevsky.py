@@ -96,6 +96,8 @@ def lobachevsky(x):
 # the coefficients padded with zeros to 32, as (even, odd) columns of pairs
 _PAIRED = np.zeros((16, 2, 1))
 _PAIRED.flat[: len(_COEFFS)] = _COEFFS
+# lobachevsky_array's block size, in values
+_BLOCK = 8192
 
 
 def lobachevsky_array(x):
@@ -106,11 +108,25 @@ def lobachevsky_array(x):
     halved level by level, q_j + q_j+1 z^2, q_j + q_j+1 z^4, ..., so the
     whole sum takes 14 elementwise numpy calls whatever the size, where a
     Horner loop would take two per coefficient.  Each value depends on its
-    own argument only, never on its neighbours in the array.  The reduction
-    into [-pi/2, pi/2] is exact: fmod is exact, and so is the subtraction of
-    pi from a remainder within a factor two of it.
+    own argument only, never on its neighbours in the array, so larger
+    arrays go in blocks of _BLOCK values, which keep the (16, _BLOCK)
+    temporary in cache, with the same results.  The reduction into
+    [-pi/2, pi/2] is exact: fmod is exact, and so is the subtraction of pi
+    from a remainder within a factor two of it.
     """
-    r = np.fmod(np.asarray(x, dtype=float), math.pi)
+    x = np.asarray(x, dtype=float)
+    if x.size <= _BLOCK:
+        return _estrin(x)
+    flat = x.ravel()
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, _BLOCK):
+        out[start : start + _BLOCK] = _estrin(flat[start : start + _BLOCK])
+    return out.reshape(x.shape)
+
+
+def _estrin(x):
+    """Lambda of a float array in one pass of the scheme lobachevsky_array describes."""
+    r = np.fmod(x, math.pi)
     r = np.where(r > _HALF_PI, r - math.pi, r)
     r = np.where(r < -_HALF_PI, r + math.pi, r)
     a = np.abs(r)

@@ -24,9 +24,12 @@ The descent, one for both flavors, is a damped Newton iteration.  The
 Hessian of f is the Jacobian of the cone angles, H = op blockdiag(J_t) op^T,
 with op the complex's incidence operator and J_t the closed-form Jacobian
 of one tetrahedron's slot angles in its lengths (ideal.ideal_jacobian,
-hyperideal.hyper_jacobian); it is assembled sparse and factored with
+which the descent forms from the quad angles of its last kernel call,
+and hyperideal.hyper_jacobian); it is assembled sparse and factored with
 SuperLU.  The ideal H vanishes on the decoration gauge col(B), so its
-system is bordered by the gauge matrix B and the step stays in ker B^T.
+system is bordered by the gauge matrix B and the step stays in ker B^T;
+a minimum-degree ordering keeps the border's dense row and column from
+filling in the factors.
 Every ideal metric's cone angles meet the vertex sums (B^T k_x)_v = pi n_v
 (n_v corners in vertex class v), so the residual for a target that meets
 them is orthogonal to col(B) and needs no projection.
@@ -42,10 +45,26 @@ the step is no descent direction, the step is the steepest-descent -r.
 A backtracking Armijo line search damps the step.  One covolume call per
 trial point gives value and gradient; the Armijo test allows 8 ulp of
 |cov(x)| + |<x, k>| at both points (at least 1e-13).
+
+rigidity_check's random starts descend in lockstep: each iteration makes
+one kernel call on the stacked points of every unconverged start, one
+Jacobian call, and one factorization of the block-diagonal Newton matrix
+of the starts, as if they were one point of the disjoint union of copies
+of the complex.  Each start keeps its own shift, step length, stopping
+test and iteration count, so it follows its own descent up to rounding,
+and the numpy and SuperLU calls number about the largest iteration count
+of the starts rather than their sum.  solve_metric is the same descent
+with one start.  The starts run in groups of at most _GROUP_TETS
+tetrahedra in total, which bounds the memory of a large start count.
+Start 0 alone carries the LP rules above; a failing start's error is
+raised once the starts before it have finished, as if they had run one
+after another.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -61,8 +80,8 @@ from .errors import (
     NumericalError,
 )
 from .hyperideal import VERTEX_SLOTS, flat_pairs, hyper_jacobian, hyper_kernel
-from .ideal import ideal_jacobian, ideal_kernel
-from .metrics import _check_edge_vector, _check_flavor, cone_angles, cov_complex
+from .ideal import cotangent_jacobian, ideal_jacobian, ideal_kernel
+from .metrics import _check_edge_vector, _check_flavor
 from .triangulation import gauge_project
 
 __all__ = [
@@ -100,6 +119,9 @@ _CERTIFY_MARGIN = 1e-6
 # feasible set take more and pay one LP.  The bound moves only the time a
 # target without a positive assignment takes to be refused, never a result.
 _GATE_AFTER = 20
+# rigidity_check runs its starts in groups of at most this many tetrahedra
+# in total (see _descend)
+_GROUP_TETS = 1024
 # the Armijo test's roundoff allowance, absolute and per unit of f's terms
 _ROUNDOFF = 1e-13
 _ULPS = 8.0 * np.finfo(float).eps
@@ -249,15 +271,130 @@ def _coo(vals, rows, cols, shape):
     )
 
 
-def _evaluate(c, k, flavor, x):
-    """f(x) = cov(x) - <x, k>, the residual k_x - k, and the size of f's terms."""
-    v, kx = cov_complex(c, x, flavor)
-    xk = float(x @ k)
-    return v - xk, kx - k, abs(v) + abs(xk)
+def _rowdot(a, b):
+    """a_i @ b_i for each row a_i of a and b_i of b (b itself if it is a vector).
+
+    A stacked matmul of 1 x E by E x 1 products takes the vector dot path,
+    so each entry is bit for bit the dot product of one start's vectors.
+    """
+    return np.matmul(a[:, None, :], b[..., None]).reshape(len(a))
+
+
+def _block_copies(indptr, indices, minor, m):
+    """indptr and indices of m diagonal copies of a compressed sparse pattern.
+
+    The pattern has `minor` columns (CSR) or rows (CSC).  Copy i follows copy
+    i - 1 in both arrays, so the first j copies are a prefix for every j <= m.
+    """
+    nnz = indptr[-1]
+    shift = np.arange(m)[:, None]
+    return (
+        np.append((indptr[:-1] + nnz * shift).ravel(), nnz * m).astype(indptr.dtype),
+        (indices + minor * shift).ravel().astype(indices.dtype),
+    )
+
+
+class _Points(NamedTuple):
+    """Evaluated points of m starts, one row each."""
+
+    x: np.ndarray  # (m, E) edge vectors
+    f: np.ndarray  # (m,) objective cov(x) - <x, k>
+    size: np.ndarray  # (m,) |cov(x)| + |<x, k>|, the scale of f's roundoff
+    kx: np.ndarray  # (m, E) cone angles, the gradient of cov
+    angles: np.ndarray  # (m, T, 3) quad or (m, T, 6) slot angles
+    vol: np.ndarray  # (m, T) volumes of the tetrahedra
+
+    def take(self, rows):
+        return _Points(*(a[rows] for a in self))
+
+    def put(self, rows, other):
+        for a, b in zip(self, other):
+            a[rows] = b
+
+
+def _slot_edges(c, copies):
+    """The edge of each slot of `copies` stacked copies of c, shape (copies T, 6).
+
+    An index into the raveled rows of an (m, E) array, one start per row, so
+    that x.ravel()[index[:m T]] are the (m T, 6) slot lengths of m starts.
+    """
+    return (c.edge_index + c.num_edges * np.arange(copies)[:, None, None]).reshape(-1, 6)
+
+
+class _Union:
+    """Up to `copies` starts on one complex, as one point of their disjoint union.
+
+    Row i of an (m, E) array is start i's edge vector.  The tetrahedra of all
+    rows go through one kernel call, and their cone angles are one bincount
+    over the slots' edges in the union, which adds each edge's instances in
+    (tet, slot) order from 0, as the incidence operator's product does.
+    """
+
+    def __init__(self, c, flavor, copies):
+        self.c = c
+        self.flavor = flavor
+        self.slot_edges = _slot_edges(c, copies)
+
+    def cone_angles(self, angles):
+        """Cone angles, shape (m, E), of the angles (m T, 3) or (m T, 6) of m stacked rows."""
+        m = len(angles) // self.c.n_tets
+        if angles.shape[1] == 3:
+            angles = np.concatenate((angles, angles), axis=1)
+        slots = self.slot_edges[: len(angles)].ravel()
+        return np.bincount(slots, angles.ravel(), m * self.c.num_edges).reshape(m, -1)
+
+    def lengths(self, x):
+        """The slot lengths (m T, 6) of the rows of x, shape (m, E)."""
+        return x.ravel()[self.slot_edges[: len(x) * self.c.n_tets]]
+
+    def evaluate(self, x, k):
+        """The _Points of the rows of x, shape (m, E), from one kernel call."""
+        c, m = self.c, len(x)
+        lengths = self.lengths(x)
+        kernel = hyper_kernel(lengths) if self.flavor == "hyper" else ideal_kernel(lengths)
+        cov = kernel.cov.reshape(m, -1).sum(axis=1)
+        xk = _rowdot(x, k)
+        return _Points(
+            x,
+            cov - xk,
+            np.abs(cov) + np.abs(xk),
+            self.cone_angles(kernel.angles),
+            kernel.angles.reshape(m, c.n_tets, -1),
+            kernel.vol.reshape(m, -1),
+        )
+
+    def evaluate_rows(self, x, k):
+        """evaluate on the rows of x at once or, where that raises, on each row alone.
+
+        Returns the _Points of all rows and the exception of each row that
+        raised, by row.  Those rows get NaN values, which fail every test.
+        """
+        try:
+            return self.evaluate(x, k), {}
+        except Exception as exc:
+            if len(x) == 1:
+                return self._unevaluated(x), {0: exc}
+        points, raised = [], {}
+        for i in range(len(x)):
+            try:
+                points.append(self.evaluate(x[i : i + 1], k))
+            except Exception as exc:
+                points.append(self._unevaluated(x[i : i + 1]))
+                raised[i] = exc
+        return _Points(*map(np.concatenate, zip(*points))), raised
+
+    def _unevaluated(self, x):
+        """_Points of the rows of x with NaN for every value."""
+        m, t = len(x), self.c.n_tets
+        width = 6 if self.flavor == "hyper" else 3
+        return _Points(
+            x, np.full(m, np.nan), np.full(m, np.nan), np.full(x.shape, np.nan),
+            np.full((m, t, width), np.nan), np.full((m, t), np.nan),
+        )
 
 
 class _NewtonSystem:
-    """The Newton matrix H = op blockdiag(J_t) op^T of one complex and flavor.
+    """The Newton matrices H = op blockdiag(J_t) op^T of up to `copies` starts on one complex.
 
     op is the incidence operator, so H[e, f] sums J_t[s, s'] over the slots
     s of e and s' of f in each tetrahedron t.  Its sparsity pattern depends
@@ -267,13 +404,25 @@ class _NewtonSystem:
     is bordered, [[H, B], [B^T, 0]], which confines the step to ker B^T.
     B has full column rank, since each tetrahedron's vertices span
     triangles; H + B B^T would be dense wherever one vertex class has most
-    edges (every fig8 cover has V = 1).
+    edges (every fig8 cover has V = 1).  Its border row and column are what
+    the minimum-degree ordering MMD_AT_PLUS_A keeps from filling in; the
+    unbordered hyper system keeps SuperLU's default COLAMD, which is cheaper
+    on small complexes.
+
+    The systems of m starts are the diagonal blocks of one matrix, the
+    Newton matrix of m disjoint copies of the complex, factored at once.
+    The first m copies are a prefix of the copies' CSC arrays, and each m
+    gets its matrix once.
     """
 
-    def __init__(self, c, flavor):
+    def __init__(self, c, flavor, copies=1):
         self.c = c
         self.flavor = flavor
+        self.copies = copies
+        self.ordering = "MMD_AT_PLUS_A" if flavor == "ideal" else "COLAMD"
+        self.pos = None
         self.matrix = None
+        self._matrices = {}
 
     def _build(self):
         c = self.c
@@ -289,32 +438,79 @@ class _NewtonSystem:
             cols = np.concatenate([cols, ends, edges])
             n += c.num_vertices
         keys, pos = np.unique(cols * n + rows, return_inverse=True)
-        self.pos = pos[: 36 * c.n_tets]
-        self.fixed = np.bincount(pos[36 * c.n_tets :], minlength=len(keys)).astype(float)
-        self.diagonal = np.searchsorted(keys, np.arange(e_count) * (n + 1))
+        fixed = np.bincount(pos[36 * c.n_tets :], minlength=len(keys)).astype(float)
+        diagonal = np.searchsorted(keys, np.arange(e_count) * (n + 1))
         # SuperLU takes C int indices; given as such, they are not copied per step
         indices = (keys % n).astype(np.intc)
         indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.intc)
-        self.matrix = csc_array((self.fixed.copy(), indices, indptr), shape=(n, n))
+        # copy i's entries follow copy i - 1's in the data
+        self.n, self.nnz = n, len(keys)
+        shift = self.nnz * np.arange(self.copies)[:, None]
+        self.pos = (pos[: 36 * c.n_tets] + shift).ravel()
+        self.fixed = np.tile(fixed, self.copies)
+        self.diagonal = diagonal + shift  # (copies, E)
+        self.indptr, self.indices = _block_copies(indptr, indices, n, self.copies)
+        self.slot_edges = _slot_edges(c, self.copies)
 
-    def step(self, x, r, shift):
-        """The step d with (H + shift I) d = -r at x, or -r if that is no descent direction."""
-        if self.matrix is None:
-            self._build()
-        jacobian = ideal_jacobian if self.flavor == "ideal" else hyper_jacobian
-        blocks = jacobian(x[self.c.edge_index]).ravel()
-        data = self.fixed + np.bincount(self.pos, blocks, len(self.fixed))
-        data[self.diagonal] += shift
-        self.matrix.data[:] = data
-        rhs = np.zeros(self.matrix.shape[0])
-        rhs[: len(r)] = -r
+    def _matrix(self, m):
+        matrix = self._matrices.get(m)
+        if matrix is None:
+            n, nnz = m * self.n, m * self.nnz
+            matrix = self._matrices[m] = csc_array(
+                (self.fixed[:nnz].copy(), self.indices[:nnz], self.indptr[: n + 1]), shape=(n, n)
+            )
+        self.matrix = matrix
+        return matrix
+
+    def _solve_block(self, data, i, rhs):
+        """Start i's system alone; NaN, so that the step falls back to -r, where it is singular."""
+        n, nnz = self.n, self.nnz
+        block = csc_array(
+            (data[i * nnz : (i + 1) * nnz], self.indices[:nnz], self.indptr[: n + 1]), shape=(n, n)
+        )
         try:
-            d = splu(self.matrix).solve(rhs)[: len(r)]
+            return splu(block, permc_spec=self.ordering).solve(rhs)
+        except RuntimeError:
+            return np.full(self.n, np.nan)
+
+    def step(self, x, r, shift, angles=None):
+        """The steps d with (H + shift I) d = -r at x, or -r where that is no descent direction.
+
+        x and r are arrays (m, E) with m <= copies, one start per row, and
+        shift an array (m, 1); or they are one start's vectors and its
+        shift.  angles, if given, are the ideal kernel's quad angles at x,
+        from which the ideal Jacobian is formed without recomputing them.
+        Where the matrix of all m starts is exactly singular, each start's
+        block is solved alone.
+        """
+        if self.pos is None:
+            self._build()
+        e_count = self.c.num_edges
+        rows = r.reshape(-1, e_count)
+        m = len(rows)
+        lengths = x.ravel()[self.slot_edges[: m * self.c.n_tets]]
+        if self.flavor == "hyper":
+            blocks = hyper_jacobian(lengths).ravel()
+        elif angles is None:
+            blocks = ideal_jacobian(lengths).ravel()
+        else:
+            blocks = cotangent_jacobian(angles.reshape(-1, 3)).ravel()
+        nnz = m * self.nnz
+        data = self.fixed[:nnz] + np.bincount(self.pos[: blocks.size], blocks, nnz)
+        data[self.diagonal[:m]] += shift
+        matrix = self._matrix(m)
+        matrix.data[:] = data
+        rhs = np.zeros((m, self.n))
+        rhs[:, :e_count] = -rows
+        try:
+            d = splu(matrix, permc_spec=self.ordering).solve(rhs.ravel()).reshape(m, self.n)
         except RuntimeError:  # exactly singular
-            return -r
-        if not np.isfinite(d).all() or float(r @ d) >= 0.0:
-            return -r
-        return d
+            d = np.array([self._solve_block(data, i, rhs[i]) for i in range(m)])
+        d = d[:, :e_count]
+        steepest = ~np.logical_and.reduce(np.isfinite(d), axis=1) | (_rowdot(rows, d) >= 0.0)
+        if steepest.any():
+            d[steepest] = -rows[steepest]
+        return d.reshape(r.shape)
 
 
 def _check_options(opts):
@@ -326,6 +522,13 @@ def _check_options(opts):
     return opts
 
 
+def _count(n, what):
+    """n as a positive int; DomainError for anything else, booleans and fractions included."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise DomainError(f"{what} must be a positive integer, got {n!r}")
+    return int(n)
+
+
 def _reachable_target(c, k, flavor, tol):
     """The checked target; NotPositiveFeasibleError if the vertex sums put it out of reach.
 
@@ -333,6 +536,7 @@ def _reachable_target(c, k, flavor, tol):
     of reach, since |B^T r|_v <= (B^T 1)_v max|r|.  Positivity is left to
     the descent's certificate.
     """
+    _check_flavor(flavor)
     k = _check_target(c, k)
     if flavor == "ideal":
         ends = c.edge_endpoints.ravel()
@@ -361,38 +565,6 @@ def _certifies(result):
     return result.grad_norm <= _FEASIBILITY_TOL and slack > _CERTIFY_MARGIN
 
 
-def _certified_descent(c, k, flavor, x0, opts):
-    """_descend, with the target certified by its solution or else by one LP.
-
-    The LP is consulted at most once: when the descent raises, when it
-    reaches iteration _GATE_AFTER unconverged, or when its result does not
-    certify.  A target without a positive angle assignment then raises
-    NotPositiveFeasibleError; otherwise the descent's own outcome stands.
-    """
-    consulted = False
-
-    def consult():
-        nonlocal consulted
-        if consulted:
-            return
-        consulted = True
-        report = feasibility(c, k, flavor)
-        if not report.positive:
-            raise NotPositiveFeasibleError(
-                f"target has no positive angle assignment (status {report.status}, "
-                f"max slack {report.max_slack})"
-            )
-
-    try:
-        result = _descend(c, k, flavor, x0, opts, stalled=consult)
-    except Exception:
-        consult()
-        raise
-    if not _certifies(result):
-        consult()
-    return result
-
-
 def solve_metric(c, k, flavor, opts=None):
     """Minimize cov(x) - <x, k> to the metric with prescribed cone angles.
 
@@ -409,96 +581,195 @@ def solve_metric(c, k, flavor, opts=None):
     opts = _check_options(opts)
     k = _reachable_target(c, k, flavor, opts.tol)
     x = np.zeros(c.num_edges) if flavor == "ideal" else np.ones(c.num_edges)
-    return _certified_descent(c, k, flavor, x, opts)
+    return _descend(c, k, flavor, x[None], opts, lead=True)[0]
 
 
-def _descend(c, k, flavor, x0, opts, stalled=None):
-    newton = _NewtonSystem(c, flavor)
-    x = np.asarray(x0, dtype=float)
-    f, r, size = _evaluate(c, k, flavor, x)
-    trace = [f]
+def _descend(c, k, flavor, x0, opts, lead=False):
+    """Damped Newton descents from the rows of x0, shape (S, E), run in lockstep.
+
+    Returns one SolveResult per start, in order.  Each start keeps its own
+    shift, step lengths, stopping test and iteration count, so its iterates
+    are those of its descent run alone, up to rounding in the factorization;
+    an iteration makes one Jacobian call and one factorization for all
+    unconverged starts, and one kernel call per line-search round.  A
+    failing start's error is raised once every start before it has
+    finished, which is the outcome of running the starts one after another.
+    With lead, start 0 carries the LP rules: the feasibility LP is consulted,
+    once, when start 0 reaches _GATE_AFTER iterations unconverged, fails, or
+    converges to a solution that does not certify, and a target without a
+    positive angle assignment raises NotPositiveFeasibleError.
+    """
+    x0 = np.array(x0, dtype=float)  # the rows of pts, which are updated in place
+    union = _Union(c, flavor, len(x0))
+    newton = _NewtonSystem(c, flavor, len(x0))
+    results = [None] * len(x0)
+    traces = [[] for _ in results]
+    errors = {}
+    consulted = False
+
+    def consult():
+        nonlocal consulted
+        if consulted:
+            return
+        consulted = True
+        report = feasibility(c, k, flavor)
+        if not report.positive:
+            raise NotPositiveFeasibleError(
+                f"target has no positive angle assignment (status {report.status}, "
+                f"max slack {report.max_slack})"
+            )
+
+    def fail(start, exc):
+        if start == 0 and lead:
+            consult()
+        errors[start] = exc
+
+    ids = np.arange(len(x0))
+    pts, failed = union.evaluate_rows(x0, k)
     iterations = 0
-
     while True:
-        gnorm = float(np.max(np.abs(r)))
-        if gnorm <= opts.tol:
-            break
+        for i, f in zip(ids.tolist(), pts.f.tolist()):
+            traces[i].append(f)
+        r = pts.kx - k
+        gnorm = np.maximum.reduce(np.abs(r), axis=1)
+        done = gnorm <= opts.tol
         if iterations >= opts.max_iter:
-            raise MaxIterationsError(
-                f"no convergence in {opts.max_iter} iterations",
-                {"grad_norm": gnorm, "objective": f, "flavor": flavor},
-            )
-        if iterations == _GATE_AFTER and stalled is not None:
-            stalled()
+            for j in np.flatnonzero(~done):
+                failed.setdefault(j, MaxIterationsError(
+                    f"no convergence in {opts.max_iter} iterations",
+                    {"grad_norm": float(gnorm[j]), "objective": float(pts.f[j]), "flavor": flavor},
+                ))
+        converged = done.any()
+        if converged:
+            # results keep views of their rows, and pts is updated in place
+            finished = pts if done.all() else pts.take(done)
+            assembled = _assemble(union, k, finished, gnorm[done], iterations, traces, ids[done])
+            for i, res in zip(ids[done].tolist(), assembled):
+                if isinstance(res, Exception):
+                    fail(i, res)
+                    continue
+                results[i] = res
+                if i == 0 and lead and not _certifies(res):
+                    consult()
+        for j, exc in failed.items():
+            fail(int(ids[j]), exc)
+        if failed or converged:
+            going = ~done
+            going[list(failed)] = False
+            ids = ids[going]
+            if ids.size:
+                pts, r, gnorm = pts.take(going), r[going], gnorm[going]
+        if errors and not (ids < min(errors)).any():
+            raise errors[min(errors)]
+        if not ids.size:
+            return results
+        if iterations == _GATE_AFTER and lead and ids[0] == 0:
+            consult()
         iterations += 1
-        d = newton.step(x, r, gnorm * min(gnorm, 1.0))
-        gd = float(r @ d)
-        alpha = 1.0
-        for _ in range(50):
-            x_new = x + alpha * d
-            try:
-                f_new, r_new, size_new = _evaluate(c, k, flavor, x_new)
-            except NumericalError:
-                # the trial point lies beyond the range the kernel evaluates
-                alpha *= 0.5
-                continue
-            allowance = max(_ROUNDOFF, _ULPS * (size + size_new))
-            if f_new - f <= _ARMIJO * alpha * gd + allowance:
-                break
-            alpha *= 0.5
-        else:
-            raise LineSearchError(
-                "backtracking found no acceptable step",
-                {"grad_norm": gnorm, "objective": f, "iteration": iterations},
-            )
-        x, f, r, size = x_new, f_new, r_new, size_new
-        trace.append(f)
+        shift = gnorm * np.minimum(gnorm, 1.0)
+        d = newton.step(pts.x, r, shift[:, None], pts.angles if flavor == "ideal" else None)
+        pts, failed = _line_search(union, k, pts, d, _rowdot(r, d), gnorm, iterations)
 
+
+def _line_search(union, k, pts, d, gd, gnorm, iteration):
+    """Backtracking Armijo steps from each row of pts along the matching row of d.
+
+    Each row halves its step length, at most 50 times, until its trial
+    point passes the Armijo test, which allows 8 ulp of f's terms at both
+    points; a trial point beyond the kernel's range (NumericalError) fails
+    the test.  The trial points of all rows still searching, which share
+    the step length 2^-round, go through one evaluation per round.  Returns
+    the points, with the accepted ones in place of pts's rows, and the
+    exception of each row that failed, by row: LineSearchError, or what its
+    trial point's evaluation raised.
+    """
+    rows = np.arange(len(d))  # the rows still searching, and their data
+    x, f, size = pts.x, pts.f, pts.size
+    failed = {}
+    alpha = 1.0
+    for _ in range(50):
+        trial, raised = union.evaluate_rows(x + alpha * d, k)
+        allowance = np.maximum(_ROUNDOFF, _ULPS * (size + trial.size))
+        ok = trial.f - f <= _ARMIJO * alpha * gd + allowance
+        if ok.all() and len(rows) == len(pts.x):
+            return trial, failed
+        pts.put(rows[ok], trial.take(ok))
+        stay = ~ok
+        for j, exc in raised.items():
+            if not isinstance(exc, NumericalError):
+                failed[int(rows[j])] = exc
+                stay[j] = False
+        rows, x, f, size, d, gd = rows[stay], x[stay], f[stay], size[stay], d[stay], gd[stay]
+        if not rows.size:
+            return pts, failed
+        alpha *= 0.5
+    for j, g, fj in zip(rows.tolist(), gnorm[rows].tolist(), f.tolist()):
+        failed[j] = LineSearchError(
+            "backtracking found no acceptable step",
+            {"grad_norm": g, "objective": fj, "iteration": iteration},
+        )
+    return pts, failed
+
+
+def _assemble(union, k, pts, gnorm, iterations, traces, ids):
+    """The SolveResults of the converged starts ids, one per row of pts.
+
+    A start whose hyper critical point has a non-positive length gets that
+    NumericalError instead.  The hyper results take the angles and volume
+    of their last kernel call, which was at these lengths; the ideal ones
+    evaluate the gauge-projected lengths.
+    """
+    c, flavor = union.c, union.flavor
     if flavor == "hyper":
-        if np.min(x) <= 0.0:
-            raise NumericalError(
-                f"hyper-ideal critical point has non-positive lengths {x}; "
-                "this contradicts the positivity of critical points"
-            )
-        lengths = x
-        kernel = hyper_kernel(lengths[c.edge_index])
+        lengths, assignment, vol, achieved = pts.x, pts.angles, pts.vol.sum(axis=1), pts.kx
     else:
-        lengths = gauge_project(c, x)
-        kernel = ideal_kernel(lengths[c.edge_index])
-    assignment = kernel.angles
-    vol = float(kernel.vol.sum())
-
-    achieved = cone_angles(c, assignment)
-    return SolveResult(
-        flavor=flavor,
-        lengths=lengths,
-        assignment=assignment,
-        achieved_cone_angles=achieved,
-        target_cone_angles=k,
-        volume=vol,
-        w_value=-f,
-        objective=f,
-        iterations=iterations,
-        grad_norm=float(np.max(np.abs(r))),
-        objective_trace=trace,
-    )
+        lengths = gauge_project(c, pts.x)
+        kernel = ideal_kernel(union.lengths(lengths))
+        assignment = kernel.angles.reshape(len(lengths), c.n_tets, 3)
+        vol = kernel.vol.reshape(len(lengths), -1).sum(axis=1)
+        achieved = union.cone_angles(kernel.angles)
+    out = []
+    for j, i in enumerate(ids.tolist()):
+        if flavor == "hyper" and np.min(lengths[j]) <= 0.0:
+            out.append(NumericalError(
+                f"hyper-ideal critical point has non-positive lengths {lengths[j]}; "
+                "this contradicts the positivity of critical points"
+            ))
+            continue
+        f = float(pts.f[j])
+        out.append(SolveResult(
+            flavor=flavor,
+            lengths=lengths[j],
+            assignment=assignment[j],
+            achieved_cone_angles=achieved[j],
+            target_cone_angles=k,
+            volume=float(vol[j]),
+            w_value=-f,
+            objective=f,
+            iterations=iterations,
+            grad_norm=float(gnorm[j]),
+            objective_trace=traces[i],
+        ))
+    return out
 
 
 def duality_gap(c, k, result, samples, seed=0, spread=1.0):
     """Sampled check of the duality inequality <x, k> - cov(x) <= W(k).
 
-    Draws `samples` points uniformly in a box of half-width `spread` around
-    the solved metric and returns max(<x,k> - cov(x)) - W; convexity makes
-    this nonpositive up to solve and kernel tolerance.  The tetrahedra of
-    all samples go through one call of the flavor's kernel.
+    Draws `samples` points (a positive integer, DomainError otherwise)
+    uniformly in a box of half-width `spread` around the solved metric and
+    returns max(<x,k> - cov(x)) - W; convexity makes this nonpositive up to
+    solve and kernel tolerance.  The tetrahedra of all samples go through
+    one call of the flavor's kernel.
     """
     k = _check_target(c, k)
+    samples = _count(samples, "samples")
     rng = _rng(seed)
     base = np.asarray(result.lengths, dtype=float)
-    x = base + rng.uniform(-spread, spread, (int(samples), c.num_edges))
+    x = base + rng.uniform(-spread, spread, (samples, c.num_edges))
     kernel = ideal_kernel if result.flavor == "ideal" else hyper_kernel
     cov = kernel(x[:, c.edge_index].reshape(-1, 6)).cov.reshape(len(x), c.n_tets).sum(axis=1)
-    return float((x @ k - cov).max(initial=-math.inf)) - result.w_value
+    return float((x @ k - cov).max()) - result.w_value
 
 
 def classify_maximizer(c, result):
@@ -560,29 +831,32 @@ def classify_maximizer(c, result):
 def rigidity_check(c, k, flavor, starts=10, opts=None, seed=0):
     """Multi-start realization of the rigidity theorems.
 
-    Runs the descent from `starts` >= 1 random initial metrics and reports
-    the maximum pairwise deviation of the resulting angle assignments and
+    Runs the descent from `starts` random initial metrics and reports the
+    maximum pairwise deviation of the resulting angle assignments and
     lengths (gauge-projected for the ideal flavor, raw for the hyper
     flavor), the largest spread max - min of any entry.  A deviation above
     _RIGIDITY_TOL sets ok=False: rigidity says the minimizer is unique, so
     disagreement signals a solver problem.  Targets and options are checked
-    as in solve_metric, and a seed numpy rejects raises DomainError; the
-    first start certifies the target, so the later ones skip the LP gate.
+    as in solve_metric; starts must be a positive integer and the seed one
+    numpy accepts (DomainError otherwise).
+
+    The starts run in lockstep (see _descend), in consecutive groups of at
+    most _GROUP_TETS tetrahedra in total, so a large count never holds all
+    of its starts' kernel temporaries at once.  Each group draws its initial
+    metrics from the seed's stream when it runs, start by start.  The first
+    start carries the LP rules of solve_metric, so the later ones skip the
+    LP gate.
     """
-    if starts < 1:
-        raise DomainError(f"rigidity needs at least one start, got {starts}")
+    starts = _count(starts, "starts")
     opts = _check_options(opts)
     k = _reachable_target(c, k, flavor, opts.tol)
     rng = _rng(seed)
-
+    low, high = (-1.0, 1.0) if flavor == "ideal" else (0.2, 3.0)
+    group = max(1, _GROUP_TETS // c.n_tets)
     results = []
-    for i in range(starts):
-        if flavor == "ideal":
-            x0 = rng.uniform(-1.0, 1.0, c.num_edges)
-        else:
-            x0 = rng.uniform(0.2, 3.0, c.num_edges)
-        descend = _certified_descent if i == 0 else _descend
-        results.append(descend(c, k, flavor, x0, opts))
+    for first in range(0, starts, group):
+        x0 = rng.uniform(low, high, (min(group, starts - first), c.num_edges))
+        results += _descend(c, k, flavor, x0, opts, lead=first == 0)
 
     # the largest |a_i - a_j| of an entry is max - min, and rounding is monotone
     max_angle = float(np.ptp([r.assignment for r in results], axis=0).max())

@@ -269,9 +269,11 @@ def gauge_project(c, x):
 
     The result is orthogonal to col(B); applying the projection twice is a
     no-op.  Two edge vectors describe the same decorated metric up to change
-    of decoration exactly when their projections agree.
+    of decoration exactly when their projections agree.  x is one edge
+    vector, or an array (m, E) of them, one per row, fitted in one
+    least-squares call.
     """
     b = gauge_matrix(c)
     x = np.asarray(x, dtype=float)
-    w, *_ = np.linalg.lstsq(b, x, rcond=None)
-    return x - b @ w
+    w, *_ = np.linalg.lstsq(b, x.T, rcond=None)
+    return x - (b @ w).T

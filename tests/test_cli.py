@@ -449,18 +449,19 @@ class TestErrorPaths:
     def test_line_search_failure_carries_diagnostics(self, fixtures_dir, monkeypatch):
         import hypmet.solver
         from hypmet.errors import NumericalError
-        from hypmet.metrics import cov_complex
+        from hypmet.ideal import ideal_kernel
 
         calls = []
 
-        def failing(c, x, flavor, tol=1e-10):
+        def failing(l):
             # the start point evaluates; every trial point is out of range
             calls.append(1)
             if len(calls) > 1:
                 raise NumericalError("out of range")
-            return cov_complex(c, x, flavor, tol)
+            return ideal_kernel(l)
 
-        monkeypatch.setattr(hypmet.solver, "cov_complex", failing)
+        # the descent's one kernel call per point
+        monkeypatch.setattr(hypmet.solver, "ideal_kernel", failing)
         # a positive-feasible fig8 target (the cone angles sum to 4 pi) other than the start
         code, report = run(
             ["solve", "--flavor", "ideal", "--triangulation", fig8_path(fixtures_dir),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hypmet.errors import DomainError
-from hypmet.lobachevsky import lobachevsky, lobachevsky_array
+from hypmet.lobachevsky import _BLOCK, _estrin, lobachevsky, lobachevsky_array
 
 from oracles import lobachevsky_quadrature
 
@@ -89,3 +89,19 @@ def test_array_evaluator_small_sizes_and_position_independence():
     assert np.array_equal(lobachevsky_array(xs.reshape(6, 8, 2)).ravel(), full)
     assert np.max(np.abs(full - [lobachevsky(x) for x in xs])) <= 1e-15
     assert lobachevsky_array(np.zeros((0, 3))).shape == (0, 3)
+
+
+def test_array_evaluator_blocks_match_one_pass():
+    # arrays longer than a block go in blocks; every value is the one a
+    # single pass over the whole array gives, bit for bit
+    block = _BLOCK
+    rng = np.random.default_rng(11)
+    for size in (block - 1, block, block + 1, 3 * block + 5):
+        xs = rng.uniform(-20.0, 20.0, size)
+        xs[::97] = 0.0
+        got = lobachevsky_array(xs)
+        assert np.array_equal(got, _estrin(xs))
+        assert np.array_equal(lobachevsky_array(xs.reshape(1, -1, 1)).ravel(), got)
+    # the block boundary falls inside a row of a 2-D array
+    xs = rng.uniform(-5.0, 5.0, (block // 7 + 3, 7))
+    assert np.array_equal(lobachevsky_array(xs), _estrin(xs.ravel()).reshape(xs.shape))

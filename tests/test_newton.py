@@ -11,12 +11,12 @@ from scipy.linalg import block_diag
 import hypmet.solver
 from hypmet import hyperideal
 from hypmet.hyperideal import hyper_angles, hyper_jacobian, hyper_kernel
-from hypmet.ideal import ideal_jacobian, ideal_kernel
+from hypmet.ideal import cotangent_jacobian, ideal_jacobian, ideal_kernel
 from hypmet.metrics import angles_of_metric, cone_angles, cov_complex
 from hypmet.solver import _NewtonSystem, rigidity_check, solve_metric
 from hypmet.triangulation import GluingSpec, build_complex, gauge_matrix
 
-from oracles import disjoint_union
+from oracles import FIG8_COCYCLE, cyclic_cover, disjoint_union
 
 TWO_PI = 2 * math.pi
 
@@ -72,6 +72,12 @@ class TestIdealJacobian:
         rows[0] = [2 * math.log(2), 0, 0, 2 * math.log(2), 0, 0]  # sides (4, 1, 1)
         assert np.all(ideal_kernel(rows).angles[:, 1:] == 0.0)
         assert np.all(ideal_jacobian(rows) == 0.0)
+
+    def test_from_the_kernels_angles(self):
+        # the descent forms the Jacobian from the angles of its last kernel call
+        rows = np.random.default_rng(35).uniform(-2.0, 2.0, (40, 6))
+        rows[::4] = [2 * math.log(2), 0, 0, 2 * math.log(2), 0, 0]
+        assert np.array_equal(cotangent_jacobian(ideal_kernel(rows).angles), ideal_jacobian(rows))
 
     def test_rows_are_independent(self):
         rows = np.random.default_rng(34).uniform(-2.0, 2.0, (20, 6))
@@ -206,6 +212,31 @@ class TestNewtonSystem:
         d = _NewtonSystem(double_tet, "hyper").step(-np.ones(double_tet.num_edges), r, 0.0)
         assert np.array_equal(d, -r)
 
+    def test_bordered_factorization_is_ordered_against_fill(self, fixtures_dir, monkeypatch):
+        # one vertex class holds every edge of a fig8 cover, so the border
+        # row and column are dense; under SuperLU's default column ordering
+        # L + U held 2.1 million entries at T = 2048, under minimum degree
+        # on A^T + A about 105 thousand
+        with open(fixtures_dir / "fig8.json") as fh:
+            c = build_complex(GluingSpec.from_dict(cyclic_cover(json.load(fh), FIG8_COCYCLE, 1024)))
+        assert c.n_tets == 2048 and c.num_vertices == 1
+        fill = []
+        factor = hypmet.solver.splu
+
+        def recording(matrix, **kwargs):
+            lu = factor(matrix, **kwargs)
+            fill.append(lu.L.nnz + lu.U.nnz)
+            return lu
+
+        monkeypatch.setattr(hypmet.solver, "splu", recording)
+        rng = np.random.default_rng(54)
+        x = rng.uniform(-0.3, 0.3, c.num_edges)
+        k = cone_angles(c, angles_of_metric(c, np.zeros(c.num_edges), "ideal"))
+        r = cov_complex(c, x, "ideal")[1] - k
+        d = _NewtonSystem(c, "ideal").step(x, r, 1e-3)
+        assert len(fill) == 1 and fill[0] < 400_000
+        assert np.max(np.abs(gauge_matrix(c).T @ d)) <= 1e-10 and float(r @ d) < 0.0
+
     def test_pattern_built_once_per_descent_and_only_when_stepping(self, fig8, monkeypatch):
         builds = []
         build = _NewtonSystem._build
@@ -217,5 +248,6 @@ class TestNewtonSystem:
         monkeypatch.setattr(hypmet.solver._NewtonSystem, "_build", counting)
         res = solve_metric(fig8, [TWO_PI, TWO_PI], "ideal")  # starts at the answer
         assert res.iterations == 0 and builds == []
+        # the three starts descend in lockstep, one descent with one pattern
         rep = rigidity_check(fig8, [TWO_PI, TWO_PI], "ideal", starts=3, seed=1)
-        assert rep.ok and min(rep.iterations) > 1 and builds == ["ideal"] * 3
+        assert rep.ok and min(rep.iterations) > 1 and builds == ["ideal"]

@@ -18,6 +18,7 @@ from hypmet.errors import (
     LineSearchError,
     MaxIterationsError,
     NotPositiveFeasibleError,
+    NumericalError,
 )
 from hypmet.hyperideal import VERTEX_SLOTS, classify_lengths, mu_segment_integral
 from hypmet.ideal import PAIRS
@@ -663,7 +664,9 @@ class TestDualityGap:
             gap = duality_gap(c, k, res, samples=samples, seed=seed, spread=spread)
             want = _per_sample_duality_gap(c, k, res, samples, seed, spread)
             assert abs(gap - want) <= 1e-12
-        assert duality_gap(c, k, res, samples=0) == -math.inf
+        # no samples would be a vacuous pass (the max of nothing, -inf)
+        with pytest.raises(DomainError, match="samples"):
+            duality_gap(c, k, res, samples=0)
 
 
 def _per_sample_duality_gap(c, k, result, samples, seed, spread):
@@ -888,8 +891,10 @@ class TestRigidity:
         descend = hypmet.solver._descend
 
         def recording(*args, **kwargs):
-            results.append(descend(*args, **kwargs))
-            return results[-1]
+            # one call descends from a group of starts, one result each
+            out = descend(*args, **kwargs)
+            results.extend(out)
+            return out
 
         monkeypatch.setattr(hypmet.solver, "_descend", recording)
         for starts in (1, 2, 10):
@@ -907,6 +912,254 @@ class TestRigidity:
             assert rep.ok == (max(max_angle, max_len) <= rep.tolerance)
             if starts > 1:
                 assert max_angle > 0.0 or max_len > 0.0
+
+
+def start_points(c, flavor, count, rng):
+    """Initial metrics drawn as rigidity_check draws them."""
+    low, high = (-1.0, 1.0) if flavor == "ideal" else (0.2, 3.0)
+    return rng.uniform(low, high, (count, c.num_edges))
+
+
+def assert_same_descent(got, want, tol=1e-12):
+    assert got.iterations == want.iterations
+    assert np.max(np.abs(got.lengths - want.lengths)) <= tol
+    assert np.max(np.abs(got.assignment - want.assignment)) <= tol
+
+
+def assert_rows_searched_alone(union, k, pts, d, gd, gnorm, both):
+    """Each row of a lockstep line search ends where its search alone ends.
+
+    The hyper kernel's matrix products round each row a little differently
+    in a batch of another size, so values agree to rounding.
+    """
+    for i in range(len(d)):
+        s = slice(i, i + 1)
+        alone, failed = hypmet.solver._line_search(union, k, pts.take(s), d[s], gd[s], gnorm[s], 1)
+        assert not failed
+        for got, want in zip(both, alone):
+            assert np.allclose(got[i], want[0], rtol=1e-14, atol=1e-14)
+
+
+class TestLockstep:
+    """rigidity_check's starts descend in lockstep, each as it would alone."""
+
+    @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
+    @pytest.mark.parametrize("name", ["fig8", "double_tet", "fig8_16"])
+    def test_lockstep_matches_independent_descents(self, request, fig8_cover, name, flavor):
+        c = fig8_cover(16) if name == "fig8_16" else request.getfixturevalue(name)
+        draw = random_positive_ideal_k if flavor == "ideal" else random_positive_hyper_k
+        descend, opts = hypmet.solver._descend, SolveOptions()
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            k = draw(c, rng)
+            x0 = start_points(c, flavor, 10, rng)
+            alone = [descend(c, k, flavor, x[None], opts)[0] for x in x0]
+            for starts in (1, 2, 10):
+                together = descend(c, k, flavor, x0[:starts], opts)
+                assert len(together) == starts
+                for got, want in zip(together, alone):
+                    assert_same_descent(got, want)
+
+    @pytest.mark.parametrize("width", [3, 6])
+    def test_stacked_cone_angles_are_the_incidence_products(self, fig8_cover, width):
+        # the union's bincount adds each edge's instances in the order of
+        # the incidence operator's product, so every row agrees to the bit
+        c = fig8_cover(16)
+        rows = np.random.default_rng(33).uniform(0.0, 3.0, (4, c.n_tets, width))
+        rows[1, ::3] = -0.0
+        stacked = hypmet.solver._Union(c, "ideal", 5).cone_angles(rows.reshape(-1, width))
+        assert stacked.shape == (4, c.num_edges)
+        for got, a in zip(stacked, rows):
+            assert np.array_equal(got, cone_angles(c, a))
+
+    @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
+    def test_one_row_backtracks_while_the_other_accepts(self, fig8, monkeypatch, flavor):
+        # row 1's direction is 64 times its Newton step, so it halves its
+        # own step length while row 0 takes its full step
+        union = hypmet.solver._Union(fig8, flavor, 2)
+        k = (random_positive_ideal_k if flavor == "ideal" else random_positive_hyper_k)(
+            fig8, np.random.default_rng(21)
+        )
+        x = start_points(fig8, flavor, 2, np.random.default_rng(22))
+        pts = union.evaluate(x, k)
+        r = pts.kx - k
+        d = hypmet.solver._NewtonSystem(fig8, flavor, 2).step(x, r, np.zeros((2, 1)))
+        d[1] *= 64.0
+        gd = np.einsum("ij,ij->i", r, d)
+        rows = []
+        evaluate = hypmet.solver._Union.evaluate
+
+        def recording(self, x, k):
+            rows.append(len(x))
+            return evaluate(self, x, k)
+
+        monkeypatch.setattr(hypmet.solver._Union, "evaluate", recording)
+        gnorm = np.abs(r).max(axis=1)
+        both, failed = hypmet.solver._line_search(union, k, pts.take([0, 1]), d, gd, gnorm, 1)
+        assert not failed and rows[0] == 2 and rows[1:] == [1] * (len(rows) - 1) and len(rows) > 1
+        assert np.array_equal(both.x[0], x[0] + d[0])
+        assert_rows_searched_alone(union, k, pts, d, gd, gnorm, both)
+
+    def test_trial_point_beyond_the_kernels_range_halves_its_row_only(self, fig8, monkeypatch):
+        # row 1's first trial has lengths above 1e12, beyond the hyper
+        # cosine law, so the stacked call raises and the rows go alone
+        union = hypmet.solver._Union(fig8, "hyper", 2)
+        k = random_positive_hyper_k(fig8, np.random.default_rng(23))
+        x = start_points(fig8, "hyper", 2, np.random.default_rng(26))
+        pts = union.evaluate(x, k)
+        r = pts.kx - k
+        d = hypmet.solver._NewtonSystem(fig8, "hyper", 2).step(x, r, np.zeros((2, 1)))
+        d[1] *= 2.0**42
+        assert np.max(np.abs(x[1] + d[1])) > 1e12
+        gd = np.einsum("ij,ij->i", r, d)
+        gnorm = np.abs(r).max(axis=1)
+        raised = []
+        kernel = hypmet.solver.hyper_kernel
+
+        def recording(l, tol=1e-10):
+            try:
+                return kernel(l, tol)
+            except NumericalError:
+                raised.append(len(l))
+                raise
+
+        monkeypatch.setattr(hypmet.solver, "hyper_kernel", recording)
+        both, failed = hypmet.solver._line_search(union, k, pts.take([0, 1]), d, gd, gnorm, 1)
+        assert not failed and raised[0] == 2 * fig8.n_tets
+        assert np.array_equal(both.x[0], x[0] + d[0])
+        assert_rows_searched_alone(union, k, pts, d, gd, gnorm, both)
+
+    def test_singular_block_falls_back_alone(self, double_tet):
+        # row 0 has every hyper slot clamped, so its block is H = 0; the
+        # matrix of both rows is singular, and each block is solved alone
+        rng = np.random.default_rng(25)
+        x = np.vstack([-np.ones(double_tet.num_edges), rng.uniform(0.8, 1.6, double_tet.num_edges)])
+        r = rng.uniform(-1.0, 1.0, x.shape)
+        shift = np.array([[0.0], [0.01]])
+        d = hypmet.solver._NewtonSystem(double_tet, "hyper", 2).step(x, r, shift)
+        assert np.array_equal(d[0], -r[0])
+        alone = hypmet.solver._NewtonSystem(double_tet, "hyper").step(x[1], r[1], 0.01)
+        assert np.max(np.abs(d[1] - alone)) <= 1e-12 and float(r[1] @ d[1]) < 0.0
+
+    @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
+    def test_groups_run_one_after_another(self, fig8, monkeypatch, flavor):
+        # groups of 2 starts give the report of one group of 7, draw the
+        # same initial metrics and leave the LP rules to the first group
+        k = (random_positive_ideal_k if flavor == "ideal" else random_positive_hyper_k)(
+            fig8, np.random.default_rng(26)
+        )
+        whole = rigidity_check(fig8, k, flavor, starts=7, seed=27)
+        calls = []
+        descend = hypmet.solver._descend
+
+        def recording(c, k, flavor, x0, opts, lead=False):
+            calls.append((x0, lead))
+            return descend(c, k, flavor, x0, opts, lead)
+
+        monkeypatch.setattr(hypmet.solver, "_descend", recording)
+        monkeypatch.setattr(hypmet.solver, "_GROUP_TETS", 2 * fig8.n_tets)
+        grouped = rigidity_check(fig8, k, flavor, starts=7, seed=27)
+        assert [len(x0) for x0, _ in calls] == [2, 2, 2, 1]
+        assert [lead for _, lead in calls] == [True, False, False, False]
+        drawn = start_points(fig8, flavor, 7, np.random.default_rng(27))
+        assert np.array_equal(np.vstack([x0 for x0, _ in calls]), drawn)
+        assert grouped.iterations == whole.iterations and grouped.ok and whole.ok
+        assert abs(grouped.max_angle_deviation - whole.max_angle_deviation) <= 1e-14
+        assert abs(grouped.max_length_deviation - whole.max_length_deviation) <= 1e-14
+
+    def test_default_groups_span_many_starts(self, fig8, monkeypatch):
+        # 1027 starts on 2 tetrahedra are three groups of the default size;
+        # one group of all of them reports the same
+        k = random_positive_ideal_k(fig8, np.random.default_rng(30))
+        starts = 2 * (hypmet.solver._GROUP_TETS // fig8.n_tets) + 3
+        grouped = rigidity_check(fig8, k, "ideal", starts=starts, seed=31)
+        monkeypatch.setattr(hypmet.solver, "_GROUP_TETS", starts * fig8.n_tets)
+        whole = rigidity_check(fig8, k, "ideal", starts=starts, seed=31)
+        assert grouped.ok and whole.ok and len(grouped.iterations) == starts
+        assert grouped.iterations == whole.iterations
+        assert abs(grouped.max_angle_deviation - whole.max_angle_deviation) <= 1e-14
+        assert abs(grouped.max_length_deviation - whole.max_length_deviation) <= 1e-14
+
+    def test_group_size_bounds_the_tetrahedra(self, fig8_cover, monkeypatch):
+        c = fig8_cover(16)
+        sizes = []
+        descend = hypmet.solver._descend
+
+        def recording(c, k, flavor, x0, opts, lead=False):
+            sizes.append(len(x0))
+            return descend(c, k, flavor, x0, opts, lead)
+
+        monkeypatch.setattr(hypmet.solver, "_descend", recording)
+        monkeypatch.setattr(hypmet.solver, "_GROUP_TETS", 40)
+        k = random_positive_hyper_k(c, np.random.default_rng(28))
+        assert rigidity_check(c, k, "hyper", starts=5, seed=1).ok
+        assert sizes == [2, 2, 1]
+        monkeypatch.setattr(hypmet.solver, "_GROUP_TETS", 8)  # smaller than the complex
+        assert rigidity_check(c, k, "hyper", starts=2, seed=1).ok
+        assert sizes[3:] == [1, 1]
+
+    def test_first_failing_start_raises_with_its_diagnostics(self, fig8):
+        # alone these starts take 6, 6, 7, 5, 5 and 7 iterations: with a
+        # budget of 6, start 2 is the first to fail, as one after another
+        rng = np.random.default_rng(2)
+        k = random_positive_hyper_k(fig8, rng)
+        x0 = start_points(fig8, "hyper", 6, rng)
+        descend, opts = hypmet.solver._descend, SolveOptions(max_iter=6)
+        assert [descend(fig8, k, "hyper", x[None], SolveOptions())[0].iterations for x in x0] == [
+            6, 6, 7, 5, 5, 7
+        ]
+        with pytest.raises(MaxIterationsError) as alone:
+            descend(fig8, k, "hyper", x0[2:3], opts)
+        with pytest.raises(MaxIterationsError) as together:
+            descend(fig8, k, "hyper", x0, opts, lead=True)
+        want, got = alone.value.diagnostics, together.value.diagnostics
+        assert got.keys() == want.keys() and got["flavor"] == "hyper"
+        assert got["grad_norm"] == pytest.approx(want["grad_norm"], rel=1e-9)
+        assert got["objective"] == pytest.approx(want["objective"], abs=1e-12)
+
+    def test_hyper_solve_reuses_its_last_kernel_call(self, double_tet, monkeypatch):
+        # the result's angles and volume come from the accepted point's
+        # kernel call: one kernel call per evaluation, none more
+        kernels, evaluations = [], []
+        kernel, evaluate = hypmet.solver.hyper_kernel, hypmet.solver._Union.evaluate
+
+        def counting_kernel(l, tol=1e-10):
+            kernels.append(1)
+            return kernel(l, tol)
+
+        def counting_evaluate(self, x, k):
+            evaluations.append(1)
+            return evaluate(self, x, k)
+
+        monkeypatch.setattr(hypmet.solver, "hyper_kernel", counting_kernel)
+        monkeypatch.setattr(hypmet.solver._Union, "evaluate", counting_evaluate)
+        k = random_positive_hyper_k(double_tet, np.random.default_rng(29))
+        res = solve_metric(double_tet, k, "hyper")
+        assert res.iterations > 0 and len(kernels) == len(evaluations) > res.iterations
+        # the reused record is what a fresh kernel call at the lengths gives
+        fresh = kernel(res.lengths[double_tet.edge_index])
+        assert np.array_equal(res.assignment, fresh.angles)
+        assert res.volume == float(fresh.vol.sum())
+        assert np.array_equal(res.achieved_cone_angles, cone_angles(double_tet, fresh.angles))
+
+
+class TestCountArguments:
+    @pytest.mark.parametrize("samples", [0, -1, 2.5, True, "3", None])
+    def test_duality_samples_must_be_a_positive_integer(self, fig8, samples):
+        res = solve_metric(fig8, [TWO_PI, TWO_PI], "ideal")
+        with pytest.raises(DomainError, match="samples"):
+            duality_gap(fig8, [TWO_PI, TWO_PI], res, samples=samples)
+
+    @pytest.mark.parametrize("starts", [0, -1, 2.5, True, False, "3", None])
+    def test_rigidity_starts_must_be_a_positive_integer(self, fig8, starts):
+        with pytest.raises(DomainError, match="starts"):
+            rigidity_check(fig8, [TWO_PI, TWO_PI], "ideal", starts=starts)
+
+    def test_numpy_integers_count(self, fig8):
+        res = solve_metric(fig8, [TWO_PI, TWO_PI], "ideal")
+        assert duality_gap(fig8, [TWO_PI, TWO_PI], res, samples=np.int64(3)) <= 1e-12
+        rep = rigidity_check(fig8, [TWO_PI, TWO_PI], "ideal", starts=np.int32(2))
+        assert rep.starts == 2 and type(rep.starts) is int and len(rep.iterations) == 2
 
 
 class TestWConvexity:

@@ -374,6 +374,16 @@ class TestGauge:
             assert np.allclose(gauge_project(c, p), p, atol=1e-12)
             assert np.allclose(gauge_matrix(c).T @ p, 0.0, atol=1e-10)
 
+    def test_project_rows_at_once(self, fig8, double_tet):
+        # an (m, E) array is projected row by row in one least-squares call
+        rng = np.random.default_rng(3)
+        for c in (fig8, double_tet):
+            x = rng.normal(size=(5, c.num_edges))
+            rows = gauge_project(c, x)
+            assert rows.shape == x.shape
+            for row, xi in zip(rows, x):
+                assert np.max(np.abs(row - gauge_project(c, xi))) <= 1e-14
+
 
 class TestStackedQuotientKernel:
     def test_stacked_quotient_kernel_equals_gauge_space(self, fig8, double_tet):
