@@ -179,6 +179,7 @@ _DEN_PHASES = _slot_sums(_PAIRS + _FACE_SLOTS + (range(6),))
 _PHASE_SIGN = np.array([1, 1, 1, -1, -1, -1, -1, 1], dtype=float)
 _BETA = _slot_sums(((),) + tuple(set(range(6)) - set(p) for p in _PAIRS) + VERTEX_SLOTS)
 _SIGN = np.array([1, 1, 1, 1, -1, -1, -1, -1], dtype=float)
+_PHASES_AND_BETA = np.hstack((_DEN_PHASES, _BETA))
 _PAIR_SLOTS = np.array([[s in p for s in range(6)] for p in _PAIRS])
 
 # both angles of a pair this close to pi: the tetrahedron is in the near-wall
@@ -246,8 +247,7 @@ def _cosine_law(lp):
     """phi of nonnegative lengths lp, shape (T, 6), and the terms it is made of.
 
     Returns phi (exactly 1 where cosh l is 1), the scaled cosh values c, the
-    scale e = 2^-m of each row, the gathered columns of c (see _GATHER), the
-    face terms and the denominators.
+    scale e = 2^-m of each row, the face terms and the denominators.
 
     The cosine law is evaluated on c = cosh(l) / 2^m, one binary exponent m
     per tetrahedron: m = 0 while its lengths stay below _SCALE_FROM (cosh^6
@@ -287,7 +287,7 @@ def _cosine_law(lp):
     unit = np.ldexp(face, -2 * half)
     den = np.ldexp(np.sqrt(unit[:, _F1] * unit[:, _F2]), half[:, _F1] + half[:, _F2])
     num = e * (ik * ih) + e * (jk * jh) + c * (ik * jh + ih * jk) - (c * c - e * e) * kh
-    return np.where(ch == 1.0, 1.0, num / den), c, e, g, face, den
+    return np.where(ch == 1.0, 1.0, num / den), c, e, face, den
 
 
 def _angles(ph):
@@ -402,12 +402,21 @@ def _regions(ph, a):
 
 
 class HyperKernel(NamedTuple):
-    """Per-tetrahedron output of hyper_kernel for T tetrahedra."""
+    """Per-tetrahedron output of hyper_kernel for T tetrahedra.
+
+    The fields after vol are the terms hyper_jacobian reads (see _cosine_law).
+    """
 
     phi: np.ndarray  # (T, 6) cosine-law values at the clamped lengths
     angles: np.ndarray  # (T, 6) extended dihedral angles, the gradient of cov
     cov: np.ndarray  # (T,) extended covolume
     vol: np.ndarray  # (T,) volume, 0 on the flat regions
+    lengths: np.ndarray  # (T, 6) the lengths clamped at zero
+    c: np.ndarray  # (T, 6) cosh of the clamped lengths, scaled by e
+    e: np.ndarray  # (T, 1) each row's scale 2^-m
+    face: np.ndarray  # (T, 4) scaled face terms
+    den: np.ndarray  # (T, 6) denominators of phi
+    smooth: np.ndarray  # (T,) neither flat nor in the near-wall band
 
 
 def hyper_kernel(l, tol=1e-10):
@@ -419,7 +428,7 @@ def hyper_kernel(l, tol=1e-10):
     cosine law cannot evaluate in double precision.
     """
     lp = np.maximum(_check_batch(l), 0.0)
-    ph = _phi(lp)
+    ph, c, e, face, den = _cosine_law(lp)
     a = _angles(ph)
     vol = _volume(a)
     pair, near = _regions(ph, a)
@@ -428,25 +437,28 @@ def hyper_kernel(l, tol=1e-10):
     cov = 2.0 * vol + np.einsum("ij,ij->i", a, lp)
     p = pair[flat]
     cov[flat] = math.pi * (lp[flat, p] + lp[flat, p + 3])
-    for t in np.flatnonzero(near.any(axis=1)):
+    band = near.any(axis=1)
+    for t in np.flatnonzero(band):
         cov[t] = _cov_near_wall(lp[t], int(near[t].argmax()), tol)
         vol[t] = 0.5 * (cov[t] - float(a[t] @ lp[t]))
-    return HyperKernel(ph, a, cov, vol)
+    return HyperKernel(ph, a, cov, vol, lp, c, e, face, den, (pair < 0) & ~band)
 
 
-def hyper_jacobian(l):
-    """Jacobian of the extended dihedral angles in the lengths of T tetrahedra, shape (T, 6, 6).
+def hyper_jacobian(kernel):
+    """Jacobian of the extended dihedral angles in the lengths, shape (T, 6, 6).
 
-    By the chain rule through the cosine law, d a_s = -d phi_s / sin a_s,
-    where phi_s = num_s / sqrt(F1 F2) is differentiated in c = cosh l (see
-    _cosine_law) and dc/dl = sinh l.  By Schlaefli's formula the angles are
-    the gradient of the covolume, so the Jacobian is symmetric.  It is zero
-    on the rows and columns of clamped slots (l <= 0), and a zero block on
-    flat tetrahedra and on those in the near-wall band, where sin a -> 0
-    makes the derivative blow up.
+    kernel is the HyperKernel of the T tetrahedra, whose cosine-law terms
+    give the Jacobian at the point it evaluated.  By the chain rule through
+    the cosine law, d a_s = -d phi_s / sin a_s, where phi_s = num_s /
+    sqrt(F1 F2) is differentiated in c = cosh l (see _cosine_law) and
+    dc/dl = sinh l.  By Schlaefli's formula the angles are the gradient of
+    the covolume, so the Jacobian is symmetric.  It is zero on the rows and
+    columns of clamped slots (l <= 0), and a zero block on flat tetrahedra
+    and on those in the near-wall band, where sin a -> 0 makes the
+    derivative blow up.
     """
-    lp = np.maximum(_check_batch(l), 0.0)
-    ph, c, e, g, face, den = _cosine_law(lp)
+    ph, _, _, _, lp, c, e, face, den, smooth = kernel
+    g = c[:, _GATHER]
     ca, cb, cc = g[:, 0:4], g[:, 4:8], g[:, 8:12]
     ik, ih, jk, jh, kh = (g[:, 12 + 6 * i : 18 + 6 * i] for i in range(5))
     # d log F_f / d c_u on the three slots of each face f
@@ -465,8 +477,7 @@ def hyper_jacobian(l):
     inside = np.abs(ph) < 1.0
     sin = np.sqrt(1.0 - np.where(inside, ph, 0.0) ** 2)
     jac = np.where(inside[:, :, None], -dphi * sh[:, None, :] / sin[:, :, None], 0.0)
-    pair, near = _regions(ph, _angles(ph))
-    jac[(pair >= 0) | near.any(axis=1)] = 0.0
+    jac[~smooth] = 0.0
     return jac
 
 
@@ -493,13 +504,16 @@ def _volume(a):
     dev = a - math.pi * _PAIR_SLOTS[p]
     sn = np.sin(dev)
     s = np.einsum("ij,ij->i", sn[:, :3], sn[:, 3:])
-    re, im = _phase_sum(dev @ _DEN_PHASES)
+    # einsum and sums here and in _phase_sum, not matrix products: BLAS
+    # orders a product's additions by the batch size, so a row's bits would
+    # depend on the rows sharing the call
+    sums = np.einsum("ij,jk->ik", dev, _PHASES_AND_BETA)
+    re, im = _phase_sum(sums[:, :8])
     delta = np.arctan2(im, re)
     root = np.sqrt(np.maximum(_gram_determinant(dev), 0.0))
     theta = np.stack([np.arctan2(-root, -s), np.arctan2(root, -s)], axis=1) - delta[:, None]
-    beta = dev @ _BETA
-    lam = lobachevsky_array(0.5 * (beta[:, :, None] + theta[:, None, :]))
-    return 0.5 * np.abs((lam[:, :, 0] - lam[:, :, 1]) @ _SIGN)
+    lam = lobachevsky_array(0.5 * (sums[:, 8:, None] + theta[:, None, :]))
+    return 0.5 * np.abs(((lam[:, :, 0] - lam[:, :, 1]) * _SIGN).sum(axis=1))
 
 
 def _phase_sum(eps):
@@ -512,7 +526,7 @@ def _phase_sum(eps):
     eps.
     """
     half = np.sin(0.5 * eps)
-    re = -2.0 * (half * half) @ _PHASE_SIGN
+    re = -2.0 * (half * half * _PHASE_SIGN).sum(axis=1)
     tail = eps - np.sin(eps)
     # below 0.5 the Taylor series to the 13th power gives eps - sin eps to
     # 1e-15 relative, where the difference would cancel
@@ -522,7 +536,7 @@ def _phase_sum(eps):
     for n in (156, 110, 72, 42, 20):
         series = 1.0 - x2 / n * series
     tail[small] = x * x2 / 6.0 * series
-    return re, -tail @ _PHASE_SIGN
+    return re, -(tail * _PHASE_SIGN).sum(axis=1)
 
 
 def _gram_determinant(dev):

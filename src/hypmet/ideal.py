@@ -32,7 +32,6 @@ __all__ = [
     "IdealKernel",
     "ideal_kernel",
     "ideal_jacobian",
-    "cotangent_jacobian",
     "triangle_angles",
     "penner_angle",
     "ideal_lengths_to_angles",
@@ -117,27 +116,19 @@ def _cotangent_map():
 _COTANGENT_MAP = _cotangent_map()
 
 
-def ideal_jacobian(l):
-    """Jacobian of the slot angles in the labels of T tetrahedra, shape (T, 6, 6).
+def ideal_jacobian(kernel):
+    """Jacobian of the slot angles in the labels, shape (T, 6, 6).
 
-    The cotangent form of the triangle-angle map on log sides
-    (Bobenko-Pinkall-Springborn, Geom. Topol. 2015): d a_p / d y_p =
-    cot a_q + cot a_r and d a_p / d y_q = -cot a_r, with y_p = (l_p + l_{p+3}) / 2,
-    so d a_p / d l_s is half the entry at (p, s mod 3).  It is symmetric,
-    and the all-ones vector of each tetrahedron lies in its kernel.  Flat
-    tetrahedra, whose angles (pi, 0, 0) stay put nearby, get a zero block.
+    kernel is the IdealKernel of the T tetrahedra, whose quad angles are all
+    the Jacobian needs: it is the cotangent form of the triangle-angle map
+    on log sides (Bobenko-Pinkall-Springborn, Geom. Topol. 2015), d a_p /
+    d y_p = cot a_q + cot a_r and d a_p / d y_q = -cot a_r, with y_p =
+    (l_p + l_{p+3}) / 2, so d a_p / d l_s is half the entry at (p, s mod 3).
+    It is symmetric, and the all-ones vector of each tetrahedron lies in
+    its kernel.  Flat tetrahedra, whose angles (pi, 0, 0) stay put nearby,
+    get a zero block.
     """
-    l = _check_batch(l, "edge labels")
-    y = 0.5 * (l[:, :3] + l[:, 3:])
-    return cotangent_jacobian(_triangle_angles(np.exp(y - y.max(axis=1, keepdims=True))))
-
-
-def cotangent_jacobian(a):
-    """ideal_jacobian from the quad angles a, shape (T, 3), of the T tetrahedra.
-
-    These are the angles ideal_kernel returns, so a descent that has just
-    evaluated a point gets its Jacobian without recomputing them.
-    """
+    a = kernel.angles
     flat = (a.min(axis=1) <= 0.0)[:, None]
     cot = np.where(flat, 0.0, 1.0 / np.tan(np.where(flat, 1.0, a)))
     # a broadcast sum: a matrix product this small would page in BLAS's gemm

@@ -23,10 +23,11 @@ sparse incidence matrix, so the LP has O(T) nonzeros.
 The descent, one for both flavors, is a damped Newton iteration.  The
 Hessian of f is the Jacobian of the cone angles, H = op blockdiag(J_t) op^T,
 with op the complex's incidence operator and J_t the closed-form Jacobian
-of one tetrahedron's slot angles in its lengths (ideal.ideal_jacobian,
-which the descent forms from the quad angles of its last kernel call,
-and hyperideal.hyper_jacobian); it is assembled sparse and factored with
-SuperLU.  The ideal H vanishes on the decoration gauge col(B), so its
+of one tetrahedron's slot angles in its lengths (ideal.ideal_jacobian and
+hyperideal.hyper_jacobian); it is assembled sparse and factored with
+SuperLU.  Each point is evaluated once: the descent keeps the kernel
+record of the accepted point, and both the Jacobians and the results read
+it.  The ideal H vanishes on the decoration gauge col(B), so its
 system is bordered by the gauge matrix B and the step stays in ker B^T;
 a minimum-degree ordering keeps the border's dense row and column from
 filling in the factors.
@@ -80,7 +81,7 @@ from .errors import (
     NumericalError,
 )
 from .hyperideal import VERTEX_SLOTS, flat_pairs, hyper_jacobian, hyper_kernel
-from .ideal import cotangent_jacobian, ideal_jacobian, ideal_kernel
+from .ideal import ideal_jacobian, ideal_kernel
 from .metrics import _check_edge_vector, _check_flavor
 from .triangulation import gauge_project
 
@@ -122,6 +123,8 @@ _GATE_AFTER = 20
 # rigidity_check runs its starts in groups of at most this many tetrahedra
 # in total (see _descend)
 _GROUP_TETS = 1024
+# the half-width of the box duality_gap samples around the solved metric
+_DUALITY_SPREAD = 1.0
 # the Armijo test's roundoff allowance, absolute and per unit of f's terms
 _ROUNDOFF = 1e-13
 _ULPS = 8.0 * np.finfo(float).eps
@@ -301,24 +304,15 @@ class _Points(NamedTuple):
     f: np.ndarray  # (m,) objective cov(x) - <x, k>
     size: np.ndarray  # (m,) |cov(x)| + |<x, k>|, the scale of f's roundoff
     kx: np.ndarray  # (m, E) cone angles, the gradient of cov
-    angles: np.ndarray  # (m, T, 3) quad or (m, T, 6) slot angles
-    vol: np.ndarray  # (m, T) volumes of the tetrahedra
+    kernel: tuple  # the flavor's kernel record at x, each array of shape (m, T, ...)
 
     def take(self, rows):
-        return _Points(*(a[rows] for a in self))
+        kernel = self.kernel._make(a[rows] for a in self.kernel)
+        return _Points(*(a[rows] for a in self[:-1]), kernel)
 
     def put(self, rows, other):
-        for a, b in zip(self, other):
+        for a, b in zip((*self[:-1], *self.kernel), (*other[:-1], *other.kernel)):
             a[rows] = b
-
-
-def _slot_edges(c, copies):
-    """The edge of each slot of `copies` stacked copies of c, shape (copies T, 6).
-
-    An index into the raveled rows of an (m, E) array, one start per row, so
-    that x.ravel()[index[:m T]] are the (m T, 6) slot lengths of m starts.
-    """
-    return (c.edge_index + c.num_edges * np.arange(copies)[:, None, None]).reshape(-1, 6)
 
 
 class _Union:
@@ -333,7 +327,11 @@ class _Union:
     def __init__(self, c, flavor, copies):
         self.c = c
         self.flavor = flavor
-        self.slot_edges = _slot_edges(c, copies)
+        # the edge of each slot of the copies, an index into the raveled
+        # rows of an (m, E) array
+        copy = np.arange(copies)[:, None, None]
+        self.slot_edges = (c.edge_index + c.num_edges * copy).reshape(-1, 6)
+        self.last = None  # the last kernel record, the shapes of _unevaluated's
 
     def cone_angles(self, angles):
         """Cone angles, shape (m, E), of the angles (m T, 3) or (m T, 6) of m stacked rows."""
@@ -343,25 +341,16 @@ class _Union:
         slots = self.slot_edges[: len(angles)].ravel()
         return np.bincount(slots, angles.ravel(), m * self.c.num_edges).reshape(m, -1)
 
-    def lengths(self, x):
-        """The slot lengths (m T, 6) of the rows of x, shape (m, E)."""
-        return x.ravel()[self.slot_edges[: len(x) * self.c.n_tets]]
-
     def evaluate(self, x, k):
         """The _Points of the rows of x, shape (m, E), from one kernel call."""
         c, m = self.c, len(x)
-        lengths = self.lengths(x)
+        lengths = x.ravel()[self.slot_edges[: m * c.n_tets]]
         kernel = hyper_kernel(lengths) if self.flavor == "hyper" else ideal_kernel(lengths)
         cov = kernel.cov.reshape(m, -1).sum(axis=1)
         xk = _rowdot(x, k)
-        return _Points(
-            x,
-            cov - xk,
-            np.abs(cov) + np.abs(xk),
-            self.cone_angles(kernel.angles),
-            kernel.angles.reshape(m, c.n_tets, -1),
-            kernel.vol.reshape(m, -1),
-        )
+        self.last = kernel._make(a.reshape(m, c.n_tets, *a.shape[1:]) for a in kernel)
+        kx = self.cone_angles(kernel.angles)
+        return _Points(x, cov - xk, np.abs(cov) + np.abs(xk), kx, self.last)
 
     def evaluate_rows(self, x, k):
         """evaluate on the rows of x at once or, where that raises, on each row alone.
@@ -374,23 +363,28 @@ class _Union:
         except Exception as exc:
             if len(x) == 1:
                 return self._unevaluated(x), {0: exc}
-        points, raised = [], {}
+        points, raised = {}, {}
         for i in range(len(x)):
             try:
-                points.append(self.evaluate(x[i : i + 1], k))
+                points[i] = self.evaluate(x[i : i + 1], k)
             except Exception as exc:
-                points.append(self._unevaluated(x[i : i + 1]))
                 raised[i] = exc
-        return _Points(*map(np.concatenate, zip(*points))), raised
+        out = self._unevaluated(x)
+        for i, row in points.items():
+            out.put([i], row)
+        return out, raised
 
     def _unevaluated(self, x):
-        """_Points of the rows of x with NaN for every value."""
-        m, t = len(x), self.c.n_tets
-        width = 6 if self.flavor == "hyper" else 3
-        return _Points(
-            x, np.full(m, np.nan), np.full(m, np.nan), np.full(x.shape, np.nan),
-            np.full((m, t, width), np.nan), np.full((m, t), np.nan),
-        )
+        """_Points of the rows of x with NaN for every value.
+
+        The kernel record takes its shapes from the last one evaluated.
+        Before the first there is none, and every row has raised: they all
+        fail before their record is read.
+        """
+        m, kernel = len(x), self.last
+        if kernel is not None:
+            kernel = kernel._make(np.full((m, *a.shape[1:]), np.nan, a.dtype) for a in kernel)
+        return _Points(x, np.full(m, np.nan), np.full(m, np.nan), np.full(x.shape, np.nan), kernel)
 
 
 class _NewtonSystem:
@@ -399,15 +393,16 @@ class _NewtonSystem:
     op is the incidence operator, so H[e, f] sums J_t[s, s'] over the slots
     s of e and s' of f in each tetrahedron t.  Its sparsity pattern depends
     on the complex alone: it is built on the first step and kept, and each
-    step scatters the (T, 6, 6) blocks into the fixed CSC data with one
-    bincount.  The ideal H vanishes on the gauge directions col(B), so it
-    is bordered, [[H, B], [B^T, 0]], which confines the step to ker B^T.
-    B has full column rank, since each tetrahedron's vertices span
-    triangles; H + B B^T would be dense wherever one vertex class has most
-    edges (every fig8 cover has V = 1).  Its border row and column are what
-    the minimum-degree ordering MMD_AT_PLUS_A keeps from filling in; the
-    unbordered hyper system keeps SuperLU's default COLAMD, which is cheaper
-    on small complexes.
+    step forms the (T, 6, 6) blocks from the points' kernel record and
+    scatters them into the fixed CSC data with one bincount.  The ideal H
+    vanishes on the gauge directions col(B), so it is bordered,
+    [[H, B], [B^T, 0]], which confines the step to ker B^T.  B has full
+    column rank, since each tetrahedron's vertices span triangles; H + B B^T
+    would be dense wherever one vertex class has most edges (every fig8
+    cover has V = 1).  Its border row and column are what the minimum-degree
+    ordering MMD_AT_PLUS_A keeps from filling in; the unbordered hyper
+    system keeps SuperLU's default COLAMD, which is cheaper on small
+    complexes.
 
     The systems of m starts are the diagonal blocks of one matrix, the
     Newton matrix of m disjoint copies of the complex, factored at once.
@@ -450,7 +445,6 @@ class _NewtonSystem:
         self.fixed = np.tile(fixed, self.copies)
         self.diagonal = diagonal + shift  # (copies, E)
         self.indptr, self.indices = _block_copies(indptr, indices, n, self.copies)
-        self.slot_edges = _slot_edges(c, self.copies)
 
     def _matrix(self, m):
         matrix = self._matrices.get(m)
@@ -473,28 +467,22 @@ class _NewtonSystem:
         except RuntimeError:
             return np.full(self.n, np.nan)
 
-    def step(self, x, r, shift, angles=None):
-        """The steps d with (H + shift I) d = -r at x, or -r where that is no descent direction.
+    def step(self, record, r, shift):
+        """The steps d with (H + shift I) d = -r, or -r where that is no descent direction.
 
-        x and r are arrays (m, E) with m <= copies, one start per row, and
-        shift an array (m, 1); or they are one start's vectors and its
-        shift.  angles, if given, are the ideal kernel's quad angles at x,
-        from which the ideal Jacobian is formed without recomputing them.
-        Where the matrix of all m starts is exactly singular, each start's
-        block is solved alone.
+        record is the kernel record of the points of m <= copies starts, each
+        array of shape (m, T, ...), from which the flavor's Jacobian forms H.
+        r is an array (m, E), one start per row, and shift an array (m, 1); or
+        r is one start's vector and shift its number.  Where the matrix of
+        all m starts is exactly singular, each start's block is solved alone.
         """
         if self.pos is None:
             self._build()
         e_count = self.c.num_edges
         rows = r.reshape(-1, e_count)
         m = len(rows)
-        lengths = x.ravel()[self.slot_edges[: m * self.c.n_tets]]
-        if self.flavor == "hyper":
-            blocks = hyper_jacobian(lengths).ravel()
-        elif angles is None:
-            blocks = ideal_jacobian(lengths).ravel()
-        else:
-            blocks = cotangent_jacobian(angles.reshape(-1, 3)).ravel()
+        jacobian = hyper_jacobian if self.flavor == "hyper" else ideal_jacobian
+        blocks = jacobian(record._make(a.reshape(-1, *a.shape[2:]) for a in record)).ravel()
         nnz = m * self.nnz
         data = self.fixed[:nnz] + np.bincount(self.pos[: blocks.size], blocks, nnz)
         data[self.diagonal[:m]] += shift
@@ -514,18 +502,20 @@ class _NewtonSystem:
 
 
 def _check_options(opts):
+    """opts, or the defaults, as plain numbers; DomainError for a value of wrong type or range."""
     opts = opts or SolveOptions()
-    if not (math.isfinite(opts.tol) and opts.tol > 0.0):
-        raise DomainError(f"tol must be finite and positive, got {opts.tol}")
-    if opts.max_iter < 0:
-        raise DomainError(f"max_iter must be nonnegative, got {opts.max_iter}")
-    return opts
+    tol = opts.tol
+    real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+    if not (real and math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be a finite positive real, got {tol!r}")
+    return SolveOptions(float(tol), _count(opts.max_iter, "max_iter", least=0))
 
 
-def _count(n, what):
-    """n as a positive int; DomainError for anything else, booleans and fractions included."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise DomainError(f"{what} must be a positive integer, got {n!r}")
+def _count(n, what, least=1):
+    """n as an int of at least `least`; DomainError for anything else, bools and fractions included."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
+        kind = "positive" if least == 1 else "nonnegative"
+        raise DomainError(f"{what} must be a {kind} integer, got {n!r}")
     return int(n)
 
 
@@ -572,11 +562,11 @@ def solve_metric(c, k, flavor, opts=None):
     vertex sums are checked first, and positivity is certified by the
     converged angles or, where they cannot, by the feasibility LP.
     Convergence means the achieved cone angles match k to opts.tol in the
-    max norm; opts.tol must be finite and positive and opts.max_iter
-    nonnegative (DomainError otherwise).  The ideal flavor reports the
-    gauge-projected minimizer; the hyper flavor iterates over all of R^E
-    using the extended covolume, and the critical point is checked to have
-    positive lengths.
+    max norm; opts.tol must be a finite positive real and opts.max_iter a
+    nonnegative integer (DomainError otherwise).  The ideal flavor reports
+    the gauge-projected minimizer; the hyper flavor iterates over all of
+    R^E using the extended covolume, and the critical point is checked to
+    have positive lengths.
     """
     opts = _check_options(opts)
     k = _reachable_target(c, k, flavor, opts.tol)
@@ -667,7 +657,7 @@ def _descend(c, k, flavor, x0, opts, lead=False):
             consult()
         iterations += 1
         shift = gnorm * np.minimum(gnorm, 1.0)
-        d = newton.step(pts.x, r, shift[:, None], pts.angles if flavor == "ideal" else None)
+        d = newton.step(pts.kernel, r, shift[:, None])
         pts, failed = _line_search(union, k, pts, d, _rowdot(r, d), gnorm, iterations)
 
 
@@ -714,20 +704,15 @@ def _line_search(union, k, pts, d, gd, gnorm, iteration):
 def _assemble(union, k, pts, gnorm, iterations, traces, ids):
     """The SolveResults of the converged starts ids, one per row of pts.
 
-    A start whose hyper critical point has a non-positive length gets that
-    NumericalError instead.  The hyper results take the angles and volume
-    of their last kernel call, which was at these lengths; the ideal ones
-    evaluate the gauge-projected lengths.
+    The assignment, volume and cone angles are those of each point's kernel
+    record.  The ideal lengths are reported gauge-projected, a change of
+    decoration that leaves those values unchanged in exact arithmetic.  A
+    start whose hyper critical point has a non-positive length gets that
+    NumericalError instead.
     """
     c, flavor = union.c, union.flavor
-    if flavor == "hyper":
-        lengths, assignment, vol, achieved = pts.x, pts.angles, pts.vol.sum(axis=1), pts.kx
-    else:
-        lengths = gauge_project(c, pts.x)
-        kernel = ideal_kernel(union.lengths(lengths))
-        assignment = kernel.angles.reshape(len(lengths), c.n_tets, 3)
-        vol = kernel.vol.reshape(len(lengths), -1).sum(axis=1)
-        achieved = union.cone_angles(kernel.angles)
+    lengths = gauge_project(c, pts.x) if flavor == "ideal" else pts.x
+    vol = pts.kernel.vol.sum(axis=1)
     out = []
     for j, i in enumerate(ids.tolist()):
         if flavor == "hyper" and np.min(lengths[j]) <= 0.0:
@@ -740,8 +725,8 @@ def _assemble(union, k, pts, gnorm, iterations, traces, ids):
         out.append(SolveResult(
             flavor=flavor,
             lengths=lengths[j],
-            assignment=assignment[j],
-            achieved_cone_angles=achieved[j],
+            assignment=pts.kernel.angles[j],
+            achieved_cone_angles=pts.kx[j],
             target_cone_angles=k,
             volume=float(vol[j]),
             w_value=-f,
@@ -753,20 +738,20 @@ def _assemble(union, k, pts, gnorm, iterations, traces, ids):
     return out
 
 
-def duality_gap(c, k, result, samples, seed=0, spread=1.0):
+def duality_gap(c, k, result, samples, seed=0):
     """Sampled check of the duality inequality <x, k> - cov(x) <= W(k).
 
     Draws `samples` points (a positive integer, DomainError otherwise)
-    uniformly in a box of half-width `spread` around the solved metric and
-    returns max(<x,k> - cov(x)) - W; convexity makes this nonpositive up to
-    solve and kernel tolerance.  The tetrahedra of all samples go through
-    one call of the flavor's kernel.
+    uniformly in a box of half-width _DUALITY_SPREAD = 1 around the solved
+    metric and returns max(<x,k> - cov(x)) - W; convexity makes this
+    nonpositive up to solve and kernel tolerance.  The tetrahedra of all
+    samples go through one call of the flavor's kernel.
     """
     k = _check_target(c, k)
     samples = _count(samples, "samples")
     rng = _rng(seed)
     base = np.asarray(result.lengths, dtype=float)
-    x = base + rng.uniform(-spread, spread, (samples, c.num_edges))
+    x = base + rng.uniform(-_DUALITY_SPREAD, _DUALITY_SPREAD, (samples, c.num_edges))
     kernel = ideal_kernel if result.flavor == "ideal" else hyper_kernel
     cov = kernel(x[:, c.edge_index].reshape(-1, 6)).cov.reshape(len(x), c.n_tets).sum(axis=1)
     return float((x @ k - cov).max()) - result.w_value

@@ -547,6 +547,19 @@ class TestHyperKernel:
             assert kernel.angles[t].tolist() == list(hyper_angles_from_lengths(l))
         assert np.all(kernel.vol[:5] == 0.0)
 
+    def test_rows_do_not_depend_on_the_batch(self):
+        # every field of a row has the same bits whatever rows share its
+        # call, flat rows and long scaled lengths included
+        rng = np.random.default_rng(22)
+        for _ in range(200):
+            lengths = rng.uniform(-0.5, 3.0, (int(rng.integers(2, 26)), 6))
+            lengths[rng.random(len(lengths)) < 0.2] = flat_wall_point(0.6) + [0.3, 0, 0, 0.3, 0, 0]
+            lengths[rng.random(len(lengths)) < 0.1, 0] += 70.0
+            kernel = hyper_kernel(lengths)
+            for t in range(len(lengths)):
+                for got, want in zip(kernel, hyper_kernel(lengths[t : t + 1])):
+                    assert np.array_equal(got[t], want[0])
+
     def test_long_flat_pair_does_not_overflow(self):
         # cosh(400) overflows a double's cube: the scaled cosine law still
         # finds the flat pattern

@@ -11,9 +11,9 @@ from scipy.linalg import block_diag
 import hypmet.solver
 from hypmet import hyperideal
 from hypmet.hyperideal import hyper_angles, hyper_jacobian, hyper_kernel
-from hypmet.ideal import cotangent_jacobian, ideal_jacobian, ideal_kernel
+from hypmet.ideal import ideal_jacobian, ideal_kernel
 from hypmet.metrics import angles_of_metric, cone_angles, cov_complex
-from hypmet.solver import _NewtonSystem, rigidity_check, solve_metric
+from hypmet.solver import _NewtonSystem, _Union, rigidity_check, solve_metric
 from hypmet.triangulation import GluingSpec, build_complex, gauge_matrix
 
 from oracles import FIG8_COCYCLE, cyclic_cover, disjoint_union
@@ -38,6 +38,14 @@ def ideal_slot_angles(rows):
     return np.tile(ideal_kernel(rows).angles, 2)
 
 
+def ideal_jacobian_at(rows):
+    return ideal_jacobian(ideal_kernel(rows))
+
+
+def hyper_jacobian_at(rows):
+    return hyper_jacobian(hyper_kernel(rows))
+
+
 def asymmetry(jac):
     return float(np.max(np.abs(jac - jac.transpose(0, 2, 1))))
 
@@ -51,12 +59,12 @@ def flat_wall_row(s, past=0.0):
 class TestIdealJacobian:
     def test_central_differences(self):
         rows = np.random.default_rng(31).uniform(-1.0, 1.0, (200, 6))
-        jac = ideal_jacobian(rows)
+        jac = ideal_jacobian_at(rows)
         assert np.max(np.abs(jac - five_point(ideal_slot_angles, rows, 3e-5))) <= 1e-7
 
     def test_symmetric_with_the_scaling_in_its_kernel(self):
         rows = np.random.default_rng(32).uniform(-3.0, 3.0, (200, 6))
-        jac = ideal_jacobian(rows)
+        jac = ideal_jacobian_at(rows)
         assert asymmetry(jac) <= 1e-12
         # adding a constant to all six labels scales the triangle, not its angles
         scale = np.maximum(np.abs(jac).max(axis=(1, 2)), 1.0)
@@ -71,26 +79,28 @@ class TestIdealJacobian:
         rows = np.hstack([y + u, y - u])
         rows[0] = [2 * math.log(2), 0, 0, 2 * math.log(2), 0, 0]  # sides (4, 1, 1)
         assert np.all(ideal_kernel(rows).angles[:, 1:] == 0.0)
-        assert np.all(ideal_jacobian(rows) == 0.0)
+        assert np.all(ideal_jacobian_at(rows) == 0.0)
 
     def test_from_the_kernels_angles(self):
-        # the descent forms the Jacobian from the angles of its last kernel call
+        # the kernel record's quad angles are all the Jacobian reads
         rows = np.random.default_rng(35).uniform(-2.0, 2.0, (40, 6))
         rows[::4] = [2 * math.log(2), 0, 0, 2 * math.log(2), 0, 0]
-        assert np.array_equal(cotangent_jacobian(ideal_kernel(rows).angles), ideal_jacobian(rows))
+        kernel = ideal_kernel(rows)
+        angles_only = kernel._replace(cov=None, vol=None)
+        assert np.array_equal(ideal_jacobian(angles_only), ideal_jacobian(kernel))
 
     def test_rows_are_independent(self):
         rows = np.random.default_rng(34).uniform(-2.0, 2.0, (20, 6))
         rows[::3] = [2 * math.log(2), 0, 0, 2 * math.log(2), 0, 0]
-        jac = ideal_jacobian(rows)
+        jac = ideal_jacobian_at(rows)
         for t, row in enumerate(rows):
-            assert np.array_equal(ideal_jacobian([row])[0], jac[t])
+            assert np.array_equal(ideal_jacobian_at([row])[0], jac[t])
 
 
 class TestHyperJacobian:
     def test_central_differences(self):
         rows = np.random.default_rng(41).uniform(0.8, 1.8, (200, 6))
-        jac = hyper_jacobian(rows)
+        jac = hyper_jacobian_at(rows)
         assert np.all(np.abs(jac).max(axis=(1, 2)) > 0.0)
         assert np.max(np.abs(jac - five_point(hyper_angles, rows, 1e-4))) <= 1e-7
 
@@ -98,13 +108,13 @@ class TestHyperJacobian:
     def test_central_differences_on_scaled_lengths(self, lo):
         # past 64 the cosine law runs on scaled cosh values, past 700 on e^l / 2
         rows = np.random.default_rng(42).uniform(lo, lo + 0.3, (20, 6))
-        jac = hyper_jacobian(rows)
+        jac = hyper_jacobian_at(rows)
         assert np.max(np.abs(jac - five_point(hyper_angles, rows, 1e-4))) <= 1e-7
 
     def test_symmetric(self):
         # Schlaefli: the angles are the gradient of the covolume
         rows = np.random.default_rng(43).uniform(0.3, 2.5, (200, 6))
-        assert asymmetry(hyper_jacobian(rows)) <= 1e-12
+        assert asymmetry(hyper_jacobian_at(rows)) <= 1e-12
 
     def test_flat_band_and_negative_rows_give_zero_blocks(self):
         rows = np.array(
@@ -118,7 +128,7 @@ class TestHyperJacobian:
         )
         a = hyper_angles(rows)
         assert np.min(a[2, [0, 3]]) > math.pi - 1e-3 and np.max(a[2, [0, 3]]) < math.pi
-        jac = hyper_jacobian(rows)
+        jac = hyper_jacobian_at(rows)
         assert np.all(jac[:4] == 0.0)
         assert np.all(np.abs(jac[4]) > 0.0)
 
@@ -146,28 +156,33 @@ class TestHyperJacobian:
         flat = ~in_band & (kernel.vol == 0.0)
         assert np.all(kernel.cov[flat] == math.pi * (rows[flat, 0] + rows[flat, 3]))
         assert in_band.sum() > 0 and flat.sum() > 0 and (~in_band & ~flat).sum() > 0
-        zeroed = np.all(hyper_jacobian(rows) == 0.0, axis=(1, 2))
+        zeroed = np.all(hyper_jacobian(kernel) == 0.0, axis=(1, 2))
         assert np.array_equal(zeroed, in_band | flat)
 
     def test_clamped_slots_give_zero_rows_and_columns(self):
         rows = np.random.default_rng(44).uniform(0.8, 1.8, (30, 6))
         rows[:, 2] = -0.5
         rows[::2, 4] = 0.0
-        jac = hyper_jacobian(rows)
+        jac = hyper_jacobian_at(rows)
         assert np.all(jac[:, 2, :] == 0.0) and np.all(jac[:, :, 2] == 0.0)
         assert np.all(jac[::2, 4, :] == 0.0) and np.all(jac[::2, :, 4] == 0.0)
         assert asymmetry(jac) <= 1e-12
 
 
 def dense_hessian(c, x, flavor):
-    jacobian = ideal_jacobian if flavor == "ideal" else hyper_jacobian
+    jacobian = ideal_jacobian_at if flavor == "ideal" else hyper_jacobian_at
     op = c.incidence.toarray()
     return op @ block_diag(*jacobian(x[c.edge_index])) @ op.T
 
 
+def record(c, x, flavor):
+    """The kernel record of one start at x, as the descent keeps it: shape (1, T, ...)."""
+    return _Union(c, flavor, 1).evaluate(x[None], np.zeros(c.num_edges)).kernel
+
+
 def assembled(c, x, flavor, shift=0.0):
     system = _NewtonSystem(c, flavor)
-    system.step(x, np.ones(c.num_edges), shift)
+    system.step(record(c, x, flavor), np.ones(c.num_edges), shift)
     return system.matrix.toarray()
 
 
@@ -201,7 +216,7 @@ class TestNewtonSystem:
         k = cone_angles(c, angles_of_metric(c, rng.uniform(-0.3, 0.3, c.num_edges), "ideal"))
         x = rng.uniform(-0.3, 0.3, c.num_edges)
         r = cov_complex(c, x, "ideal")[1] - k
-        d = _NewtonSystem(c, "ideal").step(x, r, 0.0)
+        d = _NewtonSystem(c, "ideal").step(record(c, x, "ideal"), r, 0.0)
         assert np.max(np.abs(gauge_matrix(c).T @ d)) <= 1e-12
         assert np.max(np.abs(dense_hessian(c, x, "ideal") @ d + r)) <= 1e-12
         assert float(r @ d) < 0.0
@@ -209,7 +224,8 @@ class TestNewtonSystem:
     def test_singular_system_falls_back_to_steepest_descent(self, double_tet):
         # every hyper slot clamped: all blocks vanish and H = 0
         r = np.random.default_rng(53).uniform(-1.0, 1.0, double_tet.num_edges)
-        d = _NewtonSystem(double_tet, "hyper").step(-np.ones(double_tet.num_edges), r, 0.0)
+        x = -np.ones(double_tet.num_edges)
+        d = _NewtonSystem(double_tet, "hyper").step(record(double_tet, x, "hyper"), r, 0.0)
         assert np.array_equal(d, -r)
 
     def test_bordered_factorization_is_ordered_against_fill(self, fixtures_dir, monkeypatch):
@@ -233,7 +249,7 @@ class TestNewtonSystem:
         x = rng.uniform(-0.3, 0.3, c.num_edges)
         k = cone_angles(c, angles_of_metric(c, np.zeros(c.num_edges), "ideal"))
         r = cov_complex(c, x, "ideal")[1] - k
-        d = _NewtonSystem(c, "ideal").step(x, r, 1e-3)
+        d = _NewtonSystem(c, "ideal").step(record(c, x, "ideal"), r, 1e-3)
         assert len(fill) == 1 and fill[0] < 400_000
         assert np.max(np.abs(gauge_matrix(c).T @ d)) <= 1e-10 and float(r @ d) < 0.0
 

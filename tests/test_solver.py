@@ -11,6 +11,7 @@ import pytest
 import scipy.sparse
 from scipy.optimize import linprog
 
+import hypmet.hyperideal
 import hypmet.solver
 from hypmet.errors import (
     ConsistencyError,
@@ -20,8 +21,8 @@ from hypmet.errors import (
     NotPositiveFeasibleError,
     NumericalError,
 )
-from hypmet.hyperideal import VERTEX_SLOTS, classify_lengths, mu_segment_integral
-from hypmet.ideal import PAIRS
+from hypmet.hyperideal import VERTEX_SLOTS, classify_lengths, hyper_kernel, mu_segment_integral
+from hypmet.ideal import PAIRS, ideal_kernel
 from hypmet.metrics import angles_of_metric, cone_angles, cov_complex, volume
 from hypmet.solver import (
     SolveOptions,
@@ -588,6 +589,21 @@ class TestSolverOptions:
         res = solve_metric(fig8, [TWO_PI, TWO_PI], "ideal", SolveOptions(max_iter=0))
         assert res.iterations == 0
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_iter", 2.5), ("max_iter", True), ("max_iter", math.nan), ("max_iter", None),
+         ("max_iter", "3"), ("tol", True), ("tol", "1e-9"), ("tol", None)],
+    )
+    def test_options_of_the_wrong_type_are_domain_errors(self, fig8, field, value):
+        opts = SolveOptions(**{field: value})
+        with pytest.raises(DomainError, match=field):
+            solve_metric(fig8, [TWO_PI, TWO_PI], "ideal", opts)
+        with pytest.raises(DomainError, match=field):
+            rigidity_check(fig8, [TWO_PI, TWO_PI], "ideal", opts=opts)
+        # numpy integers and reals are counts and tolerances like any other
+        res = solve_metric(fig8, [TWO_PI, TWO_PI], "ideal", SolveOptions(np.float64(1e-9), np.int64(3)))
+        assert res.iterations == 0
+
     def test_rigidity_needs_a_start(self, fig8):
         for starts in (0, -1):
             with pytest.raises(DomainError, match="start"):
@@ -660,21 +676,21 @@ class TestDualityGap:
         make_k = random_positive_ideal_k if flavor == "ideal" else random_positive_hyper_k
         k = make_k(c, rng)
         res = solve_metric(c, k, flavor)
-        for samples, seed, spread in ((50, 3, 1.0), (7, 4, 0.1), (1, 5, 0.5)):
-            gap = duality_gap(c, k, res, samples=samples, seed=seed, spread=spread)
-            want = _per_sample_duality_gap(c, k, res, samples, seed, spread)
+        for samples, seed in ((50, 3), (7, 4), (1, 5)):
+            gap = duality_gap(c, k, res, samples=samples, seed=seed)
+            want = _per_sample_duality_gap(c, k, res, samples, seed)
             assert abs(gap - want) <= 1e-12
         # no samples would be a vacuous pass (the max of nothing, -inf)
         with pytest.raises(DomainError, match="samples"):
             duality_gap(c, k, res, samples=0)
 
 
-def _per_sample_duality_gap(c, k, result, samples, seed, spread):
+def _per_sample_duality_gap(c, k, result, samples, seed):
     """The per-sample loop duality_gap replaced: one cov_complex call per sample."""
     rng = np.random.default_rng(seed)
     best = -math.inf
     for _ in range(samples):
-        x = result.lengths + rng.uniform(-spread, spread, c.num_edges)
+        x = result.lengths + rng.uniform(-1.0, 1.0, c.num_edges)
         v, _ = cov_complex(c, x, result.flavor)
         best = max(best, float(x @ k) - v)
     return best - result.w_value
@@ -929,15 +945,15 @@ def assert_same_descent(got, want, tol=1e-12):
 def assert_rows_searched_alone(union, k, pts, d, gd, gnorm, both):
     """Each row of a lockstep line search ends where its search alone ends.
 
-    The hyper kernel's matrix products round each row a little differently
-    in a batch of another size, so values agree to rounding.
+    Both kernels give each row the same bits whatever the batch, so every
+    value and every array of the kernel record agrees to the bit.
     """
     for i in range(len(d)):
         s = slice(i, i + 1)
         alone, failed = hypmet.solver._line_search(union, k, pts.take(s), d[s], gd[s], gnorm[s], 1)
         assert not failed
-        for got, want in zip(both, alone):
-            assert np.allclose(got[i], want[0], rtol=1e-14, atol=1e-14)
+        for got, want in zip((*both[:-1], *both.kernel), (*alone[:-1], *alone.kernel)):
+            assert np.array_equal(got[i], want[0])
 
 
 class TestLockstep:
@@ -983,7 +999,7 @@ class TestLockstep:
         x = start_points(fig8, flavor, 2, np.random.default_rng(22))
         pts = union.evaluate(x, k)
         r = pts.kx - k
-        d = hypmet.solver._NewtonSystem(fig8, flavor, 2).step(x, r, np.zeros((2, 1)))
+        d = hypmet.solver._NewtonSystem(fig8, flavor, 2).step(pts.kernel, r, np.zeros((2, 1)))
         d[1] *= 64.0
         gd = np.einsum("ij,ij->i", r, d)
         rows = []
@@ -1008,7 +1024,7 @@ class TestLockstep:
         x = start_points(fig8, "hyper", 2, np.random.default_rng(26))
         pts = union.evaluate(x, k)
         r = pts.kx - k
-        d = hypmet.solver._NewtonSystem(fig8, "hyper", 2).step(x, r, np.zeros((2, 1)))
+        d = hypmet.solver._NewtonSystem(fig8, "hyper", 2).step(pts.kernel, r, np.zeros((2, 1)))
         d[1] *= 2.0**42
         assert np.max(np.abs(x[1] + d[1])) > 1e12
         gd = np.einsum("ij,ij->i", r, d)
@@ -1036,9 +1052,11 @@ class TestLockstep:
         x = np.vstack([-np.ones(double_tet.num_edges), rng.uniform(0.8, 1.6, double_tet.num_edges)])
         r = rng.uniform(-1.0, 1.0, x.shape)
         shift = np.array([[0.0], [0.01]])
-        d = hypmet.solver._NewtonSystem(double_tet, "hyper", 2).step(x, r, shift)
+        union, k = hypmet.solver._Union(double_tet, "hyper", 2), np.zeros(double_tet.num_edges)
+        d = hypmet.solver._NewtonSystem(double_tet, "hyper", 2).step(union.evaluate(x, k).kernel, r, shift)
         assert np.array_equal(d[0], -r[0])
-        alone = hypmet.solver._NewtonSystem(double_tet, "hyper").step(x[1], r[1], 0.01)
+        record = union.evaluate(x[1:], k).kernel
+        alone = hypmet.solver._NewtonSystem(double_tet, "hyper").step(record, r[1], 0.01)
         assert np.max(np.abs(d[1] - alone)) <= 1e-12 and float(r[1] @ d[1]) < 0.0
 
     @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
@@ -1120,27 +1138,75 @@ class TestLockstep:
     def test_hyper_solve_reuses_its_last_kernel_call(self, double_tet, monkeypatch):
         # the result's angles and volume come from the accepted point's
         # kernel call: one kernel call per evaluation, none more
-        kernels, evaluations = [], []
-        kernel, evaluate = hypmet.solver.hyper_kernel, hypmet.solver._Union.evaluate
-
-        def counting_kernel(l, tol=1e-10):
-            kernels.append(1)
-            return kernel(l, tol)
-
-        def counting_evaluate(self, x, k):
-            evaluations.append(1)
-            return evaluate(self, x, k)
-
-        monkeypatch.setattr(hypmet.solver, "hyper_kernel", counting_kernel)
-        monkeypatch.setattr(hypmet.solver._Union, "evaluate", counting_evaluate)
+        kernels, evaluations = count_kernel_calls(monkeypatch, "hyper")
         k = random_positive_hyper_k(double_tet, np.random.default_rng(29))
         res = solve_metric(double_tet, k, "hyper")
         assert res.iterations > 0 and len(kernels) == len(evaluations) > res.iterations
         # the reused record is what a fresh kernel call at the lengths gives
-        fresh = kernel(res.lengths[double_tet.edge_index])
+        fresh = hyper_kernel(res.lengths[double_tet.edge_index])
         assert np.array_equal(res.assignment, fresh.angles)
         assert res.volume == float(fresh.vol.sum())
         assert np.array_equal(res.achieved_cone_angles, cone_angles(double_tet, fresh.angles))
+
+    def test_ideal_solve_reuses_its_last_kernel_call(self, fig8, monkeypatch):
+        # the ideal result reads the record of its unprojected point and
+        # reports gauge-projected lengths, at which the kernel agrees to rounding
+        kernels, evaluations = count_kernel_calls(monkeypatch, "ideal")
+        k = random_positive_ideal_k(fig8, np.random.default_rng(29))
+        res = solve_metric(fig8, k, "ideal")
+        assert res.iterations > 0 and len(kernels) == len(evaluations) > res.iterations
+        fresh = ideal_kernel(res.lengths[fig8.edge_index])
+        assert np.max(np.abs(res.assignment - fresh.angles)) <= 1e-14
+        assert abs(res.volume - float(fresh.vol.sum())) <= 1e-14
+        assert np.max(np.abs(res.achieved_cone_angles - cone_angles(fig8, fresh.angles))) <= 1e-14
+
+    @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
+    @pytest.mark.parametrize("name", ["fig8", "double_tet"])
+    def test_rigidity_makes_one_kernel_call_per_evaluation(self, request, monkeypatch, name, flavor):
+        # the starts' Newton steps and results read the accepted points'
+        # records, so every kernel call is one line-search evaluation
+        c = request.getfixturevalue(name)
+        kernels, evaluations = count_kernel_calls(monkeypatch, flavor)
+        draw = random_positive_ideal_k if flavor == "ideal" else random_positive_hyper_k
+        rep = rigidity_check(c, draw(c, np.random.default_rng(32)), flavor, starts=10, seed=33)
+        assert rep.ok and len(kernels) == len(evaluations) > max(rep.iterations)
+
+    def test_hyper_descent_runs_one_cosine_law_per_kernel_call(self, fig8, monkeypatch):
+        # the Jacobian reads the cosine-law terms of the kernel record; away
+        # from the near-wall band, whose integral evaluates phi along a ray,
+        # no other caller runs the cosine law
+        laws = []
+        law = hypmet.hyperideal._cosine_law
+
+        def counting(lp):
+            laws.append(1)
+            return law(lp)
+
+        monkeypatch.setattr(hypmet.hyperideal, "_cosine_law", counting)
+        kernels, _ = count_kernel_calls(monkeypatch, "hyper")
+        k = random_positive_hyper_k(fig8, np.random.default_rng(34))
+        res = solve_metric(fig8, k, "hyper")
+        rep = rigidity_check(fig8, k, "hyper", starts=10, seed=35)
+        assert res.iterations > 0 and rep.ok and len(laws) == len(kernels) > max(rep.iterations)
+
+
+def count_kernel_calls(monkeypatch, flavor):
+    """Lists that grow by one per call of the solver's flavor kernel and of _Union.evaluate."""
+    kernels, evaluations = [], []
+    name = f"{flavor}_kernel"
+    kernel, evaluate = getattr(hypmet.solver, name), hypmet.solver._Union.evaluate
+
+    def counting_kernel(*args, **kwargs):
+        kernels.append(1)
+        return kernel(*args, **kwargs)
+
+    def counting_evaluate(self, x, k):
+        evaluations.append(1)
+        return evaluate(self, x, k)
+
+    monkeypatch.setattr(hypmet.solver, name, counting_kernel)
+    monkeypatch.setattr(hypmet.solver._Union, "evaluate", counting_evaluate)
+    return kernels, evaluations
 
 
 class TestCountArguments:
