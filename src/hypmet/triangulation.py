@@ -3,11 +3,16 @@
 A complex is a disjoint union of abstract tetrahedra with some faces glued
 in pairs by affine maps.  Face f of a tetrahedron is the face opposite
 vertex f; a gluing records the images of that face's vertices (listed in
-increasing order) in the target tetrahedron.  Edges and vertices of the
-complex are the equivalence classes of the per-tetrahedron edge slots and
-vertices generated by the gluings, found as connected components; classes
-get stable 0-based ids ordered by their least (tet, slot) instance so
-rebuilds and permuted inputs agree.
+increasing order) in the target tetrahedron.  GluingSpec holds the gluings
+as one (G, 7) integer table with columns tet, face, to_tet, to_face and
+perm[0..2], and build_complex checks and glues them in whole-table array
+passes.  Edges and vertices of the complex are the equivalence classes of
+the per-tetrahedron edge slots and vertices generated by the gluings, found
+as connected components; classes get stable 0-based ids ordered by their
+least (tet, slot) instance so rebuilds and permuted inputs agree.  The
+arrays edge_index and vertex_index hold a complex's classes; the tuples
+Complex.edge_classes and vertex_classes list them and are built from those
+arrays when first read.
 
 Edge slots inside each tetrahedron follow the opposite-pair convention of
 the kernels: slots s and s+3 are opposite (see hyperideal.EDGE_VERTICES).
@@ -26,16 +31,17 @@ component by least squares.
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
-from scipy.sparse import coo_array, csr_array
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
 from .errors import GluingError
 from .hyperideal import EDGE_VERTICES
 
 __all__ = [
-    "Gluing",
     "GluingSpec",
     "Complex",
     "build_complex",
@@ -54,41 +60,36 @@ _SLOT[_EDGE_VERTICES[:, 0], _EDGE_VERTICES[:, 1]] = np.arange(6)
 _SLOT[_EDGE_VERTICES[:, 1], _EDGE_VERTICES[:, 0]] = np.arange(6)
 # the two faces that contain each slot: those opposite the other two vertices
 _SLOT_FACES = np.array([[f for f in range(4) if f not in e] for e in EDGE_VERTICES])
+_PACK = np.array([16, 4, 1])  # three vertices as one integer
 
 
-@dataclass(frozen=True)
-class Gluing:
-    """One face identification; the reverse identification is implied."""
-
-    tet: int
-    face: int
-    to_tet: int
-    to_face: int
-    perm: tuple  # images of the face's vertices, listed in increasing source order
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GluingSpec:
     tetrahedra: int
-    gluings: tuple
+    gluings: np.ndarray  # shape (G, 7): tet, face, to_tet, to_face, perm[0..2]
 
     @classmethod
     def from_dict(cls, data):
         try:
-            n = int(data["tets"])
-            gluings = tuple(
-                Gluing(
-                    int(g["tet"]),
-                    int(g["face"]),
-                    int(g["to_tet"]),
-                    int(g["to_face"]),
-                    tuple(int(v) for v in g["perm"]),
-                )
+            n = data["tets"]
+            rows = [
+                (g["tet"], g["face"], g["to_tet"], g["to_face"], *g["perm"])
                 for g in data["gluings"]
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            ]
+        except (KeyError, TypeError) as exc:
             raise GluingError(f"malformed triangulation data: {exc}") from exc
-        return cls(n, gluings)
+        # JSON's true and false would read as 1 and 0, its floats and strings
+        # as truncated ints
+        if type(n) is not int:
+            raise GluingError(f"tets must be a JSON integer, got {n!r}")
+        flat = list(chain.from_iterable(rows))
+        if set(map(len, rows)) - {7} or set(map(type, flat)) - {int}:
+            i = next(i for i, r in enumerate(rows) if len(r) != 7 or set(map(type, r)) - {int})
+            raise GluingError(f"gluing {i} is not four JSON integers and a perm of 3: {rows[i]}")
+        try:
+            return cls(int(np.int64(n)), np.array(flat, dtype=np.int64).reshape(-1, 7))
+        except OverflowError as exc:
+            raise GluingError(f"a triangulation integer does not fit 64 bits: {exc}") from exc
 
 
 def load_triangulation(path):
@@ -98,13 +99,21 @@ def load_triangulation(path):
     return GluingSpec.from_dict(data)
 
 
-@dataclass
+def _instances(index):
+    """The classes of an (n_tets, width) array of class ids, by id, each a
+    tuple of its (tet, local index) pairs in ascending order."""
+    ids = index.ravel()
+    tets, local = np.divmod(np.argsort(ids, kind="stable"), index.shape[1])
+    pairs = list(zip(tets.tolist(), local.tolist()))
+    bounds = [0, *np.cumsum(np.bincount(ids)).tolist()]
+    return tuple(tuple(pairs[i:j]) for i, j in zip(bounds[:-1], bounds[1:]))
+
+
+@dataclass(eq=False)
 class Complex:
     """A built pseudo 3-manifold; immutable once constructed."""
 
     n_tets: int
-    edge_classes: tuple  # tuple of tuples of (tet, slot) instances
-    vertex_classes: tuple  # tuple of tuples of (tet, vertex) instances
     edge_index: np.ndarray  # shape (n_tets, 6), edge class id of each slot
     vertex_index: np.ndarray  # shape (n_tets, 4)
     edge_boundary: np.ndarray  # shape (E,), bool per edge class
@@ -114,75 +123,67 @@ class Complex:
 
     @property
     def num_edges(self):
-        return len(self.edge_classes)
+        return self.edge_endpoints.shape[0]
 
-    @property
+    @cached_property
     def num_vertices(self):
-        return len(self.vertex_classes)
+        return int(self.vertex_index.max()) + 1
+
+    @cached_property
+    def edge_classes(self):
+        """Tuple of tuples of (tet, slot) instances, one per edge class."""
+        return _instances(self.edge_index)
+
+    @cached_property
+    def vertex_classes(self):
+        """Tuple of tuples of (tet, vertex) instances, one per vertex class."""
+        return _instances(self.vertex_index)
 
 
-def _validate_and_register(spec):
-    if spec.tetrahedra <= 0:
+def _refuse(table, bad, what):
+    """Raise GluingError for the first gluing flagged in bad."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        t, f, to_t, to_f, *perm = table[i].tolist()
+        raise GluingError(f"{what} in gluing {i}: tet {t} face {f} -> {to_t} face {to_f}, {perm}")
+
+
+def _glued_faces(spec):
+    """The (n_tets, 4) mask of glued faces, after checking every gluing."""
+    n, g = spec.tetrahedra, spec.gluings
+    if n <= 0:
         raise GluingError("a complex needs at least one tetrahedron")
-    registry = {}
+    tets, faces = g[:, [0, 2]], g[:, [1, 3]]
+    out = (tets < 0) | (tets >= n) | (faces < 0) | (faces > 3)
+    _refuse(g, out.any(axis=1), "tet/face index out of range")
+    src, perm = _FACE_VERTICES[g[:, 1]], g[:, 4:]
+    onto = (np.sort(perm, axis=1) == _FACE_VERTICES[g[:, 3]]).all(axis=1)
+    _refuse(g, ~onto, "perm is not a bijection onto the vertices of to_face")
+    key, target = 4 * g[:, 0] + g[:, 1], 4 * g[:, 2] + g[:, 3]
+    pair = key != target
+    _refuse(g, ~pair & (perm == src).any(axis=1), "self-gluing fixes a vertex")
 
-    def register(tet, face, to_tet, to_face, perm):
-        key = (tet, face)
-        value = (to_tet, to_face, perm)
-        if key in registry:
-            if registry[key] != value and not (
-                key == (to_tet, to_face) and _is_inverse_self(registry[key], value)
-            ):
-                raise GluingError(f"face {key} glued twice inconsistently")
-            return
-        registry[key] = value
-
-    for g in spec.gluings:
-        for t, f in ((g.tet, g.face), (g.to_tet, g.to_face)):
-            if not (0 <= t < spec.tetrahedra and 0 <= f < 4):
-                raise GluingError(f"tet/face index out of range in {g}")
-        src = FACE_VERTICES[g.face]
-        dst = FACE_VERTICES[g.to_face]
-        if len(g.perm) != 3 or sorted(g.perm) != list(dst):
-            raise GluingError(
-                f"perm {g.perm} is not a bijection onto the vertices {dst} of "
-                f"face {g.to_face}"
-            )
-        if (g.tet, g.face) == (g.to_tet, g.to_face):
-            if any(a == b for a, b in zip(src, g.perm)):
-                raise GluingError(
-                    f"self-gluing of face {(g.tet, g.face)} fixes a vertex: {g.perm}"
-                )
-            register(g.tet, g.face, g.to_tet, g.to_face, g.perm)
-            continue
-        register(g.tet, g.face, g.to_tet, g.to_face, g.perm)
-        inverse = tuple(
-            src[g.perm.index(v)] for v in dst
-        )  # images of dst vertices in increasing order
-        register(g.to_tet, g.to_face, g.tet, g.face, inverse)
-    return registry
-
-
-def _is_inverse_self(a, b):
-    # two registrations of a self-glued face may be mutually inverse 3-cycles
-    (ta, fa, pa), (tb, fb, pb) = a, b
-    if (ta, fa) != (tb, fb):
-        return False
-    src = FACE_VERTICES[fa]
-    fwd = dict(zip(src, pa))
-    bwd = dict(zip(src, pb))
-    return all(bwd[fwd[v]] == v for v in src)
-
-
-def _classes(labels, width):
-    """Nodes ordered by class label, ascending within each class; the offset
-    of each class in that order; the classes as tuples of (tet, local index)
-    pairs, for nodes numbered width * tet + local index."""
-    order = np.argsort(labels, kind="stable")
-    starts = np.concatenate(([0], np.cumsum(np.bincount(labels))[:-1]))
-    pairs = list(zip((order // width).tolist(), (order % width).tolist()))
-    bounds = starts.tolist() + [order.size]
-    return order, starts, tuple(tuple(pairs[i:j]) for i, j in zip(bounds[:-1], bounds[1:]))
+    # the registry: each gluing registers its face with the target face's key
+    # 4 * tet + face and the images of the face's vertices, packed into one
+    # integer, and the target face with the reverse gluing, which sends
+    # perm[i], the (perm[i] - (perm[i] > to_face))-th vertex of the target
+    # face, back to src[i]
+    reverse = (src * _PACK[perm - (perm > g[:, 3:4])]).sum(axis=1)
+    keys = np.concatenate([key, target[pair]])
+    values = 64 * np.concatenate([target, key[pair]])
+    values += np.concatenate([perm @ _PACK, reverse[pair]])
+    registry = np.full(4 * n, -1, dtype=np.int64)
+    registry[keys] = values  # keeps one registration of each face
+    # every registration of a face must agree with the kept one: the same
+    # value, or, for a self-glued face, the same target, since such a face
+    # fixes no vertex, so its perm is one of the face's two 3-cycles, each
+    # the inverse of the other, and it may be listed with either
+    kept = registry[keys]
+    clash = (kept >> 6 != values >> 6) | ((kept != values) & (values >> 6 != keys))
+    if clash.any():
+        face = int(keys[np.argmax(clash)])
+        raise GluingError(f"face {divmod(face, 4)} glued twice inconsistently")
+    return (registry >= 0).reshape(n, 4)
 
 
 def build_complex(spec):
@@ -192,54 +193,50 @@ def build_complex(spec):
     allowed; they make the complex non-closed and flag their edges as
     boundary.
     """
-    registry = _validate_and_register(spec)
-    n = spec.tetrahedra
+    glued = _glued_faces(spec)
+    n, g = spec.tetrahedra, spec.gluings
 
-    # one row per glued face: its tet and face, the target tet and the
-    # images of the face's vertices
-    src = np.array(list(registry), dtype=np.intp).reshape(-1, 2)
-    dst = np.array([(t, *p) for t, _, p in registry.values()], dtype=np.intp).reshape(-1, 4)
-    fv, image = _FACE_VERTICES[src[:, 1]], dst[:, 1:]
-    a, b = [0, 0, 1], [1, 2, 2]  # the face's three edges, as positions in fv
-    # one graph: the 6n slots 6t + s, then the 4n vertices 6n + 4t + v.
+    # one graph: the 6n slots 6t + s, then the 4n vertices 6n + 4t + v, with
+    # each face's three edges and three vertices joined to their images.
     # connected_components numbers the components by their least node, so
     # the slot classes come first, in the order of their least instance.
+    a, b = [0, 0, 1], [1, 2, 2]  # the face's three edges, as positions in its vertices
     tails, heads = (
-        np.hstack([6 * t[:, :1] + _SLOT[v[:, a], v[:, b]], 6 * n + 4 * t[:, :1] + v]).ravel()
-        for t, v in ((src, fv), (dst, image))
+        np.hstack([6 * t + _SLOT[v[:, a], v[:, b]], 6 * n + 4 * t + v]).ravel()
+        for t, v in ((g[:, :1], _FACE_VERTICES[g[:, 1]]), (g[:, 2:3], g[:, 4:]))
     )
-    graph = coo_array((np.ones(tails.size), (tails, heads)), shape=(10 * n, 10 * n))
+    indptr = np.zeros(10 * n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(tails, minlength=10 * n), out=indptr[1:])
+    graph = csr_array((np.ones(tails.size), heads[np.argsort(tails)], indptr), (10 * n, 10 * n))
     labels = connected_components(graph, directed=False)[1]
     slot_id = labels[: 6 * n]
     num_edges = int(slot_id.max()) + 1
     vertex_id = labels[6 * n :] - num_edges
 
-    edge_order, edge_starts, edge_classes = _classes(slot_id, 6)
-    vertex_classes = _classes(vertex_id, 4)[2]
-    edge_index = slot_id.reshape(n, 6)
-    vertex_index = vertex_id.reshape(n, 4)
-    incidence = csr_array(
-        (np.ones(6 * n), edge_order, np.append(edge_starts, 6 * n)), shape=(num_edges, 6 * n)
-    )
+    # the slots by class, ascending within each class (the pairs of class and
+    # slot are distinct, so any sort of them is stable), and each class's offset
+    edge_order = np.argsort(slot_id.astype(np.int64) * (6 * n) + np.arange(6 * n))
+    edge_starts = np.zeros(num_edges + 1, dtype=np.intp)
+    np.cumsum(np.bincount(slot_id), out=edge_starts[1:])
+    incidence = csr_array((np.ones(6 * n), edge_order, edge_starts), shape=(num_edges, 6 * n))
 
-    glued = np.zeros((n, 4), dtype=bool)
-    glued[src[:, 0], src[:, 1]] = True
     open_slot = ~glued[:, _SLOT_FACES].all(axis=2)
     boundary = np.bincount(slot_id, weights=open_slot.ravel(), minlength=num_edges) > 0
 
-    ends = np.sort(vertex_index[:, _EDGE_VERTICES], axis=2).reshape(-1, 2)
-    endpoints = ends[edge_order[edge_starts]]
+    vertex_index = vertex_id.reshape(n, 4)
+    slot_ends = vertex_index[:, _EDGE_VERTICES].reshape(-1, 2)
+    ends = np.column_stack([slot_ends.min(axis=1), slot_ends.max(axis=1)])
+    endpoints = ends[edge_order[edge_starts[:-1]]]
     bad = np.any(ends != endpoints[slot_id], axis=1)
     if bad.any():
-        eid = int(slot_id[bad].min())
-        found = {tuple(e) for e in ends[slot_id == eid].tolist()}
-        raise GluingError(f"edge class {edge_classes[eid]} has inconsistent endpoints {found}")
+        members = np.flatnonzero(slot_id == slot_id[bad].min())
+        instances = tuple(divmod(i, 6) for i in members.tolist())
+        found = {tuple(e) for e in ends[members].tolist()}
+        raise GluingError(f"edge class {instances} has inconsistent endpoints {found}")
 
     return Complex(
         n_tets=n,
-        edge_classes=edge_classes,
-        vertex_classes=vertex_classes,
-        edge_index=edge_index,
+        edge_index=slot_id.reshape(n, 6),
         vertex_index=vertex_index,
         edge_boundary=boundary,
         closed=bool(glued.all()),

@@ -286,6 +286,17 @@ class TestErrorPaths:
         assert code == 1
         assert report["error"]["code"] == "malformed_input"
 
+    @pytest.mark.parametrize("face", [0.9, 1.5, "0", False])
+    def test_gluing_fields_must_be_integers(self, fixtures_dir, tmp_path, face):
+        data = json.loads(Path(double_path(fixtures_dir)).read_text())
+        data["gluings"][0]["face"] = face
+        path = tmp_path / "non_integer_face.json"
+        path.write_text(json.dumps(data))
+        code, report = run(["validate", "--triangulation", str(path)])
+        assert code == 1
+        assert report["error"]["code"] == "malformed_input"
+        assert "JSON integers" in report["error"]["message"]
+
     def test_unwritable_output_is_a_json_error(self, fixtures_dir, tmp_path, capsys):
         from hypmet.cli import main
 

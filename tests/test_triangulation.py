@@ -1,6 +1,7 @@
 """Complex builder: gluing combinatorics, class-id stability, the incidence
 operator, gauge algebra."""
 
+import copy
 import json
 
 import numpy as np
@@ -19,7 +20,7 @@ from hypmet.triangulation import (
     gauge_project,
 )
 
-from oracles import disjoint_union
+from oracles import FIG8_COCYCLE, cyclic_cover, disjoint_union
 
 
 def doubled_spec():
@@ -66,13 +67,18 @@ class TestBuilder:
             assert sorted(instances) == [(t, s) for t in range(c.n_tets) for s in range(6)]
             assert sum(len(cls) for cls in c.edge_classes) == 6 * c.n_tets
 
+    def test_complexes_compare_by_identity(self, fig8, double_tet):
+        # their fields are arrays, which have no single truth value
+        assert fig8 == fig8 and fig8 != double_tet
+        assert len({fig8, double_tet, fig8}) == 2
+
     def test_gluing_order_does_not_change_classes(self):
         spec = doubled_spec()
         reference = build_complex(spec)
         for seed in range(5):
             rng = np.random.default_rng(seed)
             perm = rng.permutation(len(spec.gluings))
-            shuffled = GluingSpec(spec.tetrahedra, tuple(spec.gluings[i] for i in perm))
+            shuffled = GluingSpec(spec.tetrahedra, spec.gluings[perm])
             rebuilt = build_complex(shuffled)
             assert rebuilt.edge_classes == reference.edge_classes
             assert rebuilt.vertex_classes == reference.vertex_classes
@@ -166,6 +172,84 @@ class TestBuilderErrors:
         assert c.num_edges == 4
 
 
+SELF_GLUED = {"tet": 0, "face": 0, "to_tet": 0, "to_face": 0, "perm": [2, 3, 1]}
+
+
+class TestDuplicateSelfGluing:
+    def test_listed_with_its_inverse_cycle_is_accepted(self):
+        once = build_complex(GluingSpec.from_dict({"tets": 1, "gluings": [SELF_GLUED]}))
+        inverse = dict(SELF_GLUED, perm=[3, 1, 2])
+        for gluings in ([SELF_GLUED, inverse], [inverse, SELF_GLUED], [SELF_GLUED, SELF_GLUED]):
+            twice = build_complex(GluingSpec.from_dict({"tets": 1, "gluings": gluings}))
+            assert twice.edge_classes == once.edge_classes
+            assert twice.vertex_classes == once.vertex_classes
+            assert np.array_equal(twice.edge_boundary, once.edge_boundary)
+
+    @pytest.mark.parametrize(
+        "other",
+        [dict(SELF_GLUED, perm=[1, 3, 2]), dict(SELF_GLUED, to_face=1, perm=[0, 2, 3])],
+        ids=["transposition", "other-face"],
+    )
+    def test_listed_with_a_different_perm_raises(self, other):
+        for gluings in ([SELF_GLUED, other], [other, SELF_GLUED]):
+            with pytest.raises(GluingError):
+                build_complex(GluingSpec.from_dict({"tets": 1, "gluings": gluings}))
+
+
+class TestIntegerFields:
+    """Every field of the triangulation format is a JSON integer."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("face", 0.9), ("face", False), ("face", "0"), ("perm", "123"), ("perm", [1.0, 2.0, 3.5])],
+        ids=["float-face", "bool-face", "string-face", "string-perm", "float-perm"],
+    )
+    def test_gluing_fields(self, fixture_dicts, field, value):
+        data = copy.deepcopy(fixture_dicts["double_tet"])
+        data["gluings"][0][field] = value
+        with pytest.raises(GluingError, match="JSON integers"):
+            build_complex(GluingSpec.from_dict(data))
+
+    @pytest.mark.parametrize("tets", [2.7, True, "2"], ids=["float", "bool", "string"])
+    def test_tets(self, fixture_dicts, tets):
+        for data in (dict(fixture_dicts["double_tet"], tets=tets), {"tets": tets, "gluings": []}):
+            with pytest.raises(GluingError, match="JSON integer"):
+                build_complex(GluingSpec.from_dict(data))
+
+    @pytest.mark.parametrize("tets", [0, -1])
+    def test_tets_positive(self, tets):
+        with pytest.raises(GluingError):
+            build_complex(GluingSpec.from_dict({"tets": tets, "gluings": []}))
+
+    @pytest.mark.parametrize("where", ["tets", "to_tet", "perm"])
+    def test_beyond_64_bits(self, fixture_dicts, where):
+        data = copy.deepcopy(fixture_dicts["double_tet"])
+        if where == "tets":
+            data["tets"] = 10**30
+        elif where == "to_tet":
+            data["gluings"][0]["to_tet"] = 10**30
+        else:
+            data["gluings"][0]["perm"] = [1, 2, 10**30]
+        with pytest.raises(GluingError):
+            build_complex(GluingSpec.from_dict(data))
+
+    @pytest.mark.parametrize("perm", [[1, 2], [1, 2, 3, 0]], ids=["two", "four"])
+    def test_perm_lists_three_vertices(self, fixture_dicts, perm):
+        data = copy.deepcopy(fixture_dicts["double_tet"])
+        data["gluings"][0]["perm"] = perm
+        with pytest.raises(GluingError):
+            build_complex(GluingSpec.from_dict(data))
+
+    def test_table_is_one_integer_row_per_gluing(self, fixture_dicts):
+        spec = GluingSpec.from_dict(fixture_dicts["fig8"])
+        assert spec.gluings.shape == (4, 7) and spec.gluings.dtype == np.int64
+        rows = [
+            [g["tet"], g["face"], g["to_tet"], g["to_face"], *g["perm"]]
+            for g in fixture_dicts["fig8"]["gluings"]
+        ]
+        assert spec.gluings.tolist() == rows
+
+
 class _UnionFind:
     def __init__(self, items):
         self.parent = {x: x for x in items}
@@ -244,6 +328,21 @@ def assert_matches_reference(tri):
     return c
 
 
+def relabel(tri, perm):
+    """The same gluing with tetrahedron t renamed perm[t], as perfbench/covers.py does."""
+    return {
+        "tets": tri["tets"],
+        "gluings": [
+            dict(g, tet=int(perm[g["tet"]]), to_tet=int(perm[g["to_tet"]])) for g in tri["gluings"]
+        ],
+    }
+
+
+def relabelled_fig8_cover(fig8_dict, tets, rng):
+    """The cyclic cover of fig8 with `tets` tetrahedra, renamed at random."""
+    return relabel(cyclic_cover(fig8_dict, FIG8_COCYCLE, tets // 2), rng.permutation(tets))
+
+
 @pytest.fixture(scope="module")
 def fixture_dicts(fixtures_dir):
     out = {}
@@ -270,6 +369,19 @@ class TestBuilderAgainstUnionFind:
         c = assert_matches_reference(tri)
         assert not c.closed
         assert c.edge_boundary.any()
+
+    @pytest.mark.parametrize("tets", [64, 256])
+    def test_relabelled_fig8_covers(self, fixture_dicts, tets):
+        tri = relabelled_fig8_cover(fixture_dicts["fig8"], tets, np.random.default_rng(tets))
+        c = assert_matches_reference(tri)
+        assert c.closed and c.num_edges == tets and c.num_vertices == 1
+
+    def test_open_relabelled_cover(self, fixture_dicts):
+        rng = np.random.default_rng(7)
+        tri = relabelled_fig8_cover(fixture_dicts["fig8"], 64, rng)
+        keep = np.sort(rng.choice(len(tri["gluings"]), size=80, replace=False))
+        c = assert_matches_reference(dict(tri, gluings=[tri["gluings"][i] for i in keep]))
+        assert not c.closed and c.edge_boundary.any() and not c.edge_boundary.all()
 
     def test_single_tet_and_self_gluing(self):
         assert_matches_reference({"tets": 1, "gluings": []})
@@ -305,6 +417,28 @@ class TestQuadIncidence:
             dense = op.toarray()
             assert np.all(dense[c.edge_index.ravel(), np.arange(6 * c.n_tets)] == 1.0)
             assert dense.sum() == 6 * c.n_tets
+
+    @pytest.mark.parametrize("case", ["fixtures", "cover", "open"])
+    def test_one_at_the_class_of_each_slot(self, fig8, double_tet, fixture_dicts, case):
+        # a 1 at (edge_index[t, s], 6t + s), in canonical form
+        if case == "fixtures":
+            complexes = (fig8, double_tet)
+        else:
+            tri = relabelled_fig8_cover(fixture_dicts["fig8"], 128, np.random.default_rng(11))
+            if case == "open":
+                tri = dict(tri, gluings=tri["gluings"][::2])
+            complexes = (build_complex(GluingSpec.from_dict(tri)),)
+        for c in complexes:
+            slots = 6 * c.n_tets
+            rule = csr_array(
+                (np.ones(slots), (c.edge_index.ravel(), np.arange(slots))),
+                shape=(c.num_edges, slots),
+            )
+            rule.sort_indices()
+            assert c.incidence.shape == rule.shape and c.incidence.has_canonical_format
+            assert np.array_equal(c.incidence.indptr, rule.indptr)
+            assert np.array_equal(c.incidence.indices, rule.indices)
+            assert np.array_equal(c.incidence.data, rule.data)
 
 
 class TestGauge:
