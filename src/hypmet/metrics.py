@@ -10,14 +10,19 @@ for the hyper-ideal flavor).  Angle assignments come in two shapes:
 
 Cone angles sum dihedral angles over edge *instances*, so an edge class
 meeting a tetrahedron in several slots is counted once per slot: they are
-the complex's incidence matrix applied to the (T, 6) slot angles.  The
-curvature is 2 pi minus the cone angle at interior edges and pi minus the
-cone angle at boundary edges.
+the complex's incidence matrix applied to the (T, 6) slot angles, taken as
+one bincount over the slots' edges, which adds each edge's instances in
+(tet, slot) order as that product does.  The curvature is 2 pi minus the
+cone angle at interior edges and pi minus the cone angle at boundary edges.
 
 The covolume of a metric is the sum of the per-tetrahedron covolumes; its
 gradient is exactly the cone-angle vector of the metric, which is what the
-solvers exploit.  Each flavor evaluates all tetrahedra of a metric in one
-batched kernel call (ideal.ideal_kernel, hyperideal.hyper_kernel).
+solvers exploit.  _evaluate is the one evaluator of metrics on a complex:
+it takes m metrics, one per row, through one call of the flavor's batched
+kernel (ideal.ideal_kernel, hyperideal.hyper_kernel) and returns the
+kernel record, the covolumes and the cone angles of every row.
+cov_complex, volume_of_metric and the solvers' descent and duality check
+all read it.
 """
 
 import math
@@ -80,13 +85,19 @@ def angles_of_metric(c, l, flavor):
     return ideal_kernel(l[c.edge_index]).angles
 
 
-def validate_assignment(c, assignment, flavor):
-    """Check an assignment's linear constraints to _ASSIGNMENT_TOL; DomainError if violated."""
-    a = np.asarray(assignment, dtype=float)
+def _check_assignment(c, assignment, flavor):
+    """assignment as a float array of the flavor's shape on c: (T, 3) ideal, (T, 6) hyper."""
     _check_flavor(flavor)
+    a = np.asarray(assignment, dtype=float)
     expected = (c.n_tets, 3 if flavor == "ideal" else 6)
     if a.shape != expected:
         raise DomainError(f"{flavor} assignment must have shape {expected}, got {a.shape}")
+    return a
+
+
+def validate_assignment(c, assignment, flavor):
+    """Check an assignment's linear constraints to _ASSIGNMENT_TOL; DomainError if violated."""
+    a = _check_assignment(c, assignment, flavor)
     if not np.all(np.isfinite(a)) or np.min(a) < -_ASSIGNMENT_TOL:
         raise DomainError("assignment angles must be finite and nonnegative")
     if flavor == "ideal":
@@ -110,14 +121,25 @@ def cone_angles(c, assignment):
         raise DomainError(f"assignment must have shape (T, 3) or (T, 6), got {a.shape}")
     if a.shape[0] != c.n_tets:
         raise DomainError(f"assignment has {len(a)} rows for a complex with {c.n_tets} tetrahedra")
-    if a.shape[1] == 3:
-        a = np.concatenate((a, a), axis=1)
-    return c.incidence @ a.ravel()
+    return _cone_angles(c, a[None])[0]
+
+
+def _cone_angles(c, a):
+    """Cone angles, shape (m, E), of the angles a, shape (m, T, 3) or (m, T, 6), of m rows.
+
+    One bincount over the slots' edges in m copies of the complex, copy i's
+    edges numbered after copy i - 1's.
+    """
+    m, e_count = len(a), c.num_edges
+    if a.shape[2] == 3:
+        a = np.concatenate((a, a), axis=2)
+    slots = (c.edge_index + np.arange(0, m * e_count, e_count)[:, None, None]).ravel()
+    return np.bincount(slots, a.ravel(), m * e_count).reshape(m, e_count)
 
 
 def curvature(c, k):
     """2 pi minus the cone angle at interior edges, pi minus at boundary edges."""
-    k = np.asarray(k, dtype=float)
+    k = _check_edge_vector(c, k, "cone angles")
     full = np.where(np.asarray(c.edge_boundary), math.pi, 2.0 * math.pi)
     return full - k
 
@@ -143,8 +165,7 @@ def volume_of_metric(c, l, flavor):
     angles round to a vertex sum of pi as type III.
     """
     l = _check_metric(c, l, flavor)
-    kernel = hyper_kernel if flavor == "hyper" else ideal_kernel
-    return float(kernel(l[c.edge_index]).vol.sum())
+    return float(_evaluate(c, l[None], flavor)[0].vol[0].sum())
 
 
 def cov_complex(c, l, flavor, tol=1e-10):
@@ -158,8 +179,19 @@ def cov_complex(c, l, flavor, tol=1e-10):
     near-wall band integral (see hyperideal.hyper_kernel).
     """
     l = _check_metric(c, l, flavor, extended=True)
-    if flavor == "hyper":
-        kernel = hyper_kernel(l[c.edge_index], tol=tol)
-    else:
-        kernel = ideal_kernel(l[c.edge_index])
-    return float(kernel.cov.sum()), cone_angles(c, kernel.angles)
+    _, cov, kx = _evaluate(c, l[None], flavor, tol)
+    return float(cov[0]), kx[0]
+
+
+def _evaluate(c, x, flavor, tol=1e-10):
+    """The flavor's kernel on the metrics x, shape (m, E), one per row, in one call.
+
+    Returns the kernel record, each array of shape (m, T, ...), the
+    covolume of each row, shape (m,), and its cone angles, shape (m, E).
+    Each row gets the bits it would get alone.  tol is cov_complex's.
+    """
+    m = len(x)
+    lengths = x.take(c.edge_index, axis=1).reshape(-1, 6)
+    kernel = hyper_kernel(lengths, tol=tol) if flavor == "hyper" else ideal_kernel(lengths)
+    kernel = kernel._make(a.reshape(m, c.n_tets, *a.shape[1:]) for a in kernel)
+    return kernel, kernel.cov.sum(axis=1), _cone_angles(c, kernel.angles)

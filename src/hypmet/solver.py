@@ -25,9 +25,10 @@ Hessian of f is the Jacobian of the cone angles, H = op blockdiag(J_t) op^T,
 with op the complex's incidence operator and J_t the closed-form Jacobian
 of one tetrahedron's slot angles in its lengths (ideal.ideal_jacobian and
 hyperideal.hyper_jacobian); it is assembled sparse and factored with
-SuperLU.  Each point is evaluated once: the descent keeps the kernel
-record of the accepted point, and both the Jacobians and the results read
-it.  The ideal H vanishes on the decoration gauge col(B), so its
+SuperLU.  The solver evaluates no tetrahedron itself: every point goes
+through metrics._evaluate, the library's one evaluator, once.  The
+descent keeps the kernel record of the accepted point, and both the
+Jacobians and the results read it.  The ideal H vanishes on the decoration gauge col(B), so its
 system is bordered by the gauge matrix B and the step stays in ker B^T;
 a minimum-degree ordering keeps the border's dense row and column from
 filling in the factors.
@@ -48,10 +49,10 @@ trial point gives value and gradient; the Armijo test allows 8 ulp of
 |cov(x)| + |<x, k>| at both points (at least 1e-13).
 
 rigidity_check's random starts descend in lockstep: each iteration makes
-one kernel call on the stacked points of every unconverged start, one
+one evaluator call on the stacked points of every unconverged start, one
 Jacobian call, and one factorization of the block-diagonal Newton matrix
 of the starts, as if they were one point of the disjoint union of copies
-of the complex.  Each start keeps its own shift, step length, stopping
+of the complex, copy i's edges numbered after copy i - 1's.  Each start keeps its own shift, step length, stopping
 test and iteration count, so it follows its own descent up to rounding,
 and the numpy and SuperLU calls number about the largest iteration count
 of the starts rather than their sum.  solve_metric is the same descent
@@ -80,9 +81,9 @@ from .errors import (
     NotPositiveFeasibleError,
     NumericalError,
 )
-from .hyperideal import VERTEX_SLOTS, flat_pairs, hyper_jacobian, hyper_kernel
-from .ideal import ideal_jacobian, ideal_kernel
-from .metrics import _check_edge_vector, _check_flavor
+from .hyperideal import VERTEX_SLOTS, flat_pairs, hyper_jacobian
+from .ideal import ideal_jacobian
+from .metrics import _check_assignment, _check_edge_vector, _check_flavor, _evaluate
 from .triangulation import gauge_project
 
 __all__ = [
@@ -283,20 +284,6 @@ def _rowdot(a, b):
     return np.matmul(a[:, None, :], b[..., None]).reshape(len(a))
 
 
-def _block_copies(indptr, indices, minor, m):
-    """indptr and indices of m diagonal copies of a compressed sparse pattern.
-
-    The pattern has `minor` columns (CSR) or rows (CSC).  Copy i follows copy
-    i - 1 in both arrays, so the first j copies are a prefix for every j <= m.
-    """
-    nnz = indptr[-1]
-    shift = np.arange(m)[:, None]
-    return (
-        np.append((indptr[:-1] + nnz * shift).ravel(), nnz * m).astype(indptr.dtype),
-        (indices + minor * shift).ravel().astype(indices.dtype),
-    )
-
-
 class _Points(NamedTuple):
     """Evaluated points of m starts, one row each."""
 
@@ -315,76 +302,41 @@ class _Points(NamedTuple):
             a[rows] = b
 
 
-class _Union:
-    """Up to `copies` starts on one complex, as one point of their disjoint union.
+def _points(c, flavor, x, k):
+    """The _Points of the rows of x, shape (m, E), from one kernel call."""
+    kernel, cov, kx = _evaluate(c, x, flavor)
+    xk = _rowdot(x, k)
+    return _Points(x, cov - xk, np.abs(cov) + np.abs(xk), kx, kernel)
 
-    Row i of an (m, E) array is start i's edge vector.  The tetrahedra of all
-    rows go through one kernel call, and their cone angles are one bincount
-    over the slots' edges in the union, which adds each edge's instances in
-    (tet, slot) order from 0, as the incidence operator's product does.
+
+def _evaluate_rows(c, flavor, x, k, like=None):
+    """_points of the rows of x at once or, where that raises, of each row alone.
+
+    Returns the _Points of all rows and the exception of each row that
+    raised, by row.  Those rows get NaN values, which fail every test, and
+    a NaN kernel record shaped as a row's that evaluated or else as like,
+    the caller's current record.  With neither, every row has raised and
+    fails before its record is read.
     """
-
-    def __init__(self, c, flavor, copies):
-        self.c = c
-        self.flavor = flavor
-        # the edge of each slot of the copies, an index into the raveled
-        # rows of an (m, E) array
-        copy = np.arange(copies)[:, None, None]
-        self.slot_edges = (c.edge_index + c.num_edges * copy).reshape(-1, 6)
-        self.last = None  # the last kernel record, the shapes of _unevaluated's
-
-    def cone_angles(self, angles):
-        """Cone angles, shape (m, E), of the angles (m T, 3) or (m T, 6) of m stacked rows."""
-        m = len(angles) // self.c.n_tets
-        if angles.shape[1] == 3:
-            angles = np.concatenate((angles, angles), axis=1)
-        slots = self.slot_edges[: len(angles)].ravel()
-        return np.bincount(slots, angles.ravel(), m * self.c.num_edges).reshape(m, -1)
-
-    def evaluate(self, x, k):
-        """The _Points of the rows of x, shape (m, E), from one kernel call."""
-        c, m = self.c, len(x)
-        lengths = x.ravel()[self.slot_edges[: m * c.n_tets]]
-        kernel = hyper_kernel(lengths) if self.flavor == "hyper" else ideal_kernel(lengths)
-        cov = kernel.cov.reshape(m, -1).sum(axis=1)
-        xk = _rowdot(x, k)
-        self.last = kernel._make(a.reshape(m, c.n_tets, *a.shape[1:]) for a in kernel)
-        kx = self.cone_angles(kernel.angles)
-        return _Points(x, cov - xk, np.abs(cov) + np.abs(xk), kx, self.last)
-
-    def evaluate_rows(self, x, k):
-        """evaluate on the rows of x at once or, where that raises, on each row alone.
-
-        Returns the _Points of all rows and the exception of each row that
-        raised, by row.  Those rows get NaN values, which fail every test.
-        """
-        try:
-            return self.evaluate(x, k), {}
-        except Exception as exc:
-            if len(x) == 1:
-                return self._unevaluated(x), {0: exc}
-        points, raised = {}, {}
+    try:
+        return _points(c, flavor, x, k), {}
+    except Exception as exc:
+        points, raised = {}, {0: exc}  # a single row raises alone too
+    if len(x) > 1:
+        raised = {}
         for i in range(len(x)):
             try:
-                points[i] = self.evaluate(x[i : i + 1], k)
+                points[i] = _points(c, flavor, x[i : i + 1], k)
             except Exception as exc:
                 raised[i] = exc
-        out = self._unevaluated(x)
-        for i, row in points.items():
-            out.put([i], row)
-        return out, raised
-
-    def _unevaluated(self, x):
-        """_Points of the rows of x with NaN for every value.
-
-        The kernel record takes its shapes from the last one evaluated.
-        Before the first there is none, and every row has raised: they all
-        fail before their record is read.
-        """
-        m, kernel = len(x), self.last
-        if kernel is not None:
-            kernel = kernel._make(np.full((m, *a.shape[1:]), np.nan, a.dtype) for a in kernel)
-        return _Points(x, np.full(m, np.nan), np.full(m, np.nan), np.full(x.shape, np.nan), kernel)
+    m = len(x)
+    like = next(iter(points.values())).kernel if points else like
+    if like is not None:
+        like = like._make(np.full((m, *a.shape[1:]), np.nan, a.dtype) for a in like)
+    out = _Points(x, np.full(m, np.nan), np.full(m, np.nan), np.full(x.shape, np.nan), like)
+    for i, row in points.items():
+        out.put([i], row)
+    return out, raised
 
 
 class _NewtonSystem:
@@ -406,8 +358,9 @@ class _NewtonSystem:
 
     The systems of m starts are the diagonal blocks of one matrix, the
     Newton matrix of m disjoint copies of the complex, factored at once.
-    The first m copies are a prefix of the copies' CSC arrays, and each m
-    gets its matrix once.
+    The pattern numbers the copies directly, copy i's edges (and vertex
+    classes) after copy i - 1's, so the first m copies are a prefix of its
+    CSC arrays, and each m gets its matrix once.
     """
 
     def __init__(self, c, flavor, copies=1):
@@ -421,30 +374,28 @@ class _NewtonSystem:
 
     def _build(self):
         c = self.c
-        e_count = c.num_edges
-        rows = np.broadcast_to(c.edge_index[:, :, None], (c.n_tets, 6, 6)).ravel()
-        cols = np.broadcast_to(c.edge_index[:, None, :], (c.n_tets, 6, 6)).ravel()
-        n = e_count
+        e_count, shape = c.num_edges, (self.copies, c.n_tets, 6, 6)
+        n = e_count + (c.num_vertices if self.flavor == "ideal" else 0)
+        first = n * np.arange(self.copies)[:, None]  # each copy's first index
+        edges = c.edge_index + first[:, :, None]
+        rows = np.broadcast_to(edges[..., :, None], shape).ravel()
+        cols = np.broadcast_to(edges[..., None, :], shape).ravel()
         if self.flavor == "ideal":
             # B[e, v] counts the endpoints of edge e in vertex class v
-            edges = np.repeat(np.arange(e_count), 2)
-            ends = e_count + c.edge_endpoints.ravel()
+            ends = (e_count + c.edge_endpoints.ravel() + first).ravel()
+            edges = (np.repeat(np.arange(e_count), 2) + first).ravel()
             rows = np.concatenate([rows, edges, ends])
             cols = np.concatenate([cols, ends, edges])
-            n += c.num_vertices
-        keys, pos = np.unique(cols * n + rows, return_inverse=True)
-        fixed = np.bincount(pos[36 * c.n_tets :], minlength=len(keys)).astype(float)
-        diagonal = np.searchsorted(keys, np.arange(e_count) * (n + 1))
+        size = n * self.copies
+        keys, pos = np.unique(cols * size + rows, return_inverse=True)
+        blocks = math.prod(shape)
+        self.pos = pos[:blocks]
+        self.fixed = np.bincount(pos[blocks:], minlength=len(keys)).astype(float)
+        self.diagonal = np.searchsorted(keys, (np.arange(e_count) + first) * (size + 1))
         # SuperLU takes C int indices; given as such, they are not copied per step
-        indices = (keys % n).astype(np.intc)
-        indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.intc)
-        # copy i's entries follow copy i - 1's in the data
-        self.n, self.nnz = n, len(keys)
-        shift = self.nnz * np.arange(self.copies)[:, None]
-        self.pos = (pos[: 36 * c.n_tets] + shift).ravel()
-        self.fixed = np.tile(fixed, self.copies)
-        self.diagonal = diagonal + shift  # (copies, E)
-        self.indptr, self.indices = _block_copies(indptr, indices, n, self.copies)
+        self.indices = (keys % size).astype(np.intc)
+        self.indptr = np.searchsorted(keys, np.arange(size + 1) * size).astype(np.intc)
+        self.n, self.nnz = n, len(keys) // self.copies
 
     def _matrix(self, m):
         matrix = self._matrices.get(m)
@@ -590,7 +541,6 @@ def _descend(c, k, flavor, x0, opts, lead=False):
     positive angle assignment raises NotPositiveFeasibleError.
     """
     x0 = np.array(x0, dtype=float)  # the rows of pts, which are updated in place
-    union = _Union(c, flavor, len(x0))
     newton = _NewtonSystem(c, flavor, len(x0))
     results = [None] * len(x0)
     traces = [[] for _ in results]
@@ -615,7 +565,7 @@ def _descend(c, k, flavor, x0, opts, lead=False):
         errors[start] = exc
 
     ids = np.arange(len(x0))
-    pts, failed = union.evaluate_rows(x0, k)
+    pts, failed = _evaluate_rows(c, flavor, x0, k)
     iterations = 0
     while True:
         for i, f in zip(ids.tolist(), pts.f.tolist()):
@@ -633,7 +583,7 @@ def _descend(c, k, flavor, x0, opts, lead=False):
         if converged:
             # results keep views of their rows, and pts is updated in place
             finished = pts if done.all() else pts.take(done)
-            assembled = _assemble(union, k, finished, gnorm[done], iterations, traces, ids[done])
+            assembled = _assemble(c, flavor, k, finished, gnorm[done], iterations, traces, ids[done])
             for i, res in zip(ids[done].tolist(), assembled):
                 if isinstance(res, Exception):
                     fail(i, res)
@@ -658,10 +608,10 @@ def _descend(c, k, flavor, x0, opts, lead=False):
         iterations += 1
         shift = gnorm * np.minimum(gnorm, 1.0)
         d = newton.step(pts.kernel, r, shift[:, None])
-        pts, failed = _line_search(union, k, pts, d, _rowdot(r, d), gnorm, iterations)
+        pts, failed = _line_search(c, flavor, k, pts, d, _rowdot(r, d), gnorm, iterations)
 
 
-def _line_search(union, k, pts, d, gd, gnorm, iteration):
+def _line_search(c, flavor, k, pts, d, gd, gnorm, iteration):
     """Backtracking Armijo steps from each row of pts along the matching row of d.
 
     Each row halves its step length, at most 50 times, until its trial
@@ -678,7 +628,7 @@ def _line_search(union, k, pts, d, gd, gnorm, iteration):
     failed = {}
     alpha = 1.0
     for _ in range(50):
-        trial, raised = union.evaluate_rows(x + alpha * d, k)
+        trial, raised = _evaluate_rows(c, flavor, x + alpha * d, k, pts.kernel)
         allowance = np.maximum(_ROUNDOFF, _ULPS * (size + trial.size))
         ok = trial.f - f <= _ARMIJO * alpha * gd + allowance
         if ok.all() and len(rows) == len(pts.x):
@@ -701,7 +651,7 @@ def _line_search(union, k, pts, d, gd, gnorm, iteration):
     return pts, failed
 
 
-def _assemble(union, k, pts, gnorm, iterations, traces, ids):
+def _assemble(c, flavor, k, pts, gnorm, iterations, traces, ids):
     """The SolveResults of the converged starts ids, one per row of pts.
 
     The assignment, volume and cone angles are those of each point's kernel
@@ -710,7 +660,6 @@ def _assemble(union, k, pts, gnorm, iterations, traces, ids):
     start whose hyper critical point has a non-positive length gets that
     NumericalError instead.
     """
-    c, flavor = union.c, union.flavor
     lengths = gauge_project(c, pts.x) if flavor == "ideal" else pts.x
     vol = pts.kernel.vol.sum(axis=1)
     out = []
@@ -745,16 +694,22 @@ def duality_gap(c, k, result, samples, seed=0):
     uniformly in a box of half-width _DUALITY_SPREAD = 1 around the solved
     metric and returns max(<x,k> - cov(x)) - W; convexity makes this
     nonpositive up to solve and kernel tolerance.  The tetrahedra of all
-    samples go through one call of the flavor's kernel.
+    samples go through one call of the flavor's kernel.  A result that does
+    not fit c (see _check_result) is a DomainError.
     """
     k = _check_target(c, k)
+    base, _ = _check_result(c, result)
     samples = _count(samples, "samples")
     rng = _rng(seed)
-    base = np.asarray(result.lengths, dtype=float)
     x = base + rng.uniform(-_DUALITY_SPREAD, _DUALITY_SPREAD, (samples, c.num_edges))
-    kernel = ideal_kernel if result.flavor == "ideal" else hyper_kernel
-    cov = kernel(x[:, c.edge_index].reshape(-1, 6)).cov.reshape(len(x), c.n_tets).sum(axis=1)
+    cov = _evaluate(c, x, result.flavor)[1]
     return float((x @ k - cov).max()) - result.w_value
+
+
+def _check_result(c, result):
+    """result's lengths and assignment, checked to fit c; DomainError if they do not."""
+    lengths = _check_edge_vector(c, result.lengths, "result lengths")
+    return lengths, _check_assignment(c, result.assignment, result.flavor)
 
 
 def classify_maximizer(c, result):
@@ -769,10 +724,10 @@ def classify_maximizer(c, result):
     Any other zero-angle pattern raises ConsistencyError, since the
     structure theorems exclude it for true maximizers.  All tetrahedra are
     classified at once; an error names the first tetrahedron showing its
-    defect.
+    defect.  A result that does not fit c is a DomainError.
     """
-    lengths = np.asarray(result.lengths, dtype=float)[c.edge_index]
-    a = np.asarray(result.assignment, dtype=float)
+    lengths, a = _check_result(c, result)
+    lengths = lengths[c.edge_index]
     low = a.min(axis=1)
     rows = np.arange(c.n_tets)
     if result.flavor == "ideal":

@@ -38,7 +38,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
-from .errors import GluingError
+from .errors import DomainError, GluingError
 from .hyperideal import EDGE_VERTICES
 
 __all__ = [
@@ -255,9 +255,17 @@ def gauge_matrix(c):
 
 
 def gauge_apply(c, w, x):
-    """Act on an edge vector by a vertex vector: (w + x)(e) = w(u) + w(v) + x(e)."""
+    """Act on an edge vector by a vertex vector: (w + x)(e) = w(u) + w(v) + x(e).
+
+    DomainError unless w has one entry per vertex class and x one per edge.
+    """
     w = np.asarray(w, dtype=float)
     x = np.asarray(x, dtype=float)
+    if w.shape != (c.num_vertices,) or x.shape != (c.num_edges,):
+        raise DomainError(
+            f"gauge_apply needs w of shape ({c.num_vertices},) and x of shape "
+            f"({c.num_edges},), got {w.shape} and {x.shape}"
+        )
     return x + (w[c.edge_endpoints[:, 0]] + w[c.edge_endpoints[:, 1]])
 
 

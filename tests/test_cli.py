@@ -458,7 +458,7 @@ class TestErrorPaths:
         assert report["lengths"] == pytest.approx([0.3, -0.3], abs=1e-7)
 
     def test_line_search_failure_carries_diagnostics(self, fixtures_dir, monkeypatch):
-        import hypmet.solver
+        import hypmet.metrics
         from hypmet.errors import NumericalError
         from hypmet.ideal import ideal_kernel
 
@@ -472,7 +472,7 @@ class TestErrorPaths:
             return ideal_kernel(l)
 
         # the descent's one kernel call per point
-        monkeypatch.setattr(hypmet.solver, "ideal_kernel", failing)
+        monkeypatch.setattr(hypmet.metrics, "ideal_kernel", failing)
         # a positive-feasible fig8 target (the cone angles sum to 4 pi) other than the start
         code, report = run(
             ["solve", "--flavor", "ideal", "--triangulation", fig8_path(fixtures_dir),

@@ -12,6 +12,7 @@ from hypmet.hyperideal import vol_hyper, volume_from_angles
 from hypmet.ideal import cov_ideal
 from hypmet.lobachevsky import lobachevsky
 from hypmet.metrics import (
+    _evaluate,
     angles_of_metric,
     cone_angles,
     cov_complex,
@@ -21,7 +22,7 @@ from hypmet.metrics import (
 )
 from hypmet.triangulation import GluingSpec, build_complex, gauge_apply
 
-from oracles import central_difference, disjoint_union
+from oracles import FIG8_COCYCLE, central_difference, cyclic_cover, disjoint_union
 
 ACOSH2 = math.acosh(2.0)
 EQUI_ANGLE = math.acos(2.0 / 3.0)
@@ -96,6 +97,47 @@ class TestCurvature:
 
     def test_zero_cone_angles_closed(self, fig8):
         assert np.allclose(curvature(fig8, np.zeros(2)), 2 * math.pi)
+
+    def test_one_entry_is_too_few(self, fig8):
+        # a length-1 vector once broadcast over both edges
+        with pytest.raises(DomainError, match="one entry per edge"):
+            curvature(fig8, [1.0])
+
+    def test_three_entries_are_too_many(self, fig8):
+        with pytest.raises(DomainError, match="one entry per edge"):
+            curvature(fig8, [1.0, 2.0, 3.0])
+
+
+class TestEvaluator:
+    """_evaluate's rows are the library's single-metric values, to the bit."""
+
+    @pytest.fixture(scope="class")
+    def complexes(self, fixtures_dir):
+        fig8 = load_dict(fixtures_dir / "fig8.json")
+        union = disjoint_union(load_dict(fixtures_dir / "double_tet.json"), 5, np.random.default_rng(7))
+        return {
+            "fig8_16": build_complex(GluingSpec.from_dict(cyclic_cover(fig8, FIG8_COCYCLE, 8))),
+            "double_tet_5": build_complex(GluingSpec.from_dict(union)),
+        }
+
+    @pytest.mark.parametrize("m", [1, 3, 10])
+    @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
+    @pytest.mark.parametrize("name", ["fig8_16", "double_tet_5"])
+    def test_rows_are_the_single_metric_values(self, complexes, name, flavor, m):
+        c = complexes[name]
+        low, high = (-1.0, 1.0) if flavor == "ideal" else (0.2, 3.0)
+        x = np.random.default_rng(m).uniform(low, high, (m, c.num_edges))
+        kernel, cov, kx = _evaluate(c, x, flavor)
+        assert cov.shape == (m,) and kx.shape == (m, c.num_edges)
+        assert all(a.shape[:2] == (m, c.n_tets) for a in kernel)
+        for i in range(m):
+            value, grad = cov_complex(c, x[i], flavor)
+            assert cov[i] == value and np.array_equal(kx[i], grad)
+            assert float(kernel.vol[i].sum()) == volume_of_metric(c, x[i], flavor)
+            assert np.array_equal(kx[i], cone_angles(c, kernel.angles[i]))
+            alone = _evaluate(c, x[i : i + 1], flavor)[0]
+            for got, want in zip(kernel, alone):
+                assert np.array_equal(got[i], want[0])
 
 
 class TestVolume:

@@ -12,8 +12,8 @@ import hypmet.solver
 from hypmet import hyperideal
 from hypmet.hyperideal import hyper_angles, hyper_jacobian, hyper_kernel
 from hypmet.ideal import ideal_jacobian, ideal_kernel
-from hypmet.metrics import angles_of_metric, cone_angles, cov_complex
-from hypmet.solver import _NewtonSystem, _Union, rigidity_check, solve_metric
+from hypmet.metrics import _evaluate, angles_of_metric, cone_angles, cov_complex
+from hypmet.solver import _NewtonSystem, rigidity_check, solve_metric
 from hypmet.triangulation import GluingSpec, build_complex, gauge_matrix
 
 from oracles import FIG8_COCYCLE, cyclic_cover, disjoint_union
@@ -177,7 +177,12 @@ def dense_hessian(c, x, flavor):
 
 def record(c, x, flavor):
     """The kernel record of one start at x, as the descent keeps it: shape (1, T, ...)."""
-    return _Union(c, flavor, 1).evaluate(x[None], np.zeros(c.num_edges)).kernel
+    return record_rows(c, x[None], flavor)
+
+
+def record_rows(c, x, flavor):
+    """The kernel record of the starts at the rows of x, shape (m, T, ...)."""
+    return _evaluate(c, x, flavor)[0]
 
 
 def assembled(c, x, flavor, shift=0.0):
@@ -207,6 +212,25 @@ class TestNewtonSystem:
         shifted = assembled(c, x, flavor, shift=0.25) - matrix
         assert np.max(np.abs(shifted[:e, :e] - 0.25 * np.eye(e))) <= 1e-14
         assert np.all(shifted[e:] == 0.0) and np.all(shifted[:, e:] == 0.0)
+
+    @pytest.mark.parametrize("name", ["fig8", "double_tet", "fig8_16"])
+    @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
+    def test_copies_matrix_is_the_block_diagonal_of_one_copys(self, request, fixtures_dir, name, flavor):
+        # copy i is numbered after copy i - 1, so the first m of 5 copies
+        # are the block-diagonal matrix of the m one-copy matrices, to the bit
+        if name == "fig8_16":
+            with open(fixtures_dir / "fig8.json") as fh:
+                c = build_complex(GluingSpec.from_dict(cyclic_cover(json.load(fh), FIG8_COCYCLE, 8)))
+        else:
+            c = request.getfixturevalue(name)
+        rng = np.random.default_rng(55)
+        x = rng.uniform(-0.3, 0.3, (5, c.num_edges)) + (0.0 if flavor == "ideal" else 1.3)
+        shift = rng.uniform(0.0, 0.1, (5, 1))
+        system = _NewtonSystem(c, flavor, 5)
+        for m in (1, 3, 5):
+            system.step(record_rows(c, x[:m], flavor), np.ones((m, c.num_edges)), shift[:m])
+            blocks = [assembled(c, x[i], flavor, float(shift[i, 0])) for i in range(m)]
+            assert np.array_equal(system.matrix.toarray(), block_diag(*blocks))
 
     def test_bordered_step_stays_in_the_gauge_complement(self, fixtures_dir):
         with open(fixtures_dir / "fig8.json") as fh:

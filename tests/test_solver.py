@@ -12,6 +12,7 @@ import scipy.sparse
 from scipy.optimize import linprog
 
 import hypmet.hyperideal
+import hypmet.metrics
 import hypmet.solver
 from hypmet.errors import (
     ConsistencyError,
@@ -23,7 +24,7 @@ from hypmet.errors import (
 )
 from hypmet.hyperideal import VERTEX_SLOTS, classify_lengths, hyper_kernel, mu_segment_integral
 from hypmet.ideal import PAIRS, ideal_kernel
-from hypmet.metrics import angles_of_metric, cone_angles, cov_complex, volume
+from hypmet.metrics import _cone_angles, _evaluate, angles_of_metric, cone_angles, cov_complex, volume
 from hypmet.solver import (
     SolveOptions,
     SolveResult,
@@ -696,6 +697,34 @@ def _per_sample_duality_gap(c, k, result, samples, seed):
     return best - result.w_value
 
 
+class TestResultOfAnotherComplex:
+    """A result that does not fit the complex is refused before it is read."""
+
+    @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
+    def test_fig8_result_on_double_tet(self, fig8, double_tet, flavor):
+        # once a broadcast ValueError in duality_gap, an IndexError in classify
+        draw = random_positive_ideal_k if flavor == "ideal" else random_positive_hyper_k
+        res = solve_metric(fig8, draw(fig8, np.random.default_rng(40)), flavor)
+        k = draw(double_tet, np.random.default_rng(41))
+        with pytest.raises(DomainError, match="result lengths"):
+            duality_gap(double_tet, k, res, samples=5)
+        with pytest.raises(DomainError, match="result lengths"):
+            classify_maximizer(double_tet, res)
+
+    @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
+    def test_assignment_of_the_other_flavors_shape(self, double_tet, flavor):
+        res = solve_metric(double_tet, K_HYPER if flavor == "hyper" else np.full(6, TWO_PI / 3), flavor)
+        other = res.assignment[:, :3] if flavor == "hyper" else np.tile(res.assignment, 2)
+        wrong = dataclasses.replace(res, assignment=other)
+        with pytest.raises(DomainError, match="assignment must have shape"):
+            duality_gap(double_tet, res.target_cone_angles, wrong, samples=5)
+        with pytest.raises(DomainError, match="assignment must have shape"):
+            classify_maximizer(double_tet, wrong)
+        # the result itself fits
+        assert duality_gap(double_tet, res.target_cone_angles, res, samples=5) <= 1e-8
+        assert len(classify_maximizer(double_tet, res)) == double_tet.n_tets
+
+
 class TestClassifyMaximizer:
     def test_fig8_realized(self, fig8):
         res = solve_metric(fig8, [TWO_PI, TWO_PI], "ideal")
@@ -942,7 +971,7 @@ def assert_same_descent(got, want, tol=1e-12):
     assert np.max(np.abs(got.assignment - want.assignment)) <= tol
 
 
-def assert_rows_searched_alone(union, k, pts, d, gd, gnorm, both):
+def assert_rows_searched_alone(c, flavor, k, pts, d, gd, gnorm, both):
     """Each row of a lockstep line search ends where its search alone ends.
 
     Both kernels give each row the same bits whatever the batch, so every
@@ -950,7 +979,7 @@ def assert_rows_searched_alone(union, k, pts, d, gd, gnorm, both):
     """
     for i in range(len(d)):
         s = slice(i, i + 1)
-        alone, failed = hypmet.solver._line_search(union, k, pts.take(s), d[s], gd[s], gnorm[s], 1)
+        alone, failed = hypmet.solver._line_search(c, flavor, k, pts.take(s), d[s], gd[s], gnorm[s], 1)
         assert not failed
         for got, want in zip((*both[:-1], *both.kernel), (*alone[:-1], *alone.kernel)):
             assert np.array_equal(got[i], want[0])
@@ -978,51 +1007,51 @@ class TestLockstep:
 
     @pytest.mark.parametrize("width", [3, 6])
     def test_stacked_cone_angles_are_the_incidence_products(self, fig8_cover, width):
-        # the union's bincount adds each edge's instances in the order of
+        # the copies' bincount adds each edge's instances in the order of
         # the incidence operator's product, so every row agrees to the bit
         c = fig8_cover(16)
         rows = np.random.default_rng(33).uniform(0.0, 3.0, (4, c.n_tets, width))
         rows[1, ::3] = -0.0
-        stacked = hypmet.solver._Union(c, "ideal", 5).cone_angles(rows.reshape(-1, width))
+        stacked = _cone_angles(c, rows)
         assert stacked.shape == (4, c.num_edges)
         for got, a in zip(stacked, rows):
-            assert np.array_equal(got, cone_angles(c, a))
+            product = c.incidence @ (np.tile(a, 2) if width == 3 else a).ravel()
+            assert np.array_equal(got, product)
+            assert np.array_equal(cone_angles(c, a), product)
 
     @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
     def test_one_row_backtracks_while_the_other_accepts(self, fig8, monkeypatch, flavor):
         # row 1's direction is 64 times its Newton step, so it halves its
         # own step length while row 0 takes its full step
-        union = hypmet.solver._Union(fig8, flavor, 2)
         k = (random_positive_ideal_k if flavor == "ideal" else random_positive_hyper_k)(
             fig8, np.random.default_rng(21)
         )
         x = start_points(fig8, flavor, 2, np.random.default_rng(22))
-        pts = union.evaluate(x, k)
+        pts = hypmet.solver._points(fig8, flavor, x, k)
         r = pts.kx - k
         d = hypmet.solver._NewtonSystem(fig8, flavor, 2).step(pts.kernel, r, np.zeros((2, 1)))
         d[1] *= 64.0
         gd = np.einsum("ij,ij->i", r, d)
         rows = []
-        evaluate = hypmet.solver._Union.evaluate
+        evaluate = hypmet.solver._points
 
-        def recording(self, x, k):
+        def recording(c, flavor, x, k):
             rows.append(len(x))
-            return evaluate(self, x, k)
+            return evaluate(c, flavor, x, k)
 
-        monkeypatch.setattr(hypmet.solver._Union, "evaluate", recording)
+        monkeypatch.setattr(hypmet.solver, "_points", recording)
         gnorm = np.abs(r).max(axis=1)
-        both, failed = hypmet.solver._line_search(union, k, pts.take([0, 1]), d, gd, gnorm, 1)
+        both, failed = hypmet.solver._line_search(fig8, flavor, k, pts.take([0, 1]), d, gd, gnorm, 1)
         assert not failed and rows[0] == 2 and rows[1:] == [1] * (len(rows) - 1) and len(rows) > 1
         assert np.array_equal(both.x[0], x[0] + d[0])
-        assert_rows_searched_alone(union, k, pts, d, gd, gnorm, both)
+        assert_rows_searched_alone(fig8, flavor, k, pts, d, gd, gnorm, both)
 
     def test_trial_point_beyond_the_kernels_range_halves_its_row_only(self, fig8, monkeypatch):
         # row 1's first trial has lengths above 1e12, beyond the hyper
         # cosine law, so the stacked call raises and the rows go alone
-        union = hypmet.solver._Union(fig8, "hyper", 2)
         k = random_positive_hyper_k(fig8, np.random.default_rng(23))
         x = start_points(fig8, "hyper", 2, np.random.default_rng(26))
-        pts = union.evaluate(x, k)
+        pts = hypmet.solver._points(fig8, "hyper", x, k)
         r = pts.kx - k
         d = hypmet.solver._NewtonSystem(fig8, "hyper", 2).step(pts.kernel, r, np.zeros((2, 1)))
         d[1] *= 2.0**42
@@ -1030,7 +1059,7 @@ class TestLockstep:
         gd = np.einsum("ij,ij->i", r, d)
         gnorm = np.abs(r).max(axis=1)
         raised = []
-        kernel = hypmet.solver.hyper_kernel
+        kernel = hypmet.metrics.hyper_kernel
 
         def recording(l, tol=1e-10):
             try:
@@ -1039,11 +1068,11 @@ class TestLockstep:
                 raised.append(len(l))
                 raise
 
-        monkeypatch.setattr(hypmet.solver, "hyper_kernel", recording)
-        both, failed = hypmet.solver._line_search(union, k, pts.take([0, 1]), d, gd, gnorm, 1)
+        monkeypatch.setattr(hypmet.metrics, "hyper_kernel", recording)
+        both, failed = hypmet.solver._line_search(fig8, "hyper", k, pts.take([0, 1]), d, gd, gnorm, 1)
         assert not failed and raised[0] == 2 * fig8.n_tets
         assert np.array_equal(both.x[0], x[0] + d[0])
-        assert_rows_searched_alone(union, k, pts, d, gd, gnorm, both)
+        assert_rows_searched_alone(fig8, "hyper", k, pts, d, gd, gnorm, both)
 
     def test_singular_block_falls_back_alone(self, double_tet):
         # row 0 has every hyper slot clamped, so its block is H = 0; the
@@ -1052,10 +1081,10 @@ class TestLockstep:
         x = np.vstack([-np.ones(double_tet.num_edges), rng.uniform(0.8, 1.6, double_tet.num_edges)])
         r = rng.uniform(-1.0, 1.0, x.shape)
         shift = np.array([[0.0], [0.01]])
-        union, k = hypmet.solver._Union(double_tet, "hyper", 2), np.zeros(double_tet.num_edges)
-        d = hypmet.solver._NewtonSystem(double_tet, "hyper", 2).step(union.evaluate(x, k).kernel, r, shift)
+        record = _evaluate(double_tet, x, "hyper")[0]
+        d = hypmet.solver._NewtonSystem(double_tet, "hyper", 2).step(record, r, shift)
         assert np.array_equal(d[0], -r[0])
-        record = union.evaluate(x[1:], k).kernel
+        record = _evaluate(double_tet, x[1:], "hyper")[0]
         alone = hypmet.solver._NewtonSystem(double_tet, "hyper").step(record, r[1], 0.01)
         assert np.max(np.abs(d[1] - alone)) <= 1e-12 and float(r[1] @ d[1]) < 0.0
 
@@ -1191,21 +1220,21 @@ class TestLockstep:
 
 
 def count_kernel_calls(monkeypatch, flavor):
-    """Lists that grow by one per call of the solver's flavor kernel and of _Union.evaluate."""
+    """Lists that grow by one per call of the flavor kernel and of the descent's _points."""
     kernels, evaluations = [], []
     name = f"{flavor}_kernel"
-    kernel, evaluate = getattr(hypmet.solver, name), hypmet.solver._Union.evaluate
+    kernel, evaluate = getattr(hypmet.metrics, name), hypmet.solver._points
 
     def counting_kernel(*args, **kwargs):
         kernels.append(1)
         return kernel(*args, **kwargs)
 
-    def counting_evaluate(self, x, k):
+    def counting_evaluate(c, flavor, x, k):
         evaluations.append(1)
-        return evaluate(self, x, k)
+        return evaluate(c, flavor, x, k)
 
-    monkeypatch.setattr(hypmet.solver, name, counting_kernel)
-    monkeypatch.setattr(hypmet.solver._Union, "evaluate", counting_evaluate)
+    monkeypatch.setattr(hypmet.metrics, name, counting_kernel)
+    monkeypatch.setattr(hypmet.solver, "_points", counting_evaluate)
     return kernels, evaluations
 
 

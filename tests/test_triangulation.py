@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import null_space
 from scipy.sparse import csr_array
 
-from hypmet.errors import GluingError
+from hypmet.errors import DomainError, GluingError
 from hypmet.hyperideal import EDGE_VERTICES, SLOT_OF_EDGE
 from hypmet.triangulation import (
     FACE_VERTICES,
@@ -470,6 +470,15 @@ class TestGauge:
     def test_apply_loops_doubled(self, fig8):
         out = gauge_apply(fig8, np.array([0.3]), np.array([1.0, 2.0]))
         assert np.allclose(out, [1.6, 2.6])
+
+    @pytest.mark.parametrize(
+        "w, x", [([1.0, 2.0, 3.0], [0.0, 0.0]), ([], [0.0, 0.0]), ([0.3], [1.0, 2.0, 3.0]), ([0.3], 1.0)]
+    )
+    def test_apply_needs_one_entry_per_vertex_and_edge(self, fig8, w, x):
+        # fig8 has one vertex class and two edges; w once read only its
+        # entries at the endpoints' classes
+        with pytest.raises(DomainError, match="gauge_apply"):
+            gauge_apply(fig8, w, x)
 
     @pytest.mark.parametrize("name", ["fig8", "double_tet"])
     def test_matrix_and_apply_match_endpoint_loops(self, fixture_dicts, name):
