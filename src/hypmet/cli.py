@@ -39,13 +39,7 @@ from .errors import (
     NumericalError,
     UnsupportedAngleTypeError,
 )
-from .metrics import (
-    angles_of_metric,
-    cone_angles,
-    cov_complex,
-    curvature,
-    volume_of_metric,
-)
+from .metrics import _evaluate_metric, angles_of_metric, cone_angles, curvature
 from .solver import (
     SolveOptions,
     classify_maximizer,
@@ -192,10 +186,11 @@ def _execute(args):
                 }
             )
         else:
-            value, grad = cov_complex(c, lengths, args.flavor)
+            # one evaluation gives all three; hyper lengths must be positive
+            kernel, value, grad = _evaluate_metric(c, lengths, args.flavor)
             report.update(
                 {
-                    "volume": volume_of_metric(c, lengths, args.flavor),
+                    "volume": float(kernel.vol[0].sum()),
                     "covolume": value,
                     "cone_angles": grad.tolist(),
                 }

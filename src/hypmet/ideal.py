@@ -14,8 +14,8 @@ the triangle volume sum(Lambda(a_i)).
 
 `ideal_kernel` evaluates the angles, covolume and volume of a whole (T, 6)
 array of labels in one numpy pass; the single-tetrahedron functions are its
-T = 1 views.  All side lengths are handled in log space so that large |l|
-never overflows, and the angles come from Kahan's sorted half-angle
+T = 1 views.  All side lengths are handled in log space so that no finite
+label overflows the angles, and the angles come from Kahan's sorted half-angle
 arctangent form, which stays accurate where the law of cosines would cancel.
 """
 
@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 PAIRS = ((0, 3), (1, 4), (2, 5))
+# labels up to this size keep the kernel's steps, and the sum of its
+# covolumes over any 10^7 tetrahedra, in the double range
+_LARGE = 1e300
 
 
 class IdealKernel(NamedTuple):
@@ -95,12 +98,22 @@ def _log_side_kernel(y):
 def ideal_kernel(l):
     """Quad angles, covolume and volume of T tetrahedra with labels l, shape (T, 6).
 
-    Any finite reals are accepted; the log sides are y_p = (l_p + l_{p+3}) / 2
-    and cov = 2 sum_p (Lambda(a_p) + a_p y_p).  Raises DomainError for
+    Any finite reals are accepted; the log sides are y_p = l_p / 2 + l_{p+3} / 2,
+    halved before they are added so that no finite pair overflows, and
+    cov = 2 sum_p (Lambda(a_p) + a_p y_p).  Labels up to _LARGE in size keep
+    every step in the double range.  Past it the angles and volumes are
+    still exact, no step warns, and a covolume of size beyond DBL_MAX / T,
+    where a sum of T of them could overflow, is NaN.  Raises DomainError for
     non-finite labels.
     """
-    l = _check_batch(l, "edge labels")
-    return _log_side_kernel(0.5 * (l[:, :3] + l[:, 3:]))
+    l = np.asarray(l, dtype=float)
+    if l.ndim != 2 or l.shape[1] != 6 or not np.abs(l).max(initial=0.0) <= _LARGE:
+        l = _check_batch(l, "edge labels")
+        with np.errstate(over="ignore"):
+            kernel = _log_side_kernel(0.5 * l[:, :3] + 0.5 * l[:, 3:])
+        kernel.cov[~(np.abs(kernel.cov) <= np.finfo(float).max / len(l))] = np.nan
+        return kernel
+    return _log_side_kernel(0.5 * l[:, :3] + 0.5 * l[:, 3:])
 
 
 def _cotangent_map():

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .hyperideal import VERTEX_SLOTS, hyper_angles, hyper_kernel, volumes_from_angles
 from .ideal import ideal_kernel
 from .lobachevsky import lobachevsky_array
@@ -124,16 +124,24 @@ def cone_angles(c, assignment):
     return _cone_angles(c, a[None])[0]
 
 
+def _copy_slots(c, copies):
+    """The edge of every slot of `copies` copies of c, copy i's edges numbered after copy i - 1's."""
+    e_count = c.num_edges
+    return (c.edge_index + np.arange(0, copies * e_count, e_count)[:, None, None]).ravel()
+
+
 def _cone_angles(c, a):
     """Cone angles, shape (m, E), of the angles a, shape (m, T, 3) or (m, T, 6), of m rows.
 
-    One bincount over the slots' edges in m copies of the complex, copy i's
-    edges numbered after copy i - 1's.
+    One bincount over the slots' edges in m copies of the complex.  The
+    numbering of m copies is the prefix of that of any larger count, so the
+    complex keeps one numbering per power of two of copies, at most twice
+    the largest m it has seen, and m reads the prefix of the next.
     """
     m, e_count = len(a), c.num_edges
     if a.shape[2] == 3:
         a = np.concatenate((a, a), axis=2)
-    slots = (c.edge_index + np.arange(0, m * e_count, e_count)[:, None, None]).ravel()
+    slots = c._derive(_copy_slots, 1 << (m - 1).bit_length())[: a.size]
     return np.bincount(slots, a.ravel(), m * e_count).reshape(m, e_count)
 
 
@@ -176,11 +184,24 @@ def cov_complex(c, l, flavor, tol=1e-10):
     of e.  Both flavors accept any finite real metric: the hyper flavor
     evaluates the C^1 convex extension, which the solvers minimize over
     all of R^E.  tol is the accuracy target of the hyper kernel's
-    near-wall band integral (see hyperideal.hyper_kernel).
+    near-wall band integral (see hyperideal.hyper_kernel).  A covolume
+    outside the double range raises NumericalError.
     """
-    l = _check_metric(c, l, flavor, extended=True)
-    _, cov, kx = _evaluate(c, l[None], flavor, tol)
-    return float(cov[0]), kx[0]
+    _, cov, kx = _evaluate_metric(c, l, flavor, extended=True, tol=tol)
+    return cov, kx
+
+
+def _evaluate_metric(c, l, flavor, extended=False, tol=1e-10):
+    """The kernel record, covolume and cone angles of the one metric l, checked.
+
+    l is checked as _check_metric does.  A covolume outside the double
+    range, which the ideal kernel gives as NaN, is a NumericalError.
+    """
+    l = _check_metric(c, l, flavor, extended)
+    kernel, cov, kx = _evaluate(c, l[None], flavor, tol)
+    if not math.isfinite(cov[0]):
+        raise NumericalError(f"the covolume of these {flavor} lengths is outside the double range")
+    return kernel, float(cov[0]), kx[0]
 
 
 def _evaluate(c, x, flavor, tol=1e-10):

@@ -28,10 +28,15 @@ hyperideal.hyper_jacobian); it is assembled sparse and factored with
 SuperLU.  The solver evaluates no tetrahedron itself: every point goes
 through metrics._evaluate, the library's one evaluator, once.  The
 descent keeps the kernel record of the accepted point, and both the
-Jacobians and the results read it.  The ideal H vanishes on the decoration gauge col(B), so its
-system is bordered by the gauge matrix B and the step stays in ker B^T;
-a minimum-degree ordering keeps the border's dense row and column from
-filling in the factors.
+Jacobians and the results read it.  The ideal H vanishes on the
+decoration gauge col(B), so its system is bordered by the gauge matrix B
+and the step stays in ker B^T; a minimum-degree ordering keeps the
+border's dense row and column from filling in the factors.  What depends
+on the complex alone is derived once per complex and kept on it
+(triangulation.Complex._derive): H's sparsity pattern, per flavor and
+start count, the vertex sums of the target check, and the factor of the
+gauge projection that the ideal results go through, so repeated solves
+on one complex build none of them again.
 Every ideal metric's cone angles meet the vertex sums (B^T k_x)_v = pi n_v
 (n_v corners in vertex class v), so the residual for a target that meets
 them is orthogonal to col(B) and needs no projection.
@@ -339,14 +344,56 @@ def _evaluate_rows(c, flavor, x, k, like=None):
     return out, raised
 
 
+class _Pattern(NamedTuple):
+    """The CSC pattern of the Newton matrix of some copies of a complex (see _NewtonSystem)."""
+
+    pos: np.ndarray  # the data index of each Jacobian block entry
+    fixed: np.ndarray  # the data, 0 but for the border's entries of B
+    diagonal: np.ndarray  # the data index of each diagonal entry of H, copy by copy
+    indices: np.ndarray  # C int, as SuperLU takes them, so that no step copies them
+    indptr: np.ndarray
+    n: int  # the size of one copy's matrix
+    nnz: int  # its number of entries
+
+
+def _newton_pattern(c, flavor, copies):
+    """The _Pattern of the flavor's Newton matrix of `copies` copies of c."""
+    e_count, shape = c.num_edges, (copies, c.n_tets, 6, 6)
+    n = e_count + (c.num_vertices if flavor == "ideal" else 0)
+    first = n * np.arange(copies)[:, None]  # each copy's first index
+    edges = c.edge_index + first[:, :, None]
+    rows = np.broadcast_to(edges[..., :, None], shape).ravel()
+    cols = np.broadcast_to(edges[..., None, :], shape).ravel()
+    if flavor == "ideal":
+        # B[e, v] counts the endpoints of edge e in vertex class v
+        ends = (e_count + c.edge_endpoints.ravel() + first).ravel()
+        edges = (np.repeat(np.arange(e_count), 2) + first).ravel()
+        rows = np.concatenate([rows, edges, ends])
+        cols = np.concatenate([cols, ends, edges])
+    size = n * copies
+    keys, pos = np.unique(cols * size + rows, return_inverse=True)
+    blocks = math.prod(shape)
+    return _Pattern(
+        pos=pos[:blocks],
+        fixed=np.bincount(pos[blocks:], minlength=len(keys)).astype(float),
+        diagonal=np.searchsorted(keys, (np.arange(e_count) + first) * (size + 1)),
+        indices=(keys % size).astype(np.intc),
+        indptr=np.searchsorted(keys, np.arange(size + 1) * size).astype(np.intc),
+        n=n,
+        nnz=len(keys) // copies,
+    )
+
+
 class _NewtonSystem:
     """The Newton matrices H = op blockdiag(J_t) op^T of up to `copies` starts on one complex.
 
     op is the incidence operator, so H[e, f] sums J_t[s, s'] over the slots
     s of e and s' of f in each tetrahedron t.  Its sparsity pattern depends
-    on the complex alone: it is built on the first step and kept, and each
-    step forms the (T, 6, 6) blocks from the points' kernel record and
-    scatters them into the fixed CSC data with one bincount.  The ideal H
+    on the complex alone: the complex keeps it, one per flavor and copy
+    count, made on the first step that needs it (_newton_pattern), so
+    repeated solves on one complex build it once.  Each step forms the
+    (T, 6, 6) blocks from the points' kernel record and scatters them into
+    the system's own CSC data with one bincount.  The ideal H
     vanishes on the gauge directions col(B), so it is bordered,
     [[H, B], [B^T, 0]], which confines the step to ker B^T.  B has full
     column rank, since each tetrahedron's vertices span triangles; H + B B^T
@@ -368,55 +415,32 @@ class _NewtonSystem:
         self.flavor = flavor
         self.copies = copies
         self.ordering = "MMD_AT_PLUS_A" if flavor == "ideal" else "COLAMD"
-        self.pos = None
+        self.pattern = None
         self.matrix = None
         self._matrices = {}
-
-    def _build(self):
-        c = self.c
-        e_count, shape = c.num_edges, (self.copies, c.n_tets, 6, 6)
-        n = e_count + (c.num_vertices if self.flavor == "ideal" else 0)
-        first = n * np.arange(self.copies)[:, None]  # each copy's first index
-        edges = c.edge_index + first[:, :, None]
-        rows = np.broadcast_to(edges[..., :, None], shape).ravel()
-        cols = np.broadcast_to(edges[..., None, :], shape).ravel()
-        if self.flavor == "ideal":
-            # B[e, v] counts the endpoints of edge e in vertex class v
-            ends = (e_count + c.edge_endpoints.ravel() + first).ravel()
-            edges = (np.repeat(np.arange(e_count), 2) + first).ravel()
-            rows = np.concatenate([rows, edges, ends])
-            cols = np.concatenate([cols, ends, edges])
-        size = n * self.copies
-        keys, pos = np.unique(cols * size + rows, return_inverse=True)
-        blocks = math.prod(shape)
-        self.pos = pos[:blocks]
-        self.fixed = np.bincount(pos[blocks:], minlength=len(keys)).astype(float)
-        self.diagonal = np.searchsorted(keys, (np.arange(e_count) + first) * (size + 1))
-        # SuperLU takes C int indices; given as such, they are not copied per step
-        self.indices = (keys % size).astype(np.intc)
-        self.indptr = np.searchsorted(keys, np.arange(size + 1) * size).astype(np.intc)
-        self.n, self.nnz = n, len(keys) // self.copies
 
     def _matrix(self, m):
         matrix = self._matrices.get(m)
         if matrix is None:
-            n, nnz = m * self.n, m * self.nnz
+            p = self.pattern
+            n, nnz = m * p.n, m * p.nnz
             matrix = self._matrices[m] = csc_array(
-                (self.fixed[:nnz].copy(), self.indices[:nnz], self.indptr[: n + 1]), shape=(n, n)
+                (p.fixed[:nnz].copy(), p.indices[:nnz], p.indptr[: n + 1]), shape=(n, n)
             )
         self.matrix = matrix
         return matrix
 
     def _solve_block(self, data, i, rhs):
         """Start i's system alone; NaN, so that the step falls back to -r, where it is singular."""
-        n, nnz = self.n, self.nnz
+        p = self.pattern
+        n, nnz = p.n, p.nnz
         block = csc_array(
-            (data[i * nnz : (i + 1) * nnz], self.indices[:nnz], self.indptr[: n + 1]), shape=(n, n)
+            (data[i * nnz : (i + 1) * nnz], p.indices[:nnz], p.indptr[: n + 1]), shape=(n, n)
         )
         try:
             return splu(block, permc_spec=self.ordering).solve(rhs)
         except RuntimeError:
-            return np.full(self.n, np.nan)
+            return np.full(n, np.nan)
 
     def step(self, record, r, shift):
         """The steps d with (H + shift I) d = -r, or -r where that is no descent direction.
@@ -427,22 +451,23 @@ class _NewtonSystem:
         r is one start's vector and shift its number.  Where the matrix of
         all m starts is exactly singular, each start's block is solved alone.
         """
-        if self.pos is None:
-            self._build()
+        if self.pattern is None:
+            self.pattern = self.c._derive(_newton_pattern, self.flavor, self.copies)
+        p = self.pattern
         e_count = self.c.num_edges
         rows = r.reshape(-1, e_count)
         m = len(rows)
         jacobian = hyper_jacobian if self.flavor == "hyper" else ideal_jacobian
         blocks = jacobian(record._make(a.reshape(-1, *a.shape[2:]) for a in record)).ravel()
-        nnz = m * self.nnz
-        data = self.fixed[:nnz] + np.bincount(self.pos[: blocks.size], blocks, nnz)
-        data[self.diagonal[:m]] += shift
+        nnz = m * p.nnz
+        data = p.fixed[:nnz] + np.bincount(p.pos[: blocks.size], blocks, nnz)
+        data[p.diagonal[:m]] += shift
         matrix = self._matrix(m)
         matrix.data[:] = data
-        rhs = np.zeros((m, self.n))
+        rhs = np.zeros((m, p.n))
         rhs[:, :e_count] = -rows
         try:
-            d = splu(matrix, permc_spec=self.ordering).solve(rhs.ravel()).reshape(m, self.n)
+            d = splu(matrix, permc_spec=self.ordering).solve(rhs.ravel()).reshape(m, p.n)
         except RuntimeError:  # exactly singular
             d = np.array([self._solve_block(data, i, rhs[i]) for i in range(m)])
         d = d[:, :e_count]
@@ -470,20 +495,27 @@ def _count(n, what, least=1):
     return int(n)
 
 
+def _vertex_sums(c):
+    """The vertex sums pi n_v (n_v corners in vertex class v) and B^T 1, the edge ends at each v."""
+    corners = np.bincount(c.vertex_index.ravel(), minlength=c.num_vertices)
+    return math.pi * corners, np.bincount(c.edge_endpoints.ravel(), minlength=c.num_vertices)
+
+
 def _reachable_target(c, k, flavor, tol):
     """The checked target; NotPositiveFeasibleError if the vertex sums put it out of reach.
 
     Ideal targets off a vertex sum pi n_v by more than (B^T 1)_v tol are out
-    of reach, since |B^T r|_v <= (B^T 1)_v max|r|.  Positivity is left to
-    the descent's certificate.
+    of reach, since |B^T r|_v <= (B^T 1)_v max|r|.  Both sums depend on
+    the complex alone, which keeps them.  Positivity is left to the
+    descent's certificate.
     """
     _check_flavor(flavor)
     k = _check_target(c, k)
     if flavor == "ideal":
+        sums, ends_at = c._derive(_vertex_sums)
         ends = c.edge_endpoints.ravel()
-        corners = np.bincount(c.vertex_index.ravel(), minlength=c.num_vertices)
-        miss = np.abs(np.bincount(ends, np.repeat(k, 2), c.num_vertices) - math.pi * corners)
-        allowed = tol * np.bincount(ends, minlength=c.num_vertices)
+        miss = np.abs(np.bincount(ends, np.repeat(k, 2), c.num_vertices) - sums)
+        allowed = tol * ends_at
         v = int(np.argmax(miss - allowed))
         if miss[v] > allowed[v]:
             raise NotPositiveFeasibleError(

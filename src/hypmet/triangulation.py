@@ -25,8 +25,14 @@ order.
 
 The decoration gauge: a vector w of reals on vertex classes acts on edge
 vectors by adding the endpoint values, w(v) + w(v') (twice w(v) on loops).
-gauge_matrix returns that linear map; gauge_project removes the gauge
-component by least squares.
+gauge_matrix returns that linear map B; gauge_project removes the gauge
+component by solving the V x V normal equations B^T B w = B^T x.
+
+A complex never changes once built, so what is computed from it alone is
+computed once: the class tuples are cached properties, and Complex._derive
+keeps the arrays the solvers derive from it (the Newton pattern, the
+vertex sums, the copies' slot numbering, the gauge projector's factor) on
+the complex, made on first use and read-only.
 """
 
 import json
@@ -35,6 +41,7 @@ from functools import cached_property
 from itertools import chain
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
@@ -138,6 +145,23 @@ class Complex:
     def vertex_classes(self):
         """Tuple of tuples of (tet, vertex) instances, one per vertex class."""
         return _instances(self.vertex_index)
+
+    def _derive(self, build, *args):
+        """build(self, *args), made on the first call with these arguments and kept.
+
+        For what a caller computes from the complex alone and would otherwise
+        rebuild at every call.  The arrays of the result, alone or in a
+        tuple, are made read-only, since every later call shares them.
+        """
+        memo = self.__dict__.setdefault("_derived", {})
+        key = (build, *args)
+        if key not in memo:
+            value = build(self, *args)
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
+            memo[key] = value
+        return memo[key]
 
 
 def _refuse(table, bad, what):
@@ -269,16 +293,23 @@ def gauge_apply(c, w, x):
     return x + (w[c.edge_endpoints[:, 0]] + w[c.edge_endpoints[:, 1]])
 
 
-def gauge_project(c, x):
-    """Remove the gauge component: x minus its least-squares fit in col(B).
-
-    The result is orthogonal to col(B); applying the projection twice is a
-    no-op.  Two edge vectors describe the same decorated metric up to change
-    of decoration exactly when their projections agree.  x is one edge
-    vector, or an array (m, E) of them, one per row, fitted in one
-    least-squares call.
-    """
+def _gauge_factor(c):
+    """B and the Cholesky factor of B^T B, (B, factor, lower); B has full column rank."""
     b = gauge_matrix(c)
+    return b, *cho_factor(b.T @ b, check_finite=False)
+
+
+def gauge_project(c, x):
+    """Remove the gauge component: x minus its least-squares fit B w in col(B).
+
+    w solves the normal equations B^T B w = B^T x, whose V x V Cholesky
+    factor is made once per complex.  The result is orthogonal to col(B);
+    applying the projection twice is a no-op.  Two edge vectors describe
+    the same decorated metric up to change of decoration exactly when their
+    projections agree.  x is one edge vector, or an array (m, E) of them,
+    one per row, fitted in one solve.
+    """
+    b, factor, lower = c._derive(_gauge_factor)
     x = np.asarray(x, dtype=float)
-    w, *_ = np.linalg.lstsq(b, x.T, rcond=None)
+    w = cho_solve((factor, lower), (x @ b).T, check_finite=False)
     return x - (b @ w).T

@@ -11,8 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hypmet.metrics
 from hypmet.cli import run
 from hypmet.lobachevsky import lobachevsky
+from hypmet.metrics import cov_complex, volume_of_metric
+from hypmet.triangulation import build_complex, load_triangulation
 
 TWO_PI = 2 * math.pi
 
@@ -247,6 +250,59 @@ class TestOtherCommands:
             )
         assert code == 0
         assert report["ok"] is True
+
+    @pytest.mark.parametrize(
+        "name, flavor, lengths",
+        [("double_tet", "hyper", [math.acosh(2.0)] * 6), ("fig8", "ideal", [0.1, -0.2])],
+    )
+    def test_volume_evaluates_the_kernel_once(self, fixtures_dir, monkeypatch, name, flavor, lengths):
+        # the volume, covolume and cone angles come from one kernel record
+        kernel = "hyper_kernel" if flavor == "hyper" else "ideal_kernel"
+        calls = []
+        inner = getattr(hypmet.metrics, kernel)
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(hypmet.metrics, kernel, counting)
+        path = str(fixtures_dir / f"{name}.json")
+        code, report = run(
+            ["volume", "--flavor", flavor, "--triangulation", path, "--lengths", json.dumps(lengths)]
+        )
+        assert code == 0 and len(calls) == 1
+        c = build_complex(load_triangulation(path))
+        cov, k = cov_complex(c, lengths, flavor)
+        assert report["covolume"] == cov and report["cone_angles"] == k.tolist()
+        assert report["volume"] == volume_of_metric(c, lengths, flavor)
+
+    def test_volume_keeps_hyper_lengths_positive(self, fixtures_dir):
+        lengths = json.dumps([1.0, 1.0, 0.0, 1.0, 1.0, 1.0])
+        argv = ["--flavor", "hyper", "--triangulation", double_path(fixtures_dir), "--lengths", lengths]
+        code, report = run(["volume", *argv])
+        assert code == 1 and "strictly positive" in report["error"]["message"]
+
+    @pytest.mark.parametrize("lengths", ["[1e308,1e308]", "[5e307,5e307]", "[-1e308,-1e308]"])
+    def test_ideal_lengths_near_the_float_limit(self, fixtures_dir, lengths):
+        # the angles stay pi/3; a covolume beyond the double range is a
+        # numerical failure, never a NaN or Infinity in a report
+        argv = ["--flavor", "ideal", "--triangulation", fig8_path(fixtures_dir), "--lengths", lengths]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, report = run(["angles", *argv])
+            assert code == 0
+            assert np.allclose(report["angles"], math.pi / 3, rtol=0.0, atol=1e-15)
+            json.dumps(report, allow_nan=False)
+            code, report = run(["volume", *argv])
+            assert code == 3 and report["error"]["code"] == "numerical_failure"
+
+    def test_ideal_covolume_inside_the_double_range_is_reported(self, fixtures_dir):
+        argv = ["--flavor", "ideal", "--triangulation", fig8_path(fixtures_dir), "--lengths", "[1e307,1e307]"]
+        code, report = run(["volume", *argv])
+        assert code == 0
+        # two tetrahedra, each 2 sum_p (Lambda(pi/3) + (pi/3) 1e307)
+        assert report["covolume"] == pytest.approx(4 * math.pi * 1e307, rel=1e-15)
+        assert report["volume"] == pytest.approx(6 * lobachevsky(math.pi / 3), abs=1e-15)
 
     def test_rigidity(self, fixtures_dir):
         code, report = run(

@@ -2,6 +2,7 @@
 batched kernel against the scalar per-tetrahedron reference it replaced."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from hypmet.errors import DomainError
 from hypmet.ideal import (
+    _log_side_kernel,
     cov_ideal,
     ideal_kernel,
     ideal_lengths_to_angles,
@@ -410,6 +412,41 @@ class TestIdealKernel:
         assert np.max(np.abs(k.angles - angles)) <= 1e-13
         assert np.max(np.abs(k.cov - cov) / np.maximum(1.0, np.abs(cov))) <= 1e-14
         assert np.max(np.abs(k.vol - vol)) <= 1e-13
+
+    def test_halved_log_sides_are_the_summed_ones_where_those_fit(self):
+        # l_p / 2 + l_{p+3} / 2 rounds as (l_p + l_{p+3}) / 2 wherever the sum
+        # neither overflows nor goes subnormal, so the kernel keeps its bits
+        rng = np.random.default_rng(17)
+        rows = rng.uniform(-3.0, 3.0, (300, 6)) * 10.0 ** rng.integers(-300, 300, (300, 6))
+        k = ideal_kernel(rows)
+        old = _log_side_kernel(0.5 * (rows[:, :3] + rows[:, 3:]))
+        for a, b in zip(k, old):
+            assert a.tobytes() == b.tobytes()
+
+    def test_labels_near_the_float_limit(self):
+        # log sides of up to 1.8e308 in size: the angles and volumes stay
+        # exact and nothing warns; a covolume beyond DBL_MAX / T is NaN
+        big = np.finfo(float).max
+        rows = np.array(
+            [
+                [1e308] * 6,
+                [-1e308] * 6,
+                [big, 0.0, 0.0, big, 0.0, 0.0],
+                [big, -big, 1.0, big, -big, 1.0],
+                [2e307, 0.0, 0.0, 0.0, 0.0, 0.0],
+            ]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = ideal_kernel(rows)
+            one = ideal_kernel(rows[4:])
+        third = math.pi / 3
+        assert np.allclose(k.angles[:2], third, rtol=0.0, atol=1e-15)
+        assert np.array_equal(k.angles[2:4], [[math.pi, 0.0, 0.0]] * 2)
+        assert np.allclose(k.vol, [REGULAR_VOL, REGULAR_VOL, 0.0, 0.0, 0.0], rtol=0.0, atol=1e-15)
+        assert np.all(np.isnan(k.cov[:4]))
+        # a flat row's covolume 2 pi 1e307 fits DBL_MAX / 1 but not DBL_MAX / 5
+        assert np.isnan(k.cov[4]) and one.cov[0] == 2.0 * (math.pi * 1e307)
 
     def test_mixed_flat_and_realized_rows(self):
         rng = np.random.default_rng(14)

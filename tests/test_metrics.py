@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from hypmet.errors import DomainError, UnsupportedAngleTypeError
+from hypmet.errors import DomainError, NumericalError, UnsupportedAngleTypeError
 from hypmet.hyperideal import vol_hyper, volume_from_angles
 from hypmet.ideal import cov_ideal
 from hypmet.lobachevsky import lobachevsky
@@ -308,6 +308,18 @@ class TestCovComplex:
             quad_sum = sum(lobachevsky(x) for x in a[t])
             slot_sum = sum(lobachevsky(x) for x in np.concatenate([a[t], a[t]]))
             assert quad_sum == pytest.approx(0.5 * slot_sum, abs=1e-12)
+
+    def test_covolume_outside_the_double_range_raises(self, fig8):
+        # the angles and the volume of these lengths are fig8's complete
+        # structure; their covolume, about 4 pi 1e308, is no double
+        with pytest.raises(NumericalError, match="outside the double range"):
+            cov_complex(fig8, [1e308, 1e308], "ideal")
+        assert volume_of_metric(fig8, [1e308, 1e308], "ideal") == pytest.approx(
+            6 * lobachevsky(math.pi / 3), abs=1e-15
+        )
+        value, k = cov_complex(fig8, [1e307, 1e307], "ideal")
+        assert value == pytest.approx(4 * math.pi * 1e307, rel=1e-15)
+        assert np.allclose(k, 2 * math.pi, rtol=0.0, atol=1e-14)
 
 
 class TestGaugeInvariance:

@@ -14,7 +14,7 @@ from hypmet.hyperideal import hyper_angles, hyper_jacobian, hyper_kernel
 from hypmet.ideal import ideal_jacobian, ideal_kernel
 from hypmet.metrics import _evaluate, angles_of_metric, cone_angles, cov_complex
 from hypmet.solver import _NewtonSystem, rigidity_check, solve_metric
-from hypmet.triangulation import GluingSpec, build_complex, gauge_matrix
+from hypmet.triangulation import GluingSpec, build_complex, gauge_matrix, load_triangulation
 
 from oracles import FIG8_COCYCLE, cyclic_cover, disjoint_union
 
@@ -277,17 +277,32 @@ class TestNewtonSystem:
         assert len(fill) == 1 and fill[0] < 400_000
         assert np.max(np.abs(gauge_matrix(c).T @ d)) <= 1e-10 and float(r @ d) < 0.0
 
-    def test_pattern_built_once_per_descent_and_only_when_stepping(self, fig8, monkeypatch):
+    def test_pattern_built_once_per_complex_flavor_and_copies_and_only_when_stepping(
+        self, fixtures_dir, monkeypatch
+    ):
         builds = []
-        build = _NewtonSystem._build
+        build = hypmet.solver._newton_pattern
 
-        def counting(self):
-            builds.append(self.flavor)
-            build(self)
+        def counting(c, flavor, copies):
+            builds.append((flavor, copies))
+            return build(c, flavor, copies)
 
-        monkeypatch.setattr(hypmet.solver._NewtonSystem, "_build", counting)
-        res = solve_metric(fig8, [TWO_PI, TWO_PI], "ideal")  # starts at the answer
+        monkeypatch.setattr(hypmet.solver, "_newton_pattern", counting)
+        c = build_complex(load_triangulation(fixtures_dir / "fig8.json"))
+        res = solve_metric(c, [TWO_PI, TWO_PI], "ideal")  # starts at the answer
         assert res.iterations == 0 and builds == []
-        # the three starts descend in lockstep, one descent with one pattern
-        rep = rigidity_check(fig8, [TWO_PI, TWO_PI], "ideal", starts=3, seed=1)
-        assert rep.ok and min(rep.iterations) > 1 and builds == ["ideal"]
+        # the three starts descend in lockstep, one descent with one pattern,
+        # which the complex keeps for the next check with three starts
+        for seed in (1, 2):
+            rep = rigidity_check(c, [TWO_PI, TWO_PI], "ideal", starts=3, seed=seed)
+            assert rep.ok and min(rep.iterations) > 1 and builds == [("ideal", 3)]
+        # one start and the other flavor get their own pattern, once each
+        for flavor, lengths in (("ideal", [0.3, -0.3]), ("hyper", [1.2, 1.5])):
+            k = cone_angles(c, angles_of_metric(c, lengths, flavor))
+            for _ in range(2):
+                assert solve_metric(c, k, flavor).iterations > 0
+        assert builds == [("ideal", 3), ("ideal", 1), ("hyper", 1)]
+        # a complex built anew builds its own
+        fresh = build_complex(load_triangulation(fixtures_dir / "fig8.json"))
+        solve_metric(fresh, k, "hyper")
+        assert builds == [("ideal", 3), ("ideal", 1), ("hyper", 1), ("hyper", 1)]

@@ -1276,3 +1276,53 @@ class TestWConvexity:
         w2 = solve_metric(double_tet, k2, "hyper").w_value
         wm = solve_metric(double_tet, 0.5 * (k1 + k2), "hyper").w_value
         assert wm <= 0.5 * (w1 + w2) + 1e-8
+
+
+def _bits(x):
+    """x as plain data in which every array and float is its bytes, for exact comparison."""
+    if dataclasses.is_dataclass(x):
+        return {f.name: _bits(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    if isinstance(x, (list, tuple)):
+        return [_bits(v) for v in x]
+    if isinstance(x, (np.ndarray, float)):
+        a = np.asarray(x)
+        return a.dtype.str, a.shape, a.tobytes()
+    return x
+
+
+class TestReuseOfOneComplex:
+    # the complex keeps what the solvers derive from it alone (the Newton
+    # patterns, the vertex sums, the copies' slot numbering, the gauge
+    # factor); each call on a complex used many times must give the bits
+    # of the same call on a complex built anew
+    @pytest.mark.parametrize("name", ["cover16", "union16"])
+    def test_calls_match_those_on_a_fresh_complex(self, fixtures_dir, name):
+        with open(fixtures_dir / "fig8.json") as fh:
+            fig8 = json.load(fh)
+        if name == "cover16":
+            spec = GluingSpec.from_dict(cyclic_cover(fig8, FIG8_COCYCLE, 8))
+        else:
+            spec = GluingSpec.from_dict(disjoint_union(fig8, 16))
+        shared = build_complex(spec)
+        e = shared.num_edges
+        rng = np.random.default_rng(61)
+        targets = {
+            flavor: cone_angles(shared, angles_of_metric(shared, lengths, flavor))
+            for flavor, lengths in (
+                ("ideal", rng.uniform(-0.25, 0.25, e)),
+                ("hyper", ACOSH2 + rng.uniform(-0.2, 0.2, e)),
+            )
+        }
+        two_groups = hypmet.solver._GROUP_TETS // shared.n_tets + 2
+        calls = []
+        for flavor, k in targets.items():
+            calls += [
+                lambda c, f=flavor, k=k: solve_metric(c, k, f),
+                lambda c, f=flavor, k=k: rigidity_check(c, k, f, starts=3, seed=1),
+                lambda c, f=flavor, k=k: rigidity_check(c, k, f, starts=10, seed=2),
+                lambda c, f=flavor, k=k: rigidity_check(c, k, f, starts=two_groups, seed=3),
+                lambda c, f=flavor, k=k: classify_maximizer(c, solve_metric(c, k, f)),
+                lambda c, f=flavor, k=k: duality_gap(c, k, solve_metric(c, k, f), 64, seed=4),
+            ]
+        for call in calls + calls[::-1]:
+            assert _bits(call(shared)) == _bits(call(build_complex(spec)))

@@ -527,6 +527,35 @@ class TestGauge:
             for row, xi in zip(rows, x):
                 assert np.max(np.abs(row - gauge_project(c, xi))) <= 1e-14
 
+    @pytest.mark.parametrize(
+        "name, copies, cover",
+        [
+            ("fig8", 1, 1),
+            ("double_tet", 1, 1),
+            ("fig8", 1, 8),
+            ("fig8", 1, 64),
+            ("fig8", 16, 1),
+            ("fig8", 64, 1),
+            ("double_tet", 4, 1),
+            ("double_tet", 16, 1),
+        ],
+    )
+    def test_project_matches_least_squares(self, fixture_dicts, name, copies, cover):
+        # the normal equations B^T B w = B^T x give the fit lstsq gives, to
+        # 1e-13, on vectors and on stacked rows; the unions have V = 16 and 64
+        tri = fixture_dicts[name]
+        if cover > 1:
+            tri = cyclic_cover(tri, FIG8_COCYCLE, cover)
+        c = build_complex(GluingSpec.from_dict(disjoint_union(tri, copies)))
+        b = gauge_matrix(c)
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(4, c.num_edges))
+        x[0] += b @ rng.normal(size=c.num_vertices)  # a large gauge component
+        w, *_ = np.linalg.lstsq(b, x.T, rcond=None)
+        want = x - (b @ w).T
+        assert np.max(np.abs(gauge_project(c, x) - want)) <= 1e-13
+        assert np.max(np.abs(gauge_project(c, x[1]) - want[1])) <= 1e-13
+
 
 class TestStackedQuotientKernel:
     def test_stacked_quotient_kernel_equals_gauge_space(self, fig8, double_tet):
