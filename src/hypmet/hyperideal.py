@@ -15,10 +15,10 @@ Outside L the complement splits into three flat regions Omega_p, one per
 opposite pair, where the pair carries phi <= -1 (dihedral angle pi) and the
 four remaining edges carry phi >= 1 (angle 0).  The dihedral angle map
 extends continuously to all of R^6 by clamping lengths at zero and clamping
-phi into [-1, 1] before arccos.  phi is evaluated on cosh values rescaled
-by a power of two near the largest cosh of the tetrahedron, so long edges
-cannot overflow; the rescaling is exact, so phi keeps the rounding of the
-unscaled cosine law.
+phi into [-1, 1] before arccos.  Once an edge is longer than 64, phi is
+evaluated on cosh values rescaled by a power of two near the largest cosh
+of the tetrahedron, so long edges cannot overflow; the rescaling is exact,
+so phi keeps the rounding of the unscaled cosine law.
 
 The covolume is the C^1 convex primitive of the closed 1-form
 mu = sum_s a_s dl_s with base value cov(0) = 16 Lambda(pi/4), the doubled
@@ -142,19 +142,20 @@ _GATHER = np.concatenate(
     + [np.array([row[i] for row in _SLOT_TABLE]) for i in range(5)]
 )
 
-# hyper_jacobian's scatter positions: (face, slot) of the three slots of each
-# face, in the order of _GATHER's face columns; (slot s, slot u) of the
-# slots s, ik, ih, jk, jh and kh of each slot s
-_FACE_ROWS = np.tile(np.arange(4), (3, 1))
-_FACE_COLS = np.array(list(zip(*_FACE_SLOTS)))
-_NUM_ROWS = np.tile(np.arange(6), (6, 1))
-_NUM_COLS = np.array([list(range(6))] + [[row[i] for row in _SLOT_TABLE] for i in range(5)])
+# hyper_jacobian's gathers of entry (s, u): of d log F1 and d log F2 from
+# each face f's derivatives in its k-th slot (4 k + f) and a zero (12); of
+# d num_s from its derivatives in the slots s, ik, ih, jk, jh, kh (6 term + s)
+_DLOG = np.array(
+    [[[4 * _FACE_SLOTS[row[n]].index(u) + row[n] if u in _FACE_SLOTS[row[n]] else 12 for u in range(6)]
+      for row in _SLOT_TABLE] for n in (5, 6)]
+)
+_DNUM = np.array([[6 * ((s,) + _SLOT_TABLE[s][:5]).index(u) + s for u in range(6)] for s in range(6)])
 
 # slot of the edge shared by faces f != g
 _SHARED = np.array(
     [[_slot(*(set(f) & set(g))) if f != g else 0 for g in FACES] for f in FACES]
 )
-_OFF_DIAGONAL = ~np.eye(4, dtype=bool)
+_DIAGONAL = np.eye(4, dtype=bool)
 
 
 def _slot_sums(groups):
@@ -180,7 +181,8 @@ _PHASE_SIGN = np.array([1, 1, 1, -1, -1, -1, -1, 1], dtype=float)
 _BETA = _slot_sums(((),) + tuple(set(range(6)) - set(p) for p in _PAIRS) + VERTEX_SLOTS)
 _SIGN = np.array([1, 1, 1, 1, -1, -1, -1, -1], dtype=float)
 _PHASES_AND_BETA = np.hstack((_DEN_PHASES, _BETA))
-_PAIR_SLOTS = np.array([[s in p for s in range(6)] for p in _PAIRS])
+_PI_ON_PAIR = math.pi * np.array([[s in p for s in range(6)] for p in _PAIRS])
+_ROOT_SIGNS = np.array([-1.0, 1.0])
 
 # both angles of a pair this close to pi: the tetrahedron is in the near-wall
 # band, where the kernel integrates instead of using its closed-form angles
@@ -243,6 +245,12 @@ def _phi(lp):
     return _cosine_law(lp)[0]
 
 
+def _gathered(c):
+    """The face slots ca, cb, cc, shape (T, 4), and ik, ih, jk, jh, kh, shape (T, 6), of c."""
+    g = c.take(_GATHER, axis=1)
+    return g[:, 0:4], g[:, 4:8], g[:, 8:12], g[:, 12:18], g[:, 18:24], g[:, 24:30], g[:, 30:36], g[:, 36:]
+
+
 def _cosine_law(lp):
     """phi of nonnegative lengths lp, shape (T, 6), and the terms it is made of.
 
@@ -258,6 +266,8 @@ def _cosine_law(lp):
     taken.  Every rescaling is exact, so phi is the unscaled cosine law on
     numpy's cosh to the last bit wherever that does not overflow (math.cosh
     may differ in the last bit, so a scalar cosine law agrees to a few ulp).
+    When no length of the batch exceeds _SCALE_FROM every m is 0: c is
+    cosh l itself and den is sqrt(F1 F2), with none of the rescaling steps.
 
     The one scale per tetrahedron also sets the range: a face without the
     longest edge scales like 2^-3m, so one edge longer than about 216 next
@@ -267,15 +277,17 @@ def _cosine_law(lp):
     top = lp.max(initial=0.0)
     if top > _MAX_LENGTH:
         raise NumericalError(f"edge length {top} exceeds the cosine law's range {_MAX_LENGTH}")
-    ch = np.cosh(np.minimum(lp, _COSH_MAX))
-    m = np.floor(lp.max(axis=1, keepdims=True) / _LN2)
-    m[m <= _SCALE_FROM / _LN2] = 0.0
-    shift = -m.astype(int)
-    c = np.where(lp < _COSH_MAX, np.ldexp(ch, shift), 0.5 * np.exp(lp - m * _LN2))
-    e = np.ldexp(1.0, shift)
-    g = c[:, _GATHER]
-    ca, cb, cc = g[:, 0:4], g[:, 4:8], g[:, 8:12]
-    ik, ih, jk, jh, kh = (g[:, 12 + 6 * i : 18 + 6 * i] for i in range(5))
+    if top <= _SCALE_FROM:
+        c = ch = np.cosh(lp)
+        e = np.ones((len(lp), 1))
+    else:
+        ch = np.cosh(np.minimum(lp, _COSH_MAX))
+        m = np.floor(lp.max(axis=1, keepdims=True) / _LN2)
+        m[m <= _SCALE_FROM / _LN2] = 0.0
+        shift = -m.astype(int)
+        c = np.where(lp < _COSH_MAX, np.ldexp(ch, shift), 0.5 * np.exp(lp - m * _LN2))
+        e = np.ldexp(1.0, shift)
+    ca, cb, cc, ik, ih, jk, jh, kh = _gathered(c)
     # (2 ca cb cc + ca^2 + cb^2 + cc^2 - 1) / 2^3m
     face = 2.0 * ca * cb * cc + e * (ca * ca) + e * (cb * cb) + e * (cc * cc) - e * e * e
     if face.min(initial=math.inf) < _FACE_FLOOR:
@@ -283,9 +295,12 @@ def _cosine_law(lp):
         raise NumericalError(
             f"edge lengths {tuple(lp[row].tolist())} spread too widely for the cosine law"
         )
-    half = np.frexp(face)[1] // 2
-    unit = np.ldexp(face, -2 * half)
-    den = np.ldexp(np.sqrt(unit[:, _F1] * unit[:, _F2]), half[:, _F1] + half[:, _F2])
+    if top <= _SCALE_FROM:  # every m is 0, and F1 F2 fits a double
+        den = np.sqrt(face[:, _F1] * face[:, _F2])
+    else:
+        half = np.frexp(face)[1] // 2
+        unit = np.ldexp(face, -2 * half)
+        den = np.ldexp(np.sqrt(unit[:, _F1] * unit[:, _F2]), half[:, _F1] + half[:, _F2])
     num = e * (ik * ih) + e * (jk * jh) + c * (ik * jh + ih * jk) - (c * c - e * e) * kh
     return np.where(ch == 1.0, 1.0, num / den), c, e, face, den
 
@@ -431,17 +446,20 @@ def hyper_kernel(l, tol=1e-10):
     ph, c, e, face, den = _cosine_law(lp)
     a = _angles(ph)
     vol = _volume(a)
-    pair, near = _regions(ph, a)
-    flat = np.flatnonzero(pair >= 0)
-    vol[flat] = 0.0
     cov = 2.0 * vol + np.einsum("ij,ij->i", a, lp)
-    p = pair[flat]
-    cov[flat] = math.pi * (lp[flat, p] + lp[flat, p + 3])
-    band = near.any(axis=1)
-    for t in np.flatnonzero(band):
-        cov[t] = _cov_near_wall(lp[t], int(near[t].argmax()), tol)
-        vol[t] = 0.5 * (cov[t] - float(a[t] @ lp[t]))
-    return HyperKernel(ph, a, cov, vol, lp, c, e, face, den, (pair < 0) & ~band)
+    smooth = np.ones(len(lp), dtype=bool)
+    if a.max(initial=0.0) > math.pi - _BAND:  # some row may be flat or in the band
+        pair, near = _regions(ph, a)
+        flat = np.flatnonzero(pair >= 0)
+        p = pair[flat]
+        vol[flat] = 0.0
+        cov[flat] = math.pi * (lp[flat, p] + lp[flat, p + 3])
+        band = near.any(axis=1)
+        for t in np.flatnonzero(band):
+            cov[t] = _cov_near_wall(lp[t], int(near[t].argmax()), tol)
+            vol[t] = 0.5 * (cov[t] - float(a[t] @ lp[t]))
+        smooth = (pair < 0) & ~band
+    return HyperKernel(ph, a, cov, vol, lp, c, e, face, den, smooth)
 
 
 def hyper_jacobian(kernel):
@@ -451,33 +469,32 @@ def hyper_jacobian(kernel):
     give the Jacobian at the point it evaluated.  By the chain rule through
     the cosine law, d a_s = -d phi_s / sin a_s, where phi_s = num_s /
     sqrt(F1 F2) is differentiated in c = cosh l (see _cosine_law) and
-    dc/dl = sinh l.  By Schlaefli's formula the angles are the gradient of
-    the covolume, so the Jacobian is symmetric.  It is zero on the rows and
-    columns of clamped slots (l <= 0), and a zero block on flat tetrahedra
-    and on those in the near-wall band, where sin a -> 0 makes the
-    derivative blow up.
+    dc/dl = e sinh l (e = 1 unless some length exceeds _SCALE_FROM).  By
+    Schlaefli's formula the angles are the gradient of the covolume, so the
+    Jacobian is symmetric.  It is zero on the rows and columns of clamped
+    slots (l <= 0), and a zero block on flat tetrahedra and on those in the
+    near-wall band, where sin a -> 0 makes the derivative blow up.
     """
     ph, _, _, _, lp, c, e, face, den, smooth = kernel
-    g = c[:, _GATHER]
-    ca, cb, cc = g[:, 0:4], g[:, 4:8], g[:, 8:12]
-    ik, ih, jk, jh, kh = (g[:, 12 + 6 * i : 18 + 6 * i] for i in range(5))
-    # d log F_f / d c_u on the three slots of each face f
-    dlog_face = np.zeros((len(lp), 4, 6))
-    dface = np.stack([cb * cc + e * ca, ca * cc + e * cb, ca * cb + e * cc], axis=1)
-    dlog_face[:, _FACE_ROWS, _FACE_COLS] = 2.0 * dface / face[:, None]
+    ca, cb, cc, ik, ih, jk, jh, kh = _gathered(c)
+    eca, ecb, ecc, eik, eih, ejk, ejh, _ = _gathered(e * c)
+    # half of d log F_f / d c_u on the three slots of each face f; a zero row
+    dlog = np.zeros((len(lp), 4, 4))
+    dlog[:, :3] = np.stack([cb * cc + eca, ca * cc + ecb, ca * cb + ecc], axis=1) / face[:, None]
+    dlog = dlog.reshape(-1, 16)
     # d num_s / d c_u on the slots s, ik, ih, jk, jh and kh of slot s
-    dnum = np.zeros((len(lp), 6, 6))
-    dnum[:, _NUM_ROWS, _NUM_COLS] = np.stack(
-        [ik * jh + ih * jk - 2.0 * c * kh, e * ih + c * jh, e * ik + c * jk,
-         e * jh + c * ih, e * jk + c * ik, e * e - c * c],
-        axis=1,
-    )
-    dphi = dnum / den[:, :, None] - 0.5 * ph[:, :, None] * (dlog_face[:, _F1] + dlog_face[:, _F2])
-    sh = np.where(lp < _COSH_MAX, np.sinh(np.minimum(lp, _COSH_MAX)) * e, c)
+    dnum = np.hstack([ik * jh + ih * jk - 2.0 * c * kh, eih + c * jh, eik + c * jk,
+                      ejh + c * ih, ejk + c * ik, e * e - c * c])
     inside = np.abs(ph) < 1.0
-    sin = np.sqrt(1.0 - np.where(inside, ph, 0.0) ** 2)
-    jac = np.where(inside[:, :, None], -dphi * sh[:, None, :] / sin[:, :, None], 0.0)
-    jac[~smooth] = 0.0
+    # 1 / sin a_s, and 0 on the slots whose angle is clamped at 0 or pi
+    w = inside / np.sqrt(1.0 - np.where(inside, ph, 0.0) ** 2)
+    # d a_s / d c_u = (phi_s (d log F1 + d log F2) / 2 - d num_s / den_s) / sin a_s
+    jac = (dlog.take(_DLOG[0], axis=1) + dlog.take(_DLOG[1], axis=1)) * (ph * w)[:, :, None]
+    jac -= dnum.take(_DNUM, axis=1) * (w / den)[:, :, None]
+    sh = np.where(lp < _COSH_MAX, np.sinh(np.minimum(lp, _COSH_MAX)) * e, c)
+    jac *= sh[:, None, :]
+    if not smooth.all():
+        jac[~smooth] = 0.0
     return jac
 
 
@@ -501,7 +518,7 @@ def _volume(a):
     serves every tetrahedron.
     """
     p = np.argmax(np.minimum(a[:, :3], a[:, 3:]), axis=1)
-    dev = a - math.pi * _PAIR_SLOTS[p]
+    dev = a - _PI_ON_PAIR[p]
     sn = np.sin(dev)
     s = np.einsum("ij,ij->i", sn[:, :3], sn[:, 3:])
     # einsum and sums here and in _phase_sum, not matrix products: BLAS
@@ -511,7 +528,7 @@ def _volume(a):
     re, im = _phase_sum(sums[:, :8])
     delta = np.arctan2(im, re)
     root = np.sqrt(np.maximum(_gram_determinant(dev), 0.0))
-    theta = np.stack([np.arctan2(-root, -s), np.arctan2(root, -s)], axis=1) - delta[:, None]
+    theta = np.arctan2(root[:, None] * _ROOT_SIGNS, -s[:, None]) - delta[:, None]
     lam = lobachevsky_array(0.5 * (sums[:, 8:, None] + theta[:, None, :]))
     return 0.5 * np.abs(((lam[:, :, 0] - lam[:, :, 1]) * _SIGN).sum(axis=1))
 
@@ -550,9 +567,9 @@ def _gram_determinant(dev):
     whose entries are small near that pattern and accurate to their last
     bits.
     """
-    half = np.sin(0.5 * dev[:, _SHARED])
+    half = np.sin(0.5 * dev.take(_SHARED, axis=1))
     e = -2.0 * half * half
-    e[:, ~_OFF_DIAGONAL] = 0.0
+    e[:, _DIAGONAL] = 0.0
     r = e[:, 0, 1:]
     m = e[:, 1:, 1:] - e[:, 1:, :1] - e[:, :1, 1:] - r[:, :, None] * r[:, None, :]
     return -np.linalg.det(m)
@@ -605,7 +622,7 @@ def _cov_near_wall(lp, p, tol):
 def _angle_types(a):
     """Vertex sums (T, 4) and the type-I and type-II rows of angle vectors a, shape (T, 6)."""
     sums = a[:, VERTEX_SLOTS].sum(axis=2)
-    type_2 = (np.abs(a[:, None, :] - math.pi * _PAIR_SLOTS) <= _ANGLE_TOL).all(axis=2).any(axis=1)
+    type_2 = (np.abs(a[:, None, :] - _PI_ON_PAIR) <= _ANGLE_TOL).all(axis=2).any(axis=1)
     return sums, (sums < math.pi).all(axis=1), type_2
 
 

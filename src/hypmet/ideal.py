@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .hyperideal import _check_batch, _check_six
 from .lobachevsky import lobachevsky, lobachevsky_array
 
@@ -222,12 +222,16 @@ def phi_star(y1, y2, y3):
     The gradient of phi_star is exactly the angle vector.  On the degenerate
     region exp(y_i) >= exp(y_j) + exp(y_k) the formula collapses to the
     closed form pi * y_i because the angles are exactly (pi, 0, 0) and
-    Lambda(pi) = 0.  The T = 1 view of the kernel on log sides.
+    Lambda(pi) = 0.  The T = 1 view of the kernel on log sides; a
+    covolume 2 phi_star outside the double range raises NumericalError.
     """
     ys = (float(y1), float(y2), float(y3))
     if not all(math.isfinite(v) for v in ys):
         raise DomainError(f"phi_star requires finite arguments, got {ys}")
-    k = _log_side_kernel(np.array([ys]))
+    with np.errstate(over="ignore"):
+        k = _log_side_kernel(np.array([ys]))
+    if not math.isfinite(k.cov[0]):
+        raise NumericalError(f"the covolume at log sides {ys} is outside the double range")
     return 0.5 * float(k.cov[0]), tuple(k.angles[0].tolist())
 
 
@@ -236,8 +240,8 @@ def cov_ideal(l):
 
     Returns (value, gradient) with value = 2 * phi_star of the log sides and
     gradient slot i equal to the dihedral angle there (the Schlaefli-type
-    identity d cov / d l_i = a_i).  The T = 1 view of ideal_kernel.
+    identity d cov / d l_i = a_i); the T = 1 view of ideal_kernel.
     """
-    k = ideal_kernel([_check_six(l, "edge labels")])
-    a = tuple(k.angles[0].tolist())
-    return float(k.cov[0]), a + a
+    l = _check_six(l, "edge labels")
+    value, a = phi_star(*(0.5 * l[p] + 0.5 * l[p + 3] for p in range(3)))
+    return 2.0 * value, a + a

@@ -460,7 +460,9 @@ class _NewtonSystem:
         jacobian = hyper_jacobian if self.flavor == "hyper" else ideal_jacobian
         blocks = jacobian(record._make(a.reshape(-1, *a.shape[2:]) for a in record)).ravel()
         nnz = m * p.nnz
-        data = p.fixed[:nnz] + np.bincount(p.pos[: blocks.size], blocks, nnz)
+        data = np.bincount(p.pos[: blocks.size], blocks, nnz)
+        if self.flavor == "ideal":  # the border B; the hyper system has none
+            data += p.fixed[:nnz]
         data[p.diagonal[:m]] += shift
         matrix = self._matrix(m)
         matrix.data[:] = data

@@ -549,12 +549,18 @@ class TestHyperKernel:
 
     def test_rows_do_not_depend_on_the_batch(self):
         # every field of a row has the same bits whatever rows share its
-        # call, flat rows and long scaled lengths included
+        # call: flat and near-wall rows, and rows up to 64 long, which take
+        # the unscaled cosine law alone and the scaled one next to a row
+        # with a longer edge
         rng = np.random.default_rng(22)
+        near_wall = flat_wall_point(0.6) - [1e-9, 0, 0, 1e-9, 0, 0]
         for _ in range(200):
             lengths = rng.uniform(-0.5, 3.0, (int(rng.integers(2, 26)), 6))
             lengths[rng.random(len(lengths)) < 0.2] = flat_wall_point(0.6) + [0.3, 0, 0, 0.3, 0, 0]
+            lengths[rng.random(len(lengths)) < 0.05] = near_wall
             lengths[rng.random(len(lengths)) < 0.1, 0] += 70.0
+            top = np.flatnonzero((rng.random(len(lengths)) < 0.1) & (lengths.max(axis=1) < 64.0))
+            lengths[top, rng.integers(0, 6, len(top))] = 64.0
             kernel = hyper_kernel(lengths)
             for t in range(len(lengths)):
                 for got, want in zip(kernel, hyper_kernel(lengths[t : t + 1])):

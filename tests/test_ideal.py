@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypmet.errors import DomainError
+from hypmet.errors import DomainError, NumericalError
 from hypmet.ideal import (
     _log_side_kernel,
     cov_ideal,
@@ -256,8 +256,35 @@ class TestPhiStar:
             assert np.allclose(fd, grad, rtol=1e-5, atol=1e-7)
             checked += 1
 
+    @pytest.mark.parametrize("y", [(1e308,) * 3, (-1e308,) * 3, (1e308, 0.0, 0.0)])
+    def test_covolume_past_the_float_limit_raises(self, y):
+        # pi * 1e308 leaves the double range: a typed error, no overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError):
+                phi_star(*y)
+
+    def test_covolume_near_the_float_limit(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, grad = phi_star(1e307, 1e307, 1e307)
+        assert value == pytest.approx(math.pi * 1e307, rel=1e-15)
+        assert grad == pytest.approx((math.pi / 3,) * 3, abs=1e-15)
+
 
 class TestCovIdeal:
+    @pytest.mark.parametrize("l", [[1e308] * 6, [-1e308] * 6, [1e308, 1e308, 0, 1e308, 0, 0]])
+    def test_covolume_past_the_float_limit_raises(self, l):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError):
+                cov_ideal(l)
+
+    def test_covolume_near_the_float_limit(self):
+        value, grad = cov_ideal([1e307] * 6)
+        assert value == pytest.approx(2 * math.pi * 1e307, rel=1e-15)
+        assert grad == pytest.approx((math.pi / 3,) * 6, abs=1e-15)
+
     def test_at_origin(self):
         value, grad = cov_ideal([0.0] * 6)
         assert value == pytest.approx(2 * REGULAR_VOL, abs=1e-10)

@@ -168,6 +168,23 @@ class TestHyperJacobian:
         assert np.all(jac[::2, 4, :] == 0.0) and np.all(jac[::2, :, 4] == 0.0)
         assert asymmetry(jac) <= 1e-12
 
+    def test_rows_are_independent(self):
+        # alone, a row no longer than 64 takes the unscaled cosine law; next
+        # to longer rows it takes the scaled law with scale 1: same bits
+        rows = np.random.default_rng(45).uniform(0.3, 2.5, (24, 6))
+        rows[1] = flat_wall_row(0.5)
+        rows[2] = flat_wall_row(0.7, past=0.4)
+        rows[3] = flat_wall_row(0.6, past=-1e-9)
+        rows[4, [1, 4]] = [-0.5, 0.0]
+        rows[5] = [-0.5, -1.0, 0.0, -2.0, -0.1, -0.3]
+        rows[6] += 64.5
+        rows[7] += 705.0
+        rows[8, 0] = 70.0
+        rows[9, 2] = 64.0
+        jac = hyper_jacobian_at(rows)
+        for t, row in enumerate(rows):
+            assert np.array_equal(hyper_jacobian_at([row])[0], jac[t])
+
 
 def dense_hessian(c, x, flavor):
     jacobian = ideal_jacobian_at if flavor == "ideal" else hyper_jacobian_at
