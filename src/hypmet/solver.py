@@ -29,17 +29,17 @@ SuperLU.  The solver evaluates no tetrahedron itself: every point goes
 through metrics._evaluate, the library's one evaluator, once.  The
 descent keeps the kernel record of the accepted point, and both the
 Jacobians and the results read it.  The ideal H vanishes on the
-decoration gauge col(B), so its system is bordered by the gauge matrix B
-and the step stays in ker B^T; a minimum-degree ordering keeps the
-border's dense row and column from filling in the factors.  What depends
-on the complex alone is derived once per complex and kept on it
-(triangulation.Complex._derive): H's sparsity pattern, per flavor and
-start count, the vertex sums of the target check, and the factor of the
-gauge projection that the ideal results go through, so repeated solves
-on one complex build none of them again.
+decoration gauge col(B), H B = 0, so both flavors factor one E x E
+matrix; the ideal step goes through the gauge projection onto ker B^T
+before and after the solve, which gives the step of the system bordered
+by B.  What depends on the complex alone is derived once per complex and
+kept on it (triangulation.Complex._derive): H's sparsity pattern, per
+start count, the vertex sums of the target check, and the gauge
+projection's matrices, so repeated solves on one complex build none of
+them again.
 Every ideal metric's cone angles meet the vertex sums (B^T k_x)_v = pi n_v
 (n_v corners in vertex class v), so the residual for a target that meets
-them is orthogonal to col(B) and needs no projection.
+them is orthogonal to col(B), and steps in ker B^T can drive it to zero.
 
 The step solves (H + mu I) d = -r with mu = |r| min(1, |r|) in the max
 norm.  Flat and near-wall tetrahedra contribute zero blocks, and where the
@@ -47,8 +47,10 @@ covolume is linear along a direction H cannot bound the step: the plain
 Newton step there ran to lengths of 1e17 and more from random starts on a
 16-tetrahedron cover.  The shift keeps such steps the size of the
 residual, and near the solution, where mu = |r|^2, it leaves the
-convergence quadratic.  Where the factorization is singular anyway, or
-the step is no descent direction, the step is the steepest-descent -r.
+convergence quadratic; it is never below _SHIFT_FLOOR times H's largest
+diagonal entry, or it would be lost when rounded onto that diagonal.
+Where the factorization is singular anyway, or the step is no descent
+direction, the step is the steepest-descent -r.
 A backtracking Armijo line search damps the step.  One covolume call per
 trial point gives value and gradient; the Armijo test allows 8 ulp of
 |cov(x)| + |<x, k>| at both points (at least 1e-13).
@@ -134,6 +136,9 @@ _DUALITY_SPREAD = 1.0
 # the Armijo test's roundoff allowance, absolute and per unit of f's terms
 _ROUNDOFF = 1e-13
 _ULPS = 8.0 * np.finfo(float).eps
+# the least Newton shift, per unit of the start's largest diagonal entry of H
+# (see _NewtonSystem)
+_SHIFT_FLOOR = 1e-12
 
 
 @dataclass
@@ -348,73 +353,62 @@ class _Pattern(NamedTuple):
     """The CSC pattern of the Newton matrix of some copies of a complex (see _NewtonSystem)."""
 
     pos: np.ndarray  # the data index of each Jacobian block entry
-    fixed: np.ndarray  # the data, 0 but for the border's entries of B
-    diagonal: np.ndarray  # the data index of each diagonal entry of H, copy by copy
+    diagonal: np.ndarray  # the data index of each diagonal entry, one row per copy
     indices: np.ndarray  # C int, as SuperLU takes them, so that no step copies them
     indptr: np.ndarray
-    n: int  # the size of one copy's matrix
-    nnz: int  # its number of entries
+    nnz: int  # one copy's number of entries
 
 
-def _newton_pattern(c, flavor, copies):
-    """The _Pattern of the flavor's Newton matrix of `copies` copies of c."""
+def _newton_pattern(c, copies):
+    """The _Pattern of the Newton matrix of `copies` copies of c, for both flavors."""
     e_count, shape = c.num_edges, (copies, c.n_tets, 6, 6)
-    n = e_count + (c.num_vertices if flavor == "ideal" else 0)
-    first = n * np.arange(copies)[:, None]  # each copy's first index
-    edges = c.edge_index + first[:, :, None]
+    edges = c.edge_index + e_count * np.arange(copies)[:, None, None]
     rows = np.broadcast_to(edges[..., :, None], shape).ravel()
     cols = np.broadcast_to(edges[..., None, :], shape).ravel()
-    if flavor == "ideal":
-        # B[e, v] counts the endpoints of edge e in vertex class v
-        ends = (e_count + c.edge_endpoints.ravel() + first).ravel()
-        edges = (np.repeat(np.arange(e_count), 2) + first).ravel()
-        rows = np.concatenate([rows, edges, ends])
-        cols = np.concatenate([cols, ends, edges])
-    size = n * copies
+    size = e_count * copies
     keys, pos = np.unique(cols * size + rows, return_inverse=True)
-    blocks = math.prod(shape)
     return _Pattern(
-        pos=pos[:blocks],
-        fixed=np.bincount(pos[blocks:], minlength=len(keys)).astype(float),
-        diagonal=np.searchsorted(keys, (np.arange(e_count) + first) * (size + 1)),
+        pos=pos,
+        diagonal=np.searchsorted(keys, np.arange(size).reshape(copies, e_count) * (size + 1)),
         indices=(keys % size).astype(np.intc),
         indptr=np.searchsorted(keys, np.arange(size + 1) * size).astype(np.intc),
-        n=n,
         nnz=len(keys) // copies,
     )
 
 
 class _NewtonSystem:
-    """The Newton matrices H = op blockdiag(J_t) op^T of up to `copies` starts on one complex.
+    """The Newton matrices H + mu I of up to `copies` starts on one complex.
 
-    op is the incidence operator, so H[e, f] sums J_t[s, s'] over the slots
+    H = op blockdiag(J_t) op^T with op the incidence operator, so H[e, f] sums J_t[s, s'] over the slots
     s of e and s' of f in each tetrahedron t.  Its sparsity pattern depends
-    on the complex alone: the complex keeps it, one per flavor and copy
-    count, made on the first step that needs it (_newton_pattern), so
-    repeated solves on one complex build it once.  Each step forms the
-    (T, 6, 6) blocks from the points' kernel record and scatters them into
-    the system's own CSC data with one bincount.  The ideal H
-    vanishes on the gauge directions col(B), so it is bordered,
-    [[H, B], [B^T, 0]], which confines the step to ker B^T.  B has full
-    column rank, since each tetrahedron's vertices span triangles; H + B B^T
-    would be dense wherever one vertex class has most edges (every fig8
-    cover has V = 1).  Its border row and column are what the minimum-degree
-    ordering MMD_AT_PLUS_A keeps from filling in; the unbordered hyper
-    system keeps SuperLU's default COLAMD, which is cheaper on small
-    complexes.
+    on the complex alone: the complex keeps it, one per copy count and
+    shared by both flavors, made on the first step that needs it
+    (_newton_pattern), so repeated solves on one complex build it once.
+    Each step forms the (T, 6, 6) blocks from the points' kernel record and
+    scatters them into the system's own CSC data with one bincount; SuperLU
+    factors it under its default ordering.
+
+    The ideal H vanishes on the gauge directions col(B), H B = 0, so H
+    commutes with the gauge projection P onto ker B^T, and the step P (H +
+    mu I)^-1 (-P r) is the step of the bordered system [[H + mu I, B],
+    [B^T, 0]] without its border: the residual is projected before the
+    solve and the step after it (triangulation.gauge_project).  On col(B)
+    the matrix is mu I alone, so the shift is at least _SHIFT_FLOOR times
+    the start's largest diagonal entry of H, for both flavors; a smaller
+    one is lost when rounded onto that diagonal, which leaves the matrix
+    singular or nearly so.
 
     The systems of m starts are the diagonal blocks of one matrix, the
     Newton matrix of m disjoint copies of the complex, factored at once.
-    The pattern numbers the copies directly, copy i's edges (and vertex
-    classes) after copy i - 1's, so the first m copies are a prefix of its
-    CSC arrays, and each m gets its matrix once.
+    The pattern numbers the copies directly, copy i's edges after copy
+    i - 1's, so the first m copies are a prefix of its CSC arrays, and each
+    m gets its matrix once.
     """
 
     def __init__(self, c, flavor, copies=1):
         self.c = c
         self.flavor = flavor
         self.copies = copies
-        self.ordering = "MMD_AT_PLUS_A" if flavor == "ideal" else "COLAMD"
         self.pattern = None
         self.matrix = None
         self._matrices = {}
@@ -423,9 +417,9 @@ class _NewtonSystem:
         matrix = self._matrices.get(m)
         if matrix is None:
             p = self.pattern
-            n, nnz = m * p.n, m * p.nnz
+            n, nnz = m * self.c.num_edges, m * p.nnz
             matrix = self._matrices[m] = csc_array(
-                (p.fixed[:nnz].copy(), p.indices[:nnz], p.indptr[: n + 1]), shape=(n, n)
+                (np.zeros(nnz), p.indices[:nnz], p.indptr[: n + 1]), shape=(n, n)
             )
         self.matrix = matrix
         return matrix
@@ -433,46 +427,48 @@ class _NewtonSystem:
     def _solve_block(self, data, i, rhs):
         """Start i's system alone; NaN, so that the step falls back to -r, where it is singular."""
         p = self.pattern
-        n, nnz = p.n, p.nnz
+        n, nnz = self.c.num_edges, p.nnz
         block = csc_array(
             (data[i * nnz : (i + 1) * nnz], p.indices[:nnz], p.indptr[: n + 1]), shape=(n, n)
         )
         try:
-            return splu(block, permc_spec=self.ordering).solve(rhs)
+            return splu(block).solve(rhs)
         except RuntimeError:
             return np.full(n, np.nan)
 
     def step(self, record, r, shift):
-        """The steps d with (H + shift I) d = -r, or -r where that is no descent direction.
+        """The steps d with (H + mu' I) d = -r, or -r where that is no descent direction.
 
         record is the kernel record of the points of m <= copies starts, each
         array of shape (m, T, ...), from which the flavor's Jacobian forms H.
         r is an array (m, E), one start per row, and shift an array (m, 1); or
-        r is one start's vector and shift its number.  Where the matrix of
-        all m starts is exactly singular, each start's block is solved alone.
+        r is one start's vector and shift its number.  mu' is the shift, or
+        _SHIFT_FLOOR times the start's largest |H_ee| where that is larger.
+        Ideal steps are confined to ker B^T.  Where the matrix of all m
+        starts is exactly singular, each start's block is solved alone.
         """
         if self.pattern is None:
-            self.pattern = self.c._derive(_newton_pattern, self.flavor, self.copies)
+            self.pattern = self.c._derive(_newton_pattern, self.copies)
         p = self.pattern
         e_count = self.c.num_edges
         rows = r.reshape(-1, e_count)
         m = len(rows)
         jacobian = hyper_jacobian if self.flavor == "hyper" else ideal_jacobian
         blocks = jacobian(record._make(a.reshape(-1, *a.shape[2:]) for a in record)).ravel()
-        nnz = m * p.nnz
-        data = np.bincount(p.pos[: blocks.size], blocks, nnz)
-        if self.flavor == "ideal":  # the border B; the hyper system has none
-            data += p.fixed[:nnz]
-        data[p.diagonal[:m]] += shift
+        data = np.bincount(p.pos[: blocks.size], blocks, m * p.nnz)
+        diagonal = p.diagonal[:m]
+        h = data[diagonal]
+        floor = _SHIFT_FLOOR * np.maximum.reduce(np.abs(h), axis=1, keepdims=True)
+        data[diagonal] = h + np.maximum(shift, floor)
         matrix = self._matrix(m)
         matrix.data[:] = data
-        rhs = np.zeros((m, p.n))
-        rhs[:, :e_count] = -rows
+        rhs = -gauge_project(self.c, rows) if self.flavor == "ideal" else -rows
         try:
-            d = splu(matrix, permc_spec=self.ordering).solve(rhs.ravel()).reshape(m, p.n)
+            d = splu(matrix).solve(rhs.ravel()).reshape(m, e_count)
         except RuntimeError:  # exactly singular
             d = np.array([self._solve_block(data, i, rhs[i]) for i in range(m)])
-        d = d[:, :e_count]
+        if self.flavor == "ideal":
+            d = gauge_project(self.c, d)
         steepest = ~np.logical_and.reduce(np.isfinite(d), axis=1) | (_rowdot(rows, d) >= 0.0)
         if steepest.any():
             d[steepest] = -rows[steepest]

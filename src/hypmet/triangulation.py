@@ -26,12 +26,12 @@ order.
 The decoration gauge: a vector w of reals on vertex classes acts on edge
 vectors by adding the endpoint values, w(v) + w(v') (twice w(v) on loops).
 gauge_matrix returns that linear map B; gauge_project removes the gauge
-component by solving the V x V normal equations B^T B w = B^T x.
+component, the fit B w with w = (B^T B)^-1 B^T x of the normal equations.
 
 A complex never changes once built, so what is computed from it alone is
 computed once: the class tuples are cached properties, and Complex._derive
 keeps the arrays the solvers derive from it (the Newton pattern, the
-vertex sums, the copies' slot numbering, the gauge projector's factor) on
+vertex sums, the copies' slot numbering, the gauge projector's matrices) on
 the complex, made on first use and read-only.
 """
 
@@ -41,7 +41,6 @@ from functools import cached_property
 from itertools import chain
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
@@ -293,23 +292,22 @@ def gauge_apply(c, w, x):
     return x + (w[c.edge_endpoints[:, 0]] + w[c.edge_endpoints[:, 1]])
 
 
-def _gauge_factor(c):
-    """B and the Cholesky factor of B^T B, (B, factor, lower); B has full column rank."""
+def _gauge_fit(c):
+    """B and B (B^T B)^-1, whose product with x^T is the fit of x; B has full column rank."""
     b = gauge_matrix(c)
-    return b, *cho_factor(b.T @ b, check_finite=False)
+    return b, b @ np.linalg.inv(b.T @ b)
 
 
 def gauge_project(c, x):
     """Remove the gauge component: x minus its least-squares fit B w in col(B).
 
-    w solves the normal equations B^T B w = B^T x, whose V x V Cholesky
-    factor is made once per complex.  The result is orthogonal to col(B);
-    applying the projection twice is a no-op.  Two edge vectors describe
-    the same decorated metric up to change of decoration exactly when their
-    projections agree.  x is one edge vector, or an array (m, E) of them,
-    one per row, fitted in one solve.
+    w = (B^T B)^-1 B^T x solves the normal equations; B and B (B^T B)^-1
+    are made once per complex, so a projection is two matrix products.  The
+    result is orthogonal to col(B); applying the projection twice is a
+    no-op.  Two edge vectors describe the same decorated metric up to change
+    of decoration exactly when their projections agree.  x is one edge
+    vector, or an array (m, E) of them, one per row.
     """
-    b, factor, lower = c._derive(_gauge_factor)
+    b, fit = c._derive(_gauge_fit)
     x = np.asarray(x, dtype=float)
-    w = cho_solve((factor, lower), (x @ b).T, check_finite=False)
-    return x - (b @ w).T
+    return x - (x @ fit) @ b.T

@@ -1,5 +1,5 @@
 """The descent's Newton step: per-tetrahedron angle Jacobians, the assembled
-sparse Hessian and the bordered gauge system."""
+sparse Hessian, its shift floor and the gauge-projected ideal step."""
 
 import json
 import math
@@ -208,27 +208,35 @@ def assembled(c, x, flavor, shift=0.0):
     return system.matrix.toarray()
 
 
+def shift_floor(c, x, flavor):
+    """The least shift of one start's Newton matrix at x: _SHIFT_FLOOR max |H_ee|."""
+    return hypmet.solver._SHIFT_FLOOR * np.max(np.abs(np.diag(dense_hessian(c, x, flavor))))
+
+
+def kkt_step(c, x, r, shift):
+    """The ideal step of the bordered system [[H + shift I, B], [B^T, 0]], by a dense solve."""
+    h, b = dense_hessian(c, x, "ideal"), gauge_matrix(c)
+    e, v = b.shape
+    kkt = np.block([[h + shift * np.eye(e), b], [b.T, np.zeros((v, v))]])
+    return np.linalg.solve(kkt, np.concatenate([-r, np.zeros(v)]))[:e]
+
+
 class TestNewtonSystem:
     @pytest.mark.parametrize("name", ["fig8", "double_tet"])
     @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
     def test_assembled_matrix_is_the_dense_product(self, request, name, flavor):
+        # one E x E matrix for both flavors, H plus the shift or, where the
+        # shift is below it, the floor
         c = request.getfixturevalue(name)
         rng = np.random.default_rng(51)
         x = rng.uniform(-0.3, 0.3, c.num_edges) + (0.0 if flavor == "ideal" else 1.3)
-        matrix = assembled(c, x, flavor)
-        e = c.num_edges
-        assert np.max(np.abs(matrix[:e, :e] - dense_hessian(c, x, flavor))) <= 1e-12
-        if flavor == "ideal":
-            b = gauge_matrix(c)
-            assert matrix.shape == (e + c.num_vertices,) * 2
-            assert np.array_equal(matrix[:e, e:], b) and np.array_equal(matrix[e:, :e], b.T)
-            assert np.all(matrix[e:, e:] == 0.0)
-        else:
+        h, e = dense_hessian(c, x, flavor), c.num_edges
+        floor = shift_floor(c, x, flavor)
+        assert floor > 0.0
+        for shift in (0.0, 1e-20, 0.25):
+            matrix = assembled(c, x, flavor, shift)
             assert matrix.shape == (e, e)
-        # the shift goes on the diagonal of H, not on the border's zero block
-        shifted = assembled(c, x, flavor, shift=0.25) - matrix
-        assert np.max(np.abs(shifted[:e, :e] - 0.25 * np.eye(e))) <= 1e-14
-        assert np.all(shifted[e:] == 0.0) and np.all(shifted[:, e:] == 0.0)
+            assert np.max(np.abs(matrix - h - max(shift, floor) * np.eye(e))) <= 1e-14
 
     @pytest.mark.parametrize("name", ["fig8", "double_tet", "fig8_16"])
     @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
@@ -250,6 +258,8 @@ class TestNewtonSystem:
             assert np.array_equal(system.matrix.toarray(), block_diag(*blocks))
 
     def test_bordered_step_stays_in_the_gauge_complement(self, fixtures_dir):
+        # the projected step P (H + mu' I)^-1 (-P r) is the step of the
+        # bordered system, solved densely here, at the floored shift mu'
         with open(fixtures_dir / "fig8.json") as fh:
             c = build_complex(GluingSpec.from_dict(disjoint_union(json.load(fh), 16)))
         assert c.num_vertices == 16
@@ -257,9 +267,30 @@ class TestNewtonSystem:
         k = cone_angles(c, angles_of_metric(c, rng.uniform(-0.3, 0.3, c.num_edges), "ideal"))
         x = rng.uniform(-0.3, 0.3, c.num_edges)
         r = cov_complex(c, x, "ideal")[1] - k
-        d = _NewtonSystem(c, "ideal").step(record(c, x, "ideal"), r, 0.0)
-        assert np.max(np.abs(gauge_matrix(c).T @ d)) <= 1e-12
-        assert np.max(np.abs(dense_hessian(c, x, "ideal") @ d + r)) <= 1e-12
+        for shift in (1e-1, 1e-6, 1e-20):
+            d = _NewtonSystem(c, "ideal").step(record(c, x, "ideal"), r, shift)
+            assert np.max(np.abs(gauge_matrix(c).T @ d)) <= 1e-12
+            want = kkt_step(c, x, r, max(shift, shift_floor(c, x, "ideal")))
+            assert np.max(np.abs(d - want)) <= 1e-10 * np.max(np.abs(want))
+            assert float(r @ d) < 0.0
+
+    @pytest.mark.parametrize("name", ["fig8", "double_tet"])
+    def test_shift_floor_keeps_the_ideal_step_near_a_solution(self, request, name):
+        # near a solution mu = |r|^2 is lost when rounded onto H's diagonal,
+        # and H is singular on col(B): without the floor double_tet's matrix
+        # is exactly singular and its step -r; with it, the step is the one
+        # at the floored shift
+        c = request.getfixturevalue(name)
+        rng = np.random.default_rng(56)
+        lengths = rng.uniform(-0.3, 0.3, c.num_edges)
+        k = cone_angles(c, angles_of_metric(c, lengths, "ideal"))
+        x = lengths + 1e-9 * rng.uniform(-1.0, 1.0, c.num_edges)
+        r = cov_complex(c, x, "ideal")[1] - k
+        assert 0.0 < np.max(np.abs(r)) <= 1e-7
+        d = _NewtonSystem(c, "ideal").step(record(c, x, "ideal"), r, 1e-20)
+        assert np.all(np.isfinite(d)) and not np.array_equal(d, -r)
+        floored = _NewtonSystem(c, "ideal").step(record(c, x, "ideal"), r, shift_floor(c, x, "ideal"))
+        assert np.max(np.abs(d - floored)) <= 1e-12 * np.max(np.abs(d))
         assert float(r @ d) < 0.0
 
     def test_singular_system_falls_back_to_steepest_descent(self, double_tet):
@@ -270,10 +301,11 @@ class TestNewtonSystem:
         assert np.array_equal(d, -r)
 
     def test_bordered_factorization_is_ordered_against_fill(self, fixtures_dir, monkeypatch):
-        # one vertex class holds every edge of a fig8 cover, so the border
-        # row and column are dense; under SuperLU's default column ordering
-        # L + U held 2.1 million entries at T = 2048, under minimum degree
-        # on A^T + A about 105 thousand
+        # one vertex class holds every edge of a fig8 cover, so a border by
+        # B would add a dense row and column; the unbordered E x E matrix
+        # under SuperLU's default ordering has neither, and its L + U hold
+        # about 31 thousand entries here, where the bordered system's held
+        # about 105 thousand
         with open(fixtures_dir / "fig8.json") as fh:
             c = build_complex(GluingSpec.from_dict(cyclic_cover(json.load(fh), FIG8_COCYCLE, 1024)))
         assert c.n_tets == 2048 and c.num_vertices == 1
@@ -291,7 +323,7 @@ class TestNewtonSystem:
         k = cone_angles(c, angles_of_metric(c, np.zeros(c.num_edges), "ideal"))
         r = cov_complex(c, x, "ideal")[1] - k
         d = _NewtonSystem(c, "ideal").step(record(c, x, "ideal"), r, 1e-3)
-        assert len(fill) == 1 and fill[0] < 400_000
+        assert len(fill) == 1 and fill[0] < 64_000
         assert np.max(np.abs(gauge_matrix(c).T @ d)) <= 1e-10 and float(r @ d) < 0.0
 
     def test_pattern_built_once_per_complex_flavor_and_copies_and_only_when_stepping(
@@ -300,9 +332,9 @@ class TestNewtonSystem:
         builds = []
         build = hypmet.solver._newton_pattern
 
-        def counting(c, flavor, copies):
-            builds.append((flavor, copies))
-            return build(c, flavor, copies)
+        def counting(c, copies):
+            builds.append(copies)
+            return build(c, copies)
 
         monkeypatch.setattr(hypmet.solver, "_newton_pattern", counting)
         c = build_complex(load_triangulation(fixtures_dir / "fig8.json"))
@@ -312,14 +344,14 @@ class TestNewtonSystem:
         # which the complex keeps for the next check with three starts
         for seed in (1, 2):
             rep = rigidity_check(c, [TWO_PI, TWO_PI], "ideal", starts=3, seed=seed)
-            assert rep.ok and min(rep.iterations) > 1 and builds == [("ideal", 3)]
-        # one start and the other flavor get their own pattern, once each
+            assert rep.ok and min(rep.iterations) > 1 and builds == [3]
+        # one start gets its own pattern, once, and both flavors share it
         for flavor, lengths in (("ideal", [0.3, -0.3]), ("hyper", [1.2, 1.5])):
             k = cone_angles(c, angles_of_metric(c, lengths, flavor))
             for _ in range(2):
                 assert solve_metric(c, k, flavor).iterations > 0
-        assert builds == [("ideal", 3), ("ideal", 1), ("hyper", 1)]
+        assert builds == [3, 1]
         # a complex built anew builds its own
         fresh = build_complex(load_triangulation(fixtures_dir / "fig8.json"))
         solve_metric(fresh, k, "hyper")
-        assert builds == [("ideal", 3), ("ideal", 1), ("hyper", 1), ("hyper", 1)]
+        assert builds == [3, 1, 1]
