@@ -50,6 +50,8 @@ smooth.
 
 `hyper_kernel` evaluates phi, the angles, cov and vol for an array of T
 tetrahedra in one numpy pass; the scalar functions are its T = 1 views.
+Like the ideal kernel it raises on no finite input: rows it cannot
+evaluate come back NaN, where the named functions raise NumericalError.
 `mu_segment_integral`, the adaptive quadrature of mu along a straight
 segment, is independent of the closed form and serves as its oracle; the
 solvers do not use it.
@@ -241,8 +243,12 @@ def vertex_edge_length(l_ij, l_ik, l_jk):
 
 
 def _phi(lp):
-    """phi of an array (T, 6) of nonnegative lengths; exactly 1 where cosh l is 1."""
-    return _cosine_law(lp)[0]
+    """phi of nonnegative lengths (T, 6); NumericalError naming the first row beyond the range."""
+    ph, *_, bad = _cosine_law(lp)
+    if bad is not None:
+        t = int(np.flatnonzero(bad)[0])
+        raise NumericalError(f"edge lengths {tuple(lp[t].tolist())} are beyond the cosine law's range")
+    return ph
 
 
 def _gathered(c):
@@ -255,7 +261,7 @@ def _cosine_law(lp):
     """phi of nonnegative lengths lp, shape (T, 6), and the terms it is made of.
 
     Returns phi (exactly 1 where cosh l is 1), the scaled cosh values c, the
-    scale e = 2^-m of each row, the face terms and the denominators.
+    scale e = 2^-m of each row, the face terms, the denominators and bad.
 
     The cosine law is evaluated on c = cosh(l) / 2^m, one binary exponent m
     per tetrahedron: m = 0 while its lengths stay below _SCALE_FROM (cosh^6
@@ -271,12 +277,16 @@ def _cosine_law(lp):
 
     The one scale per tetrahedron also sets the range: a face without the
     longest edge scales like 2^-3m, so one edge longer than about 216 next
-    to edges of length 1 (a face term below _FACE_FLOOR) raises
-    NumericalError, as does any length above _MAX_LENGTH.
+    to edges of length 1 (a face term below _FACE_FLOOR) is beyond it, as
+    is any length above _MAX_LENGTH.  bad marks such rows, None if there
+    are none; they are neutralized before cosh and sqrt, so nothing warns,
+    and get NaN phi.  Every other row keeps its bits.
     """
     top = lp.max(initial=0.0)
+    bad = None
     if top > _MAX_LENGTH:
-        raise NumericalError(f"edge length {top} exceeds the cosine law's range {_MAX_LENGTH}")
+        bad = lp.max(axis=1) > _MAX_LENGTH
+        lp = np.where(bad[:, None], 0.0, lp)  # the scaled path gives any row its bits
     if top <= _SCALE_FROM:
         c = ch = np.cosh(lp)
         e = np.ones((len(lp), 1))
@@ -291,10 +301,9 @@ def _cosine_law(lp):
     # (2 ca cb cc + ca^2 + cb^2 + cc^2 - 1) / 2^3m
     face = 2.0 * ca * cb * cc + e * (ca * ca) + e * (cb * cb) + e * (cc * cc) - e * e * e
     if face.min(initial=math.inf) < _FACE_FLOOR:
-        row = int(np.flatnonzero(face.min(axis=1) < _FACE_FLOOR)[0])
-        raise NumericalError(
-            f"edge lengths {tuple(lp[row].tolist())} spread too widely for the cosine law"
-        )
+        low = face.min(axis=1) < _FACE_FLOOR
+        face[low] = 1.0
+        bad = low if bad is None else bad | low
     if top <= _SCALE_FROM:  # every m is 0, and F1 F2 fits a double
         den = np.sqrt(face[:, _F1] * face[:, _F2])
     else:
@@ -302,7 +311,10 @@ def _cosine_law(lp):
         unit = np.ldexp(face, -2 * half)
         den = np.ldexp(np.sqrt(unit[:, _F1] * unit[:, _F2]), half[:, _F1] + half[:, _F2])
     num = e * (ik * ih) + e * (jk * jh) + c * (ik * jh + ih * jk) - (c * c - e * e) * kh
-    return np.where(ch == 1.0, 1.0, num / den), c, e, face, den
+    ph = np.where(ch == 1.0, 1.0, num / den)
+    if bad is not None:
+        ph[bad] = np.nan
+    return ph, c, e, face, den, bad
 
 
 def _angles(ph):
@@ -439,11 +451,14 @@ def hyper_kernel(l, tol=1e-10):
 
     Any finite reals are accepted: cov is the C^1 convex extension.  tol is
     the absolute accuracy target of the integral that replaces the closed
-    form in the near-wall band.  Raises NumericalError for lengths the
-    cosine law cannot evaluate in double precision.
+    form in the near-wall band.  A row beyond the cosine law's range, or
+    whose band integral does not converge, gets NaN phi, angles, cov and
+    vol; every other row keeps its bits.  Non-finite input is a DomainError.
     """
     lp = np.maximum(_check_batch(l), 0.0)
-    ph, c, e, face, den = _cosine_law(lp)
+    ph, c, e, face, den, bad = _cosine_law(lp)
+    if bad is not None:  # angles 0 until the end: _volume, _regions and max see no NaN
+        ph[bad] = 1.0
     a = _angles(ph)
     vol = _volume(a)
     cov = 2.0 * vol + np.einsum("ij,ij->i", a, lp)
@@ -459,6 +474,10 @@ def hyper_kernel(l, tol=1e-10):
             cov[t] = _cov_near_wall(lp[t], int(near[t].argmax()), tol)
             vol[t] = 0.5 * (cov[t] - float(a[t] @ lp[t]))
         smooth = (pair < 0) & ~band
+        lost = np.isnan(cov)
+        bad = lost if bad is None else bad | lost
+    if bad is not None:
+        ph[bad] = a[bad] = cov[bad] = vol[bad] = np.nan
     return HyperKernel(ph, a, cov, vol, lp, c, e, face, den, smooth)
 
 
@@ -584,13 +603,13 @@ def _cov_near_wall(lp, p, tol):
     cov = pi (l_p + l_{p+3}).  Hence cov(lp) = pi (lp_p + lp_{p+3} + 2 t*)
     minus the integral of a_p + a_{p+3} over [0, t*]; the substitution
     t = t* (1 - tau^2) turns the square-root endpoint into a smooth
-    integrand.
+    integrand.  NaN where no wall is in range or the integral misses tol.
     """
     u = np.zeros(6)
     u[[p, p + 3]] = 1.0
 
     def pair_phi(t):
-        ph = _phi((lp + t * u)[None, :])[0]
+        ph = _cosine_law((lp + t * u)[None, :])[0][0]  # NaN beyond the range, no wall
         return ph[p], ph[p + 3]
 
     def gap(t):
@@ -602,7 +621,7 @@ def _cov_near_wall(lp, p, tol):
             break
         hi *= 2.0
     else:
-        raise NumericalError(f"no flat wall found along pair {p} from lengths {tuple(lp.tolist())}")
+        return math.nan
     t_star = brentq(gap, 0.0, hi, xtol=1e-15)
 
     def integrand(tau):
@@ -613,9 +632,7 @@ def _cov_near_wall(lp, p, tol):
         warnings.simplefilter("ignore", IntegrationWarning)
         value, abserr = quad(integrand, 0.0, 1.0, epsabs=tol, epsrel=1e-13, limit=100)
     if abserr > 50.0 * tol:
-        raise NumericalError(
-            f"near-wall integral did not converge: value={value}, abserr={abserr}, tol={tol}"
-        )
+        return math.nan
     return math.pi * (lp[p] + lp[p + 3] + 2.0 * t_star) - value
 
 
@@ -762,21 +779,30 @@ def cov_hyper(l, tol=1e-10):
     """C^1 convex covolume extension at an arbitrary real 6-vector.
 
     The T = 1 view of hyper_kernel; tol is the accuracy target of the
-    near-wall band integral.
+    near-wall band integral.  A NaN covolume raises NumericalError.
     """
-    return float(hyper_kernel([_check_six(l)], tol=tol).cov[0])
+    vals = _check_six(l)
+    return _evaluated(hyper_kernel([vals], tol=tol).cov[0], vals)
 
 
 def vol_hyper(l, tol=1e-10):
     """Hyperbolic volume of the generalized tetrahedron with positive lengths.
 
     The T = 1 view of hyper_kernel: the closed form on L, 0 on the flat
-    regions, and (cov(l) - sum_s a_s l_s) / 2 in the near-wall band.
+    regions, and (cov(l) - sum_s a_s l_s) / 2 in the near-wall band.  A NaN
+    volume raises NumericalError.
     """
     vals = _check_six(l)
     if min(vals) <= 0.0:
         raise DomainError(f"vol_hyper requires strictly positive lengths, got {vals}")
-    return float(hyper_kernel([vals], tol=tol).vol[0])
+    return _evaluated(hyper_kernel([vals], tol=tol).vol[0], vals)
+
+
+def _evaluated(value, vals):
+    """A kernel value as a float; NumericalError where it is NaN, at the lengths vals."""
+    if math.isnan(value):
+        raise NumericalError(f"the kernel cannot evaluate edge lengths {vals} in double precision")
+    return float(value)
 
 
 def volumes_from_angles(a):

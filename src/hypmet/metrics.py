@@ -22,7 +22,9 @@ it takes m metrics, one per row, through one call of the flavor's batched
 kernel (ideal.ideal_kernel, hyperideal.hyper_kernel) and returns the
 kernel record, the covolumes and the cone angles of every row.
 cov_complex, volume_of_metric and the solvers' descent and duality check
-all read it.
+all read it.  A tetrahedron beyond its kernel's range makes its row's
+covolume NaN; the descent reads that as a failed Armijo test, and the
+named functions raise NumericalError.
 """
 
 import math
@@ -170,10 +172,14 @@ def volume_of_metric(c, l, flavor):
 
     The sum of the per-tetrahedron volumes of the flavor's kernel.  Going
     through the angles instead would reject long hyper-ideal edges whose
-    angles round to a vertex sum of pi as type III.
+    angles round to a vertex sum of pi as type III.  A NaN volume raises
+    NumericalError.
     """
     l = _check_metric(c, l, flavor)
-    return float(_evaluate(c, l[None], flavor)[0].vol[0].sum())
+    vol = float(_evaluate(c, l[None], flavor)[0].vol[0].sum())
+    if math.isnan(vol):
+        raise NumericalError(f"the volume of these {flavor} lengths is outside the double range")
+    return vol
 
 
 def cov_complex(c, l, flavor, tol=1e-10):
@@ -195,7 +201,7 @@ def _evaluate_metric(c, l, flavor, extended=False, tol=1e-10):
     """The kernel record, covolume and cone angles of the one metric l, checked.
 
     l is checked as _check_metric does.  A covolume outside the double
-    range, which the ideal kernel gives as NaN, is a NumericalError.
+    range, which both kernels give as NaN, is a NumericalError.
     """
     l = _check_metric(c, l, flavor, extended)
     kernel, cov, kx = _evaluate(c, l[None], flavor, tol)
@@ -209,7 +215,8 @@ def _evaluate(c, x, flavor, tol=1e-10):
 
     Returns the kernel record, each array of shape (m, T, ...), the
     covolume of each row, shape (m,), and its cone angles, shape (m, E).
-    Each row gets the bits it would get alone.  tol is cov_complex's.
+    Each row gets the bits it would get alone, NaN beyond the kernel's
+    range; nothing raises on finite x.  tol is cov_complex's.
     """
     m = len(x)
     lengths = x.take(c.edge_index, axis=1).reshape(-1, 6)

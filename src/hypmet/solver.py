@@ -53,7 +53,8 @@ Where the factorization is singular anyway, or the step is no descent
 direction, the step is the steepest-descent -r.
 A backtracking Armijo line search damps the step.  One covolume call per
 trial point gives value and gradient; the Armijo test allows 8 ulp of
-|cov(x)| + |<x, k>| at both points (at least 1e-13).
+|cov(x)| + |<x, k>| at both points (at least 1e-13).  A trial point
+beyond a kernel's range has a NaN covolume, which fails the test.
 
 rigidity_check's random starts descend in lockstep: each iteration makes
 one evaluator call on the stacked points of every unconverged start, one
@@ -77,7 +78,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import coo_array, csc_array
+from scipy.sparse import csc_array, csr_array, eye_array, hstack, kron, vstack
 from scipy.sparse.linalg import splu
 
 from .errors import (
@@ -88,7 +89,7 @@ from .errors import (
     NotPositiveFeasibleError,
     NumericalError,
 )
-from .hyperideal import VERTEX_SLOTS, flat_pairs, hyper_jacobian
+from .hyperideal import _PAIRS, VERTEX_SLOTS, _slot_sums, flat_pairs, hyper_jacobian
 from .ideal import ideal_jacobian
 from .metrics import _check_assignment, _check_edge_vector, _check_flavor, _evaluate
 from .triangulation import gauge_project
@@ -110,6 +111,13 @@ __all__ = [
 # Armijo constant, LP slack of a positive target
 _ARMIJO = 1e-4
 _FEASIBILITY_TOL = 1e-9
+# HiGHS's primal feasibility tolerance, a hundredth of the slack threshold
+# (its default, 1e-7, lets the witness miss the LP's rows by more than it)
+_PRIMAL_FEASIBILITY = 1e-10
+# the feasibility LP's per-tetrahedron blocks: slot s to quad s mod 3 (its
+# opposite pair), and the three slots at each vertex
+_SLOT_QUAD = _slot_sums(_PAIRS)
+_VERTEX_ROWS = _slot_sums(VERTEX_SLOTS).T
 # how far classify_maximizer lets a flat tetrahedron's angles sit off 0
 # and pi, and its flat pair's phi above -1
 _MAXIMIZER_TOL = 1e-7
@@ -216,47 +224,30 @@ def feasibility(c, k, flavor):
     instance sums per edge; hyper flavor: slot angles with per-vertex sums
     at most pi and the same edge sums; every angle is at least the slack s.
     Angles are written x = y + s with y >= 0, so that constraint is a bound.
-    The optimum sign decides the status, against _FEASIBILITY_TOL; the
-    witness y + s realizes the slack.
+    The rows are CSR products with the incidence operator op (below), and
+    HiGHS meets them to _PRIMAL_FEASIBILITY.  The optimum sign decides the
+    status, against _FEASIBILITY_TOL; the witness y + s realizes the slack.
     """
     k = _check_target(c, k)
     _check_flavor(flavor)
-    t_count, e_count = c.n_tets, c.num_edges
+    t_count = c.n_tets
     op = c.incidence
-    valence = np.diff(op.indptr)
-    instance_rows = np.repeat(np.arange(e_count), valence)
     per_tet = 3 if flavor == "ideal" else 6
     nvar = per_tet * t_count  # y, then s
-
+    tets = eye_array(t_count, format="csr")
     if flavor == "ideal":
-        # tet rows: sum y + 3 s = pi; edge rows: op fold y + valence s = k,
-        # where fold takes slot 6t + s to quad 3t + (s mod 3)
-        quads = np.arange(nvar)
-        tet, slot = np.divmod(op.indices, 6)
-        a_eq = _coo(
-            [np.ones(nvar), np.full(t_count, 3.0), np.ones(op.nnz), valence],
-            [quads // 3, np.arange(t_count), t_count + instance_rows, t_count + np.arange(e_count)],
-            [quads, np.full(t_count, nvar), 3 * tet + slot % 3, np.full(e_count, nvar)],
-            (t_count + e_count, nvar + 1),
+        # tet rows: sum y + 3 s = pi; edge rows: op F y + valence s = k,
+        # where F takes each tetrahedron's slot s to its quad s mod 3
+        rows = vstack(
+            [kron(tets, np.ones((1, 3)), format="csr"), op @ kron(tets, _SLOT_QUAD, format="csr")],
+            format="csr",
         )
-        b_eq = np.concatenate([np.full(t_count, math.pi), k])
+        a_eq, b_eq = _with_slack(rows), np.concatenate([np.full(t_count, math.pi), k])
         a_ub = b_ub = None
     else:
         # edge rows: op y + valence s = k; vertex rows: sum y + 4 s <= pi
-        a_eq = _coo(
-            [np.ones(op.nnz), valence],
-            [instance_rows, np.arange(e_count)],
-            [op.indices, np.full(e_count, nvar)],
-            (e_count, nvar + 1),
-        )
-        b_eq = k
-        vertex_cols = 6 * np.arange(t_count)[:, None, None] + np.array(VERTEX_SLOTS)
-        a_ub = _coo(
-            [np.ones(3 * 4 * t_count), np.full(4 * t_count, 4.0)],
-            [np.repeat(np.arange(4 * t_count), 3), np.arange(4 * t_count)],
-            [vertex_cols.ravel(), np.full(4 * t_count, nvar)],
-            (4 * t_count, nvar + 1),
-        )
+        a_eq, b_eq = _with_slack(op), k
+        a_ub = _with_slack(kron(tets, _VERTEX_ROWS, format="csr"), 1.0)
         b_ub = np.full(4 * t_count, math.pi)
 
     cost = np.zeros(nvar + 1)
@@ -264,7 +255,10 @@ def feasibility(c, k, flavor):
     bounds = np.zeros((nvar + 1, 2))
     bounds[:, 1] = math.inf
     bounds[-1] = (-math.inf, math.pi)
-    res = linprog(cost, a_ub, b_ub, a_eq, b_eq, bounds=bounds, method="highs")
+    res = linprog(
+        cost, a_ub, b_ub, a_eq, b_eq, bounds=bounds, method="highs",
+        options={"primal_feasibility_tolerance": _PRIMAL_FEASIBILITY},
+    )
     if res.status == 2:
         return FeasibilityReport("infeasible", None, -math.inf)
     if res.status != 0:
@@ -278,11 +272,9 @@ def feasibility(c, k, flavor):
     return FeasibilityReport("infeasible", None, slack)
 
 
-def _coo(vals, rows, cols, shape):
-    """One sparse matrix from blocks of (value, row, column) triples."""
-    return coo_array(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
-    )
+def _with_slack(a, extra=0.0):
+    """The LP rows a with the slack's column appended: each row's sum, plus extra."""
+    return hstack([a, csr_array(a.sum(axis=1)[:, None] + extra)], format="csr")
 
 
 def _rowdot(a, b):
@@ -317,36 +309,6 @@ def _points(c, flavor, x, k):
     kernel, cov, kx = _evaluate(c, x, flavor)
     xk = _rowdot(x, k)
     return _Points(x, cov - xk, np.abs(cov) + np.abs(xk), kx, kernel)
-
-
-def _evaluate_rows(c, flavor, x, k, like=None):
-    """_points of the rows of x at once or, where that raises, of each row alone.
-
-    Returns the _Points of all rows and the exception of each row that
-    raised, by row.  Those rows get NaN values, which fail every test, and
-    a NaN kernel record shaped as a row's that evaluated or else as like,
-    the caller's current record.  With neither, every row has raised and
-    fails before its record is read.
-    """
-    try:
-        return _points(c, flavor, x, k), {}
-    except Exception as exc:
-        points, raised = {}, {0: exc}  # a single row raises alone too
-    if len(x) > 1:
-        raised = {}
-        for i in range(len(x)):
-            try:
-                points[i] = _points(c, flavor, x[i : i + 1], k)
-            except Exception as exc:
-                raised[i] = exc
-    m = len(x)
-    like = next(iter(points.values())).kernel if points else like
-    if like is not None:
-        like = like._make(np.full((m, *a.shape[1:]), np.nan, a.dtype) for a in like)
-    out = _Points(x, np.full(m, np.nan), np.full(m, np.nan), np.full(x.shape, np.nan), like)
-    for i, row in points.items():
-        out.put([i], row)
-    return out, raised
 
 
 class _Pattern(NamedTuple):
@@ -595,7 +557,7 @@ def _descend(c, k, flavor, x0, opts, lead=False):
         errors[start] = exc
 
     ids = np.arange(len(x0))
-    pts, failed = _evaluate_rows(c, flavor, x0, k)
+    pts, failed = _points(c, flavor, x0, k), {}
     iterations = 0
     while True:
         for i, f in zip(ids.tolist(), pts.f.tolist()):
@@ -646,29 +608,25 @@ def _line_search(c, flavor, k, pts, d, gd, gnorm, iteration):
 
     Each row halves its step length, at most 50 times, until its trial
     point passes the Armijo test, which allows 8 ulp of f's terms at both
-    points; a trial point beyond the kernel's range (NumericalError) fails
-    the test.  The trial points of all rows still searching, which share
-    the step length 2^-round, go through one evaluation per round.  Returns
-    the points, with the accepted ones in place of pts's rows, and the
-    exception of each row that failed, by row: LineSearchError, or what its
-    trial point's evaluation raised.
+    points; a trial point beyond the kernel's range, whose covolume the
+    kernel gives as NaN, fails the test.  The trial points of all rows
+    still searching, which share the step length 2^-round, go through one
+    _points call per round.  Returns the points, with the accepted ones in
+    place of pts's rows, and the LineSearchError of each row that failed,
+    by row.
     """
     rows = np.arange(len(d))  # the rows still searching, and their data
     x, f, size = pts.x, pts.f, pts.size
     failed = {}
     alpha = 1.0
     for _ in range(50):
-        trial, raised = _evaluate_rows(c, flavor, x + alpha * d, k, pts.kernel)
+        trial = _points(c, flavor, x + alpha * d, k)
         allowance = np.maximum(_ROUNDOFF, _ULPS * (size + trial.size))
         ok = trial.f - f <= _ARMIJO * alpha * gd + allowance
         if ok.all() and len(rows) == len(pts.x):
             return trial, failed
         pts.put(rows[ok], trial.take(ok))
         stay = ~ok
-        for j, exc in raised.items():
-            if not isinstance(exc, NumericalError):
-                failed[int(rows[j])] = exc
-                stay[j] = False
         rows, x, f, size, d, gd = rows[stay], x[stay], f[stay], size[stay], d[stay], gd[stay]
         if not rows.size:
             return pts, failed
@@ -725,7 +683,8 @@ def duality_gap(c, k, result, samples, seed=0):
     metric and returns max(<x,k> - cov(x)) - W; convexity makes this
     nonpositive up to solve and kernel tolerance.  The tetrahedra of all
     samples go through one call of the flavor's kernel.  A result that does
-    not fit c (see _check_result) is a DomainError.
+    not fit c (see _check_result) is a DomainError, and a sample whose
+    covolume the kernel cannot evaluate (NaN) a NumericalError.
     """
     k = _check_target(c, k)
     base, _ = _check_result(c, result)
@@ -733,7 +692,10 @@ def duality_gap(c, k, result, samples, seed=0):
     rng = _rng(seed)
     x = base + rng.uniform(-_DUALITY_SPREAD, _DUALITY_SPREAD, (samples, c.num_edges))
     cov = _evaluate(c, x, result.flavor)[1]
-    return float((x @ k - cov).max()) - result.w_value
+    gap = float((x @ k - cov).max()) - result.w_value
+    if math.isnan(gap):
+        raise NumericalError("a sampled covolume is outside the double range")
+    return gap
 
 
 def _check_result(c, result):

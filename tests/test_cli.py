@@ -229,6 +229,19 @@ class TestOtherCommands:
         assert code == 3
         assert report["error"]["code"] == "numerical_failure"
 
+    @pytest.mark.parametrize(
+        "command, lengths",
+        [("volume", [1e13, 1, 1, 1, 1, 1]), ("angles", [1e13, 1, 1, 1, 1, 1]), ("angles", [800, 1, 1, 1, 1, 1])],
+    )
+    def test_hyper_lengths_beyond_range_fail_in_both_commands(self, fixtures_dir, command, lengths):
+        # the kernel gives such rows NaN; the commands report a numerical failure
+        code, report = run(
+            [command, "--flavor", "hyper", "--triangulation", double_path(fixtures_dir),
+             "--lengths", json.dumps(lengths)]
+        )
+        assert code == 3
+        assert report["error"]["code"] == "numerical_failure"
+
     def test_hyper_rigidity_random_starts_without_warnings(self, fixtures_dir):
         # random starts take long trial steps; none may overflow or warn
         with warnings.catch_warnings():
@@ -352,6 +365,16 @@ class TestErrorPaths:
         assert code == 1
         assert report["error"]["code"] == "malformed_input"
         assert "JSON integers" in report["error"]["message"]
+
+    @pytest.mark.parametrize("lengths", ["[1,", "[NaN, 0]"])
+    def test_lengths_that_are_not_finite_json_numbers(self, fixtures_dir, lengths):
+        # invalid JSON, and a non-finite entry, which Python's JSON reads
+        code, report = run(
+            ["angles", "--flavor", "ideal", "--triangulation", fig8_path(fixtures_dir),
+             "--lengths", lengths]
+        )
+        assert code == 1
+        assert report["error"]["code"] == "malformed_input"
 
     def test_unwritable_output_is_a_json_error(self, fixtures_dir, tmp_path, capsys):
         from hypmet.cli import main
@@ -515,17 +538,18 @@ class TestErrorPaths:
 
     def test_line_search_failure_carries_diagnostics(self, fixtures_dir, monkeypatch):
         import hypmet.metrics
-        from hypmet.errors import NumericalError
         from hypmet.ideal import ideal_kernel
 
         calls = []
 
         def failing(l):
-            # the start point evaluates; every trial point is out of range
+            # the start point evaluates; every trial point is out of range,
+            # which the kernel reports as a NaN covolume
             calls.append(1)
+            kernel = ideal_kernel(l)
             if len(calls) > 1:
-                raise NumericalError("out of range")
-            return ideal_kernel(l)
+                kernel.cov[:] = math.nan
+            return kernel
 
         # the descent's one kernel call per point
         monkeypatch.setattr(hypmet.metrics, "ideal_kernel", failing)

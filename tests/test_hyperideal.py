@@ -11,12 +11,15 @@ The analytically solvable families used as oracles:
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from scipy.integrate import quad
 from scipy.optimize import brentq
+
+from hypmet import hyperideal
 
 from hypmet.errors import (
     ConsistencyError,
@@ -147,6 +150,11 @@ class TestPhi:
     def test_tends_to_one_at_short_edge(self):
         values = phi([1e-8, 1.0, 1.2, 0.9, 1.1, 1.3])
         assert values[0] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("l", [[0.0, 1.0, 1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0, 1.0, -0.5]])
+    def test_rejects_non_positive_lengths(self, l):
+        with pytest.raises(DomainError, match="strictly positive"):
+            phi(l)
 
     def test_flat_wall_is_exactly_minus_one(self):
         for s in (0.2, 0.5, 1.0, 2.0):
@@ -394,6 +402,11 @@ class TestVolHyper:
     def test_small_length_limit_is_octahedron(self):
         assert vol_hyper([1e-4] * 6) == pytest.approx(OCTA_VOL, abs=1e-4)
 
+    @pytest.mark.parametrize("l", [[0.0, 1.0, 1.0, 1.0, 1.0, 1.0], [1.0, 1.0, -2.0, 1.0, 1.0, 1.0]])
+    def test_rejects_non_positive_lengths(self, l):
+        with pytest.raises(DomainError, match="strictly positive"):
+            vol_hyper(l)
+
     def test_flat_region_volume_vanishes(self):
         for s, bump in ((0.4, 0.5), (0.8, 0.3), (1.1, 1.0)):
             l = flat_wall_point(s)
@@ -601,6 +614,37 @@ class TestHyperKernel:
                 hyper_angles_from_lengths(l)
             with pytest.raises(NumericalError):
                 cov_hyper(l)
+
+    @pytest.mark.parametrize("band_fails", [False, True])
+    def test_rows_it_cannot_evaluate_come_back_nan(self, monkeypatch, band_fails):
+        # a length above 1e12, one edge of 800 next to length-1 edges and,
+        # with the quadrature patched, a band row whose integral does not
+        # converge: those rows are NaN in phi, the angles, cov and vol, and
+        # every other row keeps the bits it gets alone; nothing warns
+        good = np.array(
+            [
+                flat_wall_point(0.6) + [0.3, 0, 0, 0.3, 0, 0],  # flat
+                flat_wall_point(0.6) - [1e-9, 0, 0, 1e-9, 0, 0],  # near-wall band
+                [-0.5, 1.0, 1.2, 0.9, 1.1, 1.3],  # clamped
+                [64.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+                [70.0, 1.0, 1.2, 0.9, 1.1, 1.3],
+                [750.0, 720.0, 760.0, 740.0, 730.0, 705.0],
+            ]
+        )
+        lengths = np.vstack([[1e13, 1.0, 1.0, 1.0, 1.0, 1.0], good, [800.0, 1.0, 1.0, 1.0, 1.0, 1.0]])
+        lost = np.array([True] + [band_fails and t == 1 for t in range(len(good))] + [True])
+        if band_fails:
+            monkeypatch.setattr(hyperideal, "quad", lambda *args, **kwargs: (0.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kernel = hyper_kernel(lengths)
+            alone = [hyper_kernel(lengths[t : t + 1]) for t in range(len(lengths))]
+        for field in (kernel.phi, kernel.angles, kernel.cov, kernel.vol):
+            rows = field.reshape(len(lengths), -1)
+            assert np.all(np.isnan(rows[lost])) and not np.isnan(rows[~lost]).any()
+        for t in range(len(lengths)):
+            for got, want in zip(kernel, alone[t]):
+                assert np.array_equal(got[t], want[0], equal_nan=True)
 
     def test_rejects_bad_batches(self):
         with pytest.raises(DomainError):

@@ -220,8 +220,18 @@ class TestIdealVolume:
         with pytest.raises(DomainError):
             ideal_volume([math.pi / 3] * 3 + [math.pi / 3, 0.1, math.pi / 3])
 
+    def test_negative_angle_rejected(self):
+        # opposite slots agree and the quads sum to pi, but one angle is negative
+        with pytest.raises(DomainError, match="nonnegative"):
+            ideal_volume([-0.1, 1.6, math.pi - 1.5] * 2)
+
 
 class TestPhiStar:
+    @pytest.mark.parametrize("y", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0)])
+    def test_non_finite_arguments_rejected(self, y):
+        with pytest.raises(DomainError, match="finite"):
+            phi_star(*y)
+
     def test_at_origin(self):
         value, grad = phi_star(0.0, 0.0, 0.0)
         assert value == pytest.approx(REGULAR_VOL, abs=1e-12)

@@ -69,6 +69,12 @@ class TestConeAngles:
     def test_zero_assignment(self, fig8):
         assert np.allclose(cone_angles(fig8, np.zeros((2, 3))), 0.0)
 
+    @pytest.mark.parametrize("shape, what", [((2, 4), "shape"), ((3, 3), "rows")])
+    def test_rejects_the_wrong_shape(self, fig8, shape, what):
+        # the wrong width, and the wrong row count for fig8's two tetrahedra
+        with pytest.raises(DomainError, match=what):
+            cone_angles(fig8, np.zeros(shape))
+
     def test_bit_equal_to_instance_accumulation(self, fig8, double_tet, fixtures_dir):
         # the incidence matvec adds the instances of each edge in (tet, slot)
         # order, exactly as np.add.at over the slots does
@@ -180,6 +186,26 @@ class TestVolume:
         assert volume(double_tet, a, "hyper") == pytest.approx(expected, abs=1e-12)
         assert volume_of_metric(double_tet, l, "hyper") == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "flavor, row, what",
+        [
+            ("ideal", [-0.1, 1.6, math.pi - 1.5], "nonnegative"),
+            ("ideal", [1.0, 1.0, 1.0], "equal pi"),
+            # vertex 0 carries slots 0, 1 and 2, whose sum is 3.6
+            ("hyper", [1.2, 1.2, 1.2, 0.3, 0.3, 0.3], "at most pi"),
+        ],
+    )
+    def test_invalid_assignments_raise(self, fig8, double_tet, flavor, row, what):
+        c = fig8 if flavor == "ideal" else double_tet
+        with pytest.raises(DomainError, match=what):
+            volume(c, np.array([row, row]), flavor)
+
+    def test_volume_of_metric_beyond_the_hyper_range_raises(self, double_tet):
+        # the kernel gives these tetrahedra NaN volumes
+        for l in ([1e13, 1, 1, 1, 1, 1], [800, 1, 1, 1, 1, 1]):
+            with pytest.raises(NumericalError, match="outside the double range"):
+                volume_of_metric(double_tet, l, "hyper")
+
     def test_volume_of_metric_ideal_matches_angles(self, fig8):
         l = np.array([0.3, -0.3])
         expected = volume(fig8, angles_of_metric(fig8, l, "ideal"), "ideal")
@@ -236,6 +262,12 @@ class TestHyperVolumeAgainstLoop:
 
 
 class TestCovComplex:
+    @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
+    def test_rejects_non_finite_metrics(self, fig8, flavor):
+        for l in ([math.nan, 1.0], [1.0, math.inf]):
+            with pytest.raises(DomainError, match="finite"):
+                cov_complex(fig8, l, flavor)
+
     def test_fig8_ideal_at_zero(self, fig8):
         value, grad = cov_complex(fig8, np.zeros(2), "ideal")
         assert value == pytest.approx(12 * lobachevsky(math.pi / 3), abs=1e-10)

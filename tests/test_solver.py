@@ -668,6 +668,13 @@ class TestDualityGap:
         gap = duality_gap(double_tet, K_HYPER, res, samples=100, seed=7)
         assert gap <= 1e-8
 
+    def test_samples_beyond_the_kernels_range_raise(self, double_tet):
+        # the hyper kernel gives these samples NaN covolumes, which are no gap
+        res = solve_metric(double_tet, K_HYPER, "hyper")
+        far = dataclasses.replace(res, lengths=np.full(double_tet.num_edges, 1e13))
+        with pytest.raises(NumericalError, match="outside the double range"):
+            duality_gap(double_tet, K_HYPER, far, samples=5)
+
     @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
     @pytest.mark.parametrize("name", ["fig8", "double_tet"])
     def test_batched_samples_match_per_sample_loop(self, request, name, flavor):
@@ -1048,7 +1055,8 @@ class TestLockstep:
 
     def test_trial_point_beyond_the_kernels_range_halves_its_row_only(self, fig8, monkeypatch):
         # row 1's first trial has lengths above 1e12, beyond the hyper
-        # cosine law, so the stacked call raises and the rows go alone
+        # cosine law: its tetrahedra come back NaN, which fails its Armijo
+        # test, while row 0 accepts; every round is one kernel call
         k = random_positive_hyper_k(fig8, np.random.default_rng(23))
         x = start_points(fig8, "hyper", 2, np.random.default_rng(26))
         pts = hypmet.solver._points(fig8, "hyper", x, k)
@@ -1058,19 +1066,21 @@ class TestLockstep:
         assert np.max(np.abs(x[1] + d[1])) > 1e12
         gd = np.einsum("ij,ij->i", r, d)
         gnorm = np.abs(r).max(axis=1)
-        raised = []
+        calls, lost = [], []
         kernel = hypmet.metrics.hyper_kernel
 
         def recording(l, tol=1e-10):
-            try:
-                return kernel(l, tol)
-            except NumericalError:
-                raised.append(len(l))
-                raise
+            out = kernel(l, tol)
+            calls.append(len(l))
+            lost.append(int(np.isnan(out.cov).sum()))
+            return out
 
         monkeypatch.setattr(hypmet.metrics, "hyper_kernel", recording)
         both, failed = hypmet.solver._line_search(fig8, "hyper", k, pts.take([0, 1]), d, gd, gnorm, 1)
-        assert not failed and raised[0] == 2 * fig8.n_tets
+        assert not failed and calls == [2 * fig8.n_tets] + [fig8.n_tets] * (len(calls) - 1)
+        assert lost[0] > 0 and lost[-1] == 0
+        # row 1 accepts the step length of the last call
+        assert np.array_equal(both.x[1], x[1] + 0.5 ** (len(calls) - 1) * d[1])
         assert np.array_equal(both.x[0], x[0] + d[0])
         assert_rows_searched_alone(fig8, "hyper", k, pts, d, gd, gnorm, both)
 

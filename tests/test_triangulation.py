@@ -109,6 +109,18 @@ class TestBuilder:
 
 
 class TestBuilderErrors:
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"gluings": []},
+            {"tets": 2, "gluings": [{"tet": 0, "face": 0, "to_tet": 1, "to_face": 0}]},
+        ],
+        ids=["no_tets", "no_perm"],
+    )
+    def test_missing_fields(self, data):
+        with pytest.raises(GluingError, match="malformed triangulation data"):
+            GluingSpec.from_dict(data)
+
     def test_face_glued_twice(self):
         spec = GluingSpec.from_dict(
             {
