@@ -8,7 +8,11 @@ covers of T tetrahedra and their reference cone angles), TARGETS per cover
 size from default_rng(SEED), and solves every target with both trees, round
 after round.  The tree that runs first alternates from round to round.  Both
 trees must take the same number of iterations on every target and agree on
-its lengths to 1e-12.
+its angle assignment to 1e-10, or the run stops.  The angles are what the
+descent converges in (cone angles to 1e-9); the lengths are their inverse
+image, whose rounding grows with the conditioning of H: at T = 2048 two
+orderings of one factorization give ideal lengths 3e-12 apart.  The largest
+length and angle gaps over all rounds are printed at the end.
 
 Prints each round's time per tree and the median and quartiles of the
 ratio (this tree) / (parent tree) over the rounds.  Alternating in one
@@ -38,7 +42,7 @@ import workloads  # noqa: E402
 
 TARGETS = 2  # round-trip targets per cover size
 SEED = 0
-LENGTH_TOL = 1e-12
+ANGLE_TOL = 1e-10
 
 
 def load_tree(src, name):
@@ -88,6 +92,7 @@ def main():
 
     times = {name: [] for name in trees}
     order = list(trees)
+    gaps = {"lengths": 0.0, "angles": 0.0}
     for r in range(args.rounds):
         results = {}
         for name in order if r % 2 == 0 else order[::-1]:
@@ -96,9 +101,11 @@ def main():
         for i, (a, b) in enumerate(zip(results["parent"], results["this"])):
             if a.iterations != b.iterations:
                 sys.exit(f"target {i}: {a.iterations} iterations (parent) against {b.iterations} (this)")
-            gap = float(np.max(np.abs(a.lengths - b.lengths)))
-            if gap > LENGTH_TOL:
-                sys.exit(f"target {i}: lengths differ by {gap:.3g} > {LENGTH_TOL:g}")
+            gap = float(np.max(np.abs(a.assignment - b.assignment)))
+            if gap > ANGLE_TOL:
+                sys.exit(f"target {i}: angle assignments differ by {gap:.3g} > {ANGLE_TOL:g}")
+            gaps["angles"] = max(gaps["angles"], gap)
+            gaps["lengths"] = max(gaps["lengths"], float(np.max(np.abs(a.lengths - b.lengths))))
         print(
             f"round {r:3d}: parent {1e3 * times['parent'][-1]:8.2f} ms   this {1e3 * times['this'][-1]:8.2f} ms",
             flush=True,
@@ -109,7 +116,8 @@ def main():
     print(
         f"{args.flavor} round trips, T = {args.tets}, {len(ks)} targets, {args.rounds} rounds: "
         f"parent {1e3 * np.median(times['parent']):.2f} ms, this {1e3 * np.median(times['this']):.2f} ms "
-        f"per round (medians); ratio this/parent median {med:.3f}, quartiles {q1:.3f}-{q3:.3f}"
+        f"per round (medians); ratio this/parent median {med:.3f}, quartiles {q1:.3f}-{q3:.3f}; "
+        f"largest gaps: lengths {gaps['lengths']:.2g}, angles {gaps['angles']:.2g}"
     )
 
 

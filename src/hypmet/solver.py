@@ -24,17 +24,21 @@ The descent, one for both flavors, is a damped Newton iteration.  The
 Hessian of f is the Jacobian of the cone angles, H = op blockdiag(J_t) op^T,
 with op the complex's incidence operator and J_t the closed-form Jacobian
 of one tetrahedron's slot angles in its lengths (ideal.ideal_jacobian and
-hyperideal.hyper_jacobian); it is assembled sparse and factored with
-SuperLU.  The solver evaluates no tetrahedron itself: every point goes
+hyperideal.hyper_jacobian).  A complex of at most _DENSE_EDGES = 112 edges
+gets H as a dense E x E array, solved by LAPACK (np.linalg.solve); a larger
+one gets it sparse, factored by SuperLU.  On fig8 covers the two take equal
+time at E = 104-136, SuperLU's fixed costs per call outweighing the dense
+solve below that, and every benchmark ladder rung (E <= 64) takes the dense
+path.  The solver evaluates no tetrahedron itself: every point goes
 through metrics._evaluate, the library's one evaluator, once.  The
 descent keeps the kernel record of the accepted point, and both the
 Jacobians and the results read it.  The ideal H vanishes on the
-decoration gauge col(B), H B = 0, so both flavors factor one E x E
+decoration gauge col(B), H B = 0, so both flavors solve one E x E
 matrix; the ideal step goes through the gauge projection onto ker B^T
 before and after the solve, which gives the step of the system bordered
 by B.  What depends on the complex alone is derived once per complex and
-kept on it (triangulation.Complex._derive): H's sparsity pattern, per
-start count, the vertex sums of the target check, and the gauge
+kept on it (triangulation.Complex._derive): where H's entries land, dense or
+sparse, per start count, the vertex sums of the target check, and the gauge
 projection's matrices, so repeated solves on one complex build none of
 them again.
 Every ideal metric's cone angles meet the vertex sums (B^T k_x)_v = pi n_v
@@ -58,17 +62,19 @@ beyond a kernel's range has a NaN covolume, which fails the test.
 
 rigidity_check's random starts descend in lockstep: each iteration makes
 one evaluator call on the stacked points of every unconverged start, one
-Jacobian call, and one factorization of the block-diagonal Newton matrix
-of the starts, as if they were one point of the disjoint union of copies
-of the complex, copy i's edges numbered after copy i - 1's.  Each start keeps its own shift, step length, stopping
-test and iteration count, so it follows its own descent up to rounding,
-and the numpy and SuperLU calls number about the largest iteration count
-of the starts rather than their sum.  solve_metric is the same descent
-with one start.  The starts run in groups of at most _GROUP_TETS
-tetrahedra in total, which bounds the memory of a large start count.
-Start 0 alone carries the LP rules above; a failing start's error is
-raised once the starts before it have finished, as if they had run one
-after another.
+Jacobian call, and one solve of the starts' Newton matrices: one batched
+dense solve of their stack, or one factorization of their block-diagonal
+matrix, as if they were one point of the disjoint union of copies of the
+complex, copy i's edges numbered after copy i - 1's.  Each start keeps its
+own shift, step length, stopping test and iteration count, so it follows
+its own descent up to rounding, and the numpy, LAPACK and SuperLU calls
+number about the largest iteration count of the starts rather than their
+sum.  solve_metric is the same descent with one start.  The starts run in
+groups of at most _GROUP_TETS tetrahedra in total, which bounds the memory
+of a large start count (a dense stack of E x E matrices at most about 1 MB
+on fig8 covers).  Start 0 alone carries the LP rules above; a failing
+start's error is raised once the starts before it have finished, as if
+they had run one after another.
 """
 
 import math
@@ -147,6 +153,11 @@ _ULPS = 8.0 * np.finfo(float).eps
 # the least Newton shift, per unit of the start's largest diagonal entry of H
 # (see _NewtonSystem)
 _SHIFT_FLOOR = 1e-12
+# The most edges a complex may have for its Newton matrices to be solved
+# dense (see _NewtonSystem).  On fig8 covers with BLAS on one thread, a
+# dense step takes as long as a SuperLU one at E = 128-136 for one start and
+# at E = 104-112 for rigidity_check's lockstep groups of 1024 / E starts.
+_DENSE_EDGES = 112
 
 
 @dataclass
@@ -312,17 +323,38 @@ def _points(c, flavor, x, k):
 
 
 class _Pattern(NamedTuple):
-    """The CSC pattern of the Newton matrix of some copies of a complex (see _NewtonSystem)."""
+    """Where the Jacobian blocks of some copies of a complex land in their Newton matrix.
+
+    The matrix's entries are the flat array data, one copy's nnz after the
+    other's; the dense pattern lays each copy out as an E x E array in row
+    order, the sparse one as the CSC data of a block-diagonal matrix (see
+    _NewtonSystem).
+    """
 
     pos: np.ndarray  # the data index of each Jacobian block entry
     diagonal: np.ndarray  # the data index of each diagonal entry, one row per copy
-    indices: np.ndarray  # C int, as SuperLU takes them, so that no step copies them
-    indptr: np.ndarray
     nnz: int  # one copy's number of entries
+    # the sparse pattern's CSC arrays: C int, as SuperLU takes them, so that
+    # no step copies them
+    indices: np.ndarray | None = None
+    indptr: np.ndarray | None = None
+
+
+def _dense_pattern(c, copies):
+    """The _Pattern of `copies` dense E x E Newton matrices of c, for both flavors."""
+    e_count = c.num_edges
+    size = e_count * e_count
+    cell = c.edge_index[:, :, None] * e_count + c.edge_index[:, None, :]
+    offsets = size * np.arange(copies)
+    return _Pattern(
+        pos=(offsets[:, None, None, None] + cell).ravel(),
+        diagonal=offsets[:, None] + (e_count + 1) * np.arange(e_count),
+        nnz=size,
+    )
 
 
 def _newton_pattern(c, copies):
-    """The _Pattern of the Newton matrix of `copies` copies of c, for both flavors."""
+    """The sparse _Pattern of the Newton matrix of `copies` copies of c, for both flavors."""
     e_count, shape = c.num_edges, (copies, c.n_tets, 6, 6)
     edges = c.edge_index + e_count * np.arange(copies)[:, None, None]
     rows = np.broadcast_to(edges[..., :, None], shape).ravel()
@@ -332,9 +364,9 @@ def _newton_pattern(c, copies):
     return _Pattern(
         pos=pos,
         diagonal=np.searchsorted(keys, np.arange(size).reshape(copies, e_count) * (size + 1)),
+        nnz=len(keys) // copies,
         indices=(keys % size).astype(np.intc),
         indptr=np.searchsorted(keys, np.arange(size + 1) * size).astype(np.intc),
-        nnz=len(keys) // copies,
     )
 
 
@@ -342,13 +374,26 @@ class _NewtonSystem:
     """The Newton matrices H + mu I of up to `copies` starts on one complex.
 
     H = op blockdiag(J_t) op^T with op the incidence operator, so H[e, f] sums J_t[s, s'] over the slots
-    s of e and s' of f in each tetrahedron t.  Its sparsity pattern depends
-    on the complex alone: the complex keeps it, one per copy count and
-    shared by both flavors, made on the first step that needs it
-    (_newton_pattern), so repeated solves on one complex build it once.
-    Each step forms the (T, 6, 6) blocks from the points' kernel record and
-    scatters them into the system's own CSC data with one bincount; SuperLU
-    factors it under its default ordering.
+    s of e and s' of f in each tetrahedron t.  Where each entry lands
+    depends on the complex alone: the complex keeps that _Pattern, one per
+    copy count and shared by both flavors, made on the first step that
+    needs it, so repeated solves on one complex build it once.  Each step
+    forms the (T, 6, 6) blocks from the points' kernel record and scatters
+    them into the matrices' entries with one bincount, in the same order on
+    both paths, so both hold the same H to the bit.
+
+    A complex of at most _DENSE_EDGES edges takes the dense path
+    (_dense_pattern): the m starts' matrices are one (m, E, E) stack, and
+    one batched LAPACK solve (np.linalg.solve) takes all of them.  Larger
+    complexes take the sparse path (_newton_pattern): the systems of the m
+    starts are the diagonal blocks of one CSC matrix, the Newton matrix of
+    m disjoint copies of the complex, which SuperLU factors at once under
+    its default ordering.  That pattern numbers the copies directly, copy
+    i's edges after copy i - 1's, so the first m copies are a prefix of its
+    CSC arrays, and each m gets its matrix once.  At desk scale SuperLU's
+    fixed costs per call, and a csc_array per solve, outweigh the
+    factorization; a dense E x E matrix grows as E^2 and its solve as E^3,
+    and on the fig8 cover of T = 32768 one would take 8.6 GB.
 
     The ideal H vanishes on the gauge directions col(B), H B = 0, so H
     commutes with the gauge projection P onto ker B^T, and the step P (H +
@@ -359,20 +404,15 @@ class _NewtonSystem:
     the start's largest diagonal entry of H, for both flavors; a smaller
     one is lost when rounded onto that diagonal, which leaves the matrix
     singular or nearly so.
-
-    The systems of m starts are the diagonal blocks of one matrix, the
-    Newton matrix of m disjoint copies of the complex, factored at once.
-    The pattern numbers the copies directly, copy i's edges after copy
-    i - 1's, so the first m copies are a prefix of its CSC arrays, and each
-    m gets its matrix once.
     """
 
     def __init__(self, c, flavor, copies=1):
         self.c = c
         self.flavor = flavor
         self.copies = copies
+        self.dense = c.num_edges <= _DENSE_EDGES
         self.pattern = None
-        self.matrix = None
+        self.matrix = None  # the last step's matrices: the (m, E, E) stack, or the CSC matrix
         self._matrices = {}
 
     def _matrix(self, m):
@@ -398,6 +438,28 @@ class _NewtonSystem:
         except RuntimeError:
             return np.full(n, np.nan)
 
+    def _solve_sparse(self, data, rhs):
+        matrix = self._matrix(len(rhs))
+        matrix.data[:] = data
+        try:
+            return splu(matrix).solve(rhs.ravel()).reshape(rhs.shape)
+        except RuntimeError:  # exactly singular
+            return np.array([self._solve_block(data, i, b) for i, b in enumerate(rhs)])
+
+    def _solve_dense(self, data, rhs):
+        e_count = self.c.num_edges
+        stack = self.matrix = data.reshape(len(rhs), e_count, e_count)
+        try:
+            return np.linalg.solve(stack, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:  # some start's matrix is exactly singular
+            d = np.full(rhs.shape, np.nan)
+            for i, (a, b) in enumerate(zip(stack, rhs)):
+                try:
+                    d[i] = np.linalg.solve(a, b)
+                except np.linalg.LinAlgError:
+                    pass
+            return d
+
     def step(self, record, r, shift):
         """The steps d with (H + mu' I) d = -r, or -r where that is no descent direction.
 
@@ -410,7 +472,8 @@ class _NewtonSystem:
         starts is exactly singular, each start's block is solved alone.
         """
         if self.pattern is None:
-            self.pattern = self.c._derive(_newton_pattern, self.copies)
+            build = _dense_pattern if self.dense else _newton_pattern
+            self.pattern = self.c._derive(build, self.copies)
         p = self.pattern
         e_count = self.c.num_edges
         rows = r.reshape(-1, e_count)
@@ -422,13 +485,8 @@ class _NewtonSystem:
         h = data[diagonal]
         floor = _SHIFT_FLOOR * np.maximum.reduce(np.abs(h), axis=1, keepdims=True)
         data[diagonal] = h + np.maximum(shift, floor)
-        matrix = self._matrix(m)
-        matrix.data[:] = data
         rhs = -gauge_project(self.c, rows) if self.flavor == "ideal" else -rows
-        try:
-            d = splu(matrix).solve(rhs.ravel()).reshape(m, e_count)
-        except RuntimeError:  # exactly singular
-            d = np.array([self._solve_block(data, i, rhs[i]) for i in range(m)])
+        d = self._solve_dense(data, rhs) if self.dense else self._solve_sparse(data, rhs)
         if self.flavor == "ideal":
             d = gauge_project(self.c, d)
         steepest = ~np.logical_and.reduce(np.isfinite(d), axis=1) | (_rowdot(rows, d) >= 0.0)

@@ -1,5 +1,6 @@
 """The descent's Newton step: per-tetrahedron angle Jacobians, the assembled
-sparse Hessian, its shift floor and the gauge-projected ideal step."""
+Hessian on the dense and the sparse path, its shift floor and the
+gauge-projected ideal step."""
 
 import json
 import math
@@ -13,12 +14,10 @@ from hypmet import hyperideal
 from hypmet.hyperideal import hyper_angles, hyper_jacobian, hyper_kernel
 from hypmet.ideal import ideal_jacobian, ideal_kernel
 from hypmet.metrics import _evaluate, angles_of_metric, cone_angles, cov_complex
-from hypmet.solver import _NewtonSystem, rigidity_check, solve_metric
-from hypmet.triangulation import GluingSpec, build_complex, gauge_matrix, load_triangulation
+from hypmet.solver import _NewtonSystem, _rowdot, rigidity_check, solve_metric
+from hypmet.triangulation import GluingSpec, build_complex, gauge_matrix
 
 from oracles import FIG8_COCYCLE, cyclic_cover, disjoint_union
-
-TWO_PI = 2 * math.pi
 
 
 def five_point(f, rows, h):
@@ -202,10 +201,33 @@ def record_rows(c, x, flavor):
     return _evaluate(c, x, flavor)[0]
 
 
+def fig8_cover(fixtures_dir, tets):
+    """A fig8 cyclic cover of `tets` tetrahedra, built anew."""
+    with open(fixtures_dir / "fig8.json") as fh:
+        return build_complex(GluingSpec.from_dict(cyclic_cover(json.load(fh), FIG8_COCYCLE, tets // 2)))
+
+
+def named_complex(request, name):
+    """A fixture complex, or a fig8 cover: fig8_16 takes the dense path, fig8_sparse the sparse one."""
+    fixtures_dir = request.getfixturevalue("fixtures_dir")
+    if name == "fig8_16":
+        return fig8_cover(fixtures_dir, 16)
+    if name == "fig8_sparse":
+        return fig8_cover(fixtures_dir, request.getfixturevalue("sparse_tets"))
+    return request.getfixturevalue(name)
+
+
+def newton_matrix(system):
+    """The last step's Newton matrix as one dense array: block-diagonal over the starts."""
+    if system.dense:
+        return block_diag(*system.matrix)
+    return system.matrix.toarray()
+
+
 def assembled(c, x, flavor, shift=0.0):
     system = _NewtonSystem(c, flavor)
     system.step(record(c, x, flavor), np.ones(c.num_edges), shift)
-    return system.matrix.toarray()
+    return newton_matrix(system)
 
 
 def shift_floor(c, x, flavor):
@@ -222,12 +244,13 @@ def kkt_step(c, x, r, shift):
 
 
 class TestNewtonSystem:
-    @pytest.mark.parametrize("name", ["fig8", "double_tet"])
+    @pytest.mark.parametrize("name", ["fig8", "double_tet", "fig8_sparse"])
     @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
     def test_assembled_matrix_is_the_dense_product(self, request, name, flavor):
-        # one E x E matrix for both flavors, H plus the shift or, where the
-        # shift is below it, the floor
-        c = request.getfixturevalue(name)
+        # one E x E matrix for both flavors and both paths, H plus the shift
+        # or, where the shift is below it, the floor
+        c = named_complex(request, name)
+        assert _NewtonSystem(c, flavor).dense == (name != "fig8_sparse")
         rng = np.random.default_rng(51)
         x = rng.uniform(-0.3, 0.3, c.num_edges) + (0.0 if flavor == "ideal" else 1.3)
         h, e = dense_hessian(c, x, flavor), c.num_edges
@@ -238,24 +261,45 @@ class TestNewtonSystem:
             assert matrix.shape == (e, e)
             assert np.max(np.abs(matrix - h - max(shift, floor) * np.eye(e))) <= 1e-14
 
-    @pytest.mark.parametrize("name", ["fig8", "double_tet", "fig8_16"])
+    @pytest.mark.parametrize("name", ["fig8", "double_tet", "fig8_16", "fig8_sparse"])
     @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
-    def test_copies_matrix_is_the_block_diagonal_of_one_copys(self, request, fixtures_dir, name, flavor):
-        # copy i is numbered after copy i - 1, so the first m of 5 copies
-        # are the block-diagonal matrix of the m one-copy matrices, to the bit
-        if name == "fig8_16":
-            with open(fixtures_dir / "fig8.json") as fh:
-                c = build_complex(GluingSpec.from_dict(cyclic_cover(json.load(fh), FIG8_COCYCLE, 8)))
-        else:
-            c = request.getfixturevalue(name)
+    def test_copies_matrix_is_the_block_diagonal_of_one_copys(self, request, name, flavor):
+        # the first m of 5 copies are the m one-copy matrices, to the bit:
+        # the dense path stacks them, and the sparse one numbers copy i's
+        # edges after copy i - 1's
+        c = named_complex(request, name)
         rng = np.random.default_rng(55)
         x = rng.uniform(-0.3, 0.3, (5, c.num_edges)) + (0.0 if flavor == "ideal" else 1.3)
         shift = rng.uniform(0.0, 0.1, (5, 1))
         system = _NewtonSystem(c, flavor, 5)
+        assert system.dense == (name != "fig8_sparse")
         for m in (1, 3, 5):
             system.step(record_rows(c, x[:m], flavor), np.ones((m, c.num_edges)), shift[:m])
             blocks = [assembled(c, x[i], flavor, float(shift[i, 0])) for i in range(m)]
-            assert np.array_equal(system.matrix.toarray(), block_diag(*blocks))
+            assert np.array_equal(newton_matrix(system), block_diag(*blocks))
+
+    @pytest.mark.parametrize("name", ["double_tet", "fig8_16"])
+    @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
+    def test_dense_and_sparse_paths_give_one_step(self, request, newton_paths, name, flavor):
+        # the two paths hold the same matrices and solve them by different
+        # eliminations: the steps of three starts agree to rounding, and
+        # ideal steps stay in ker B^T on both
+        c = named_complex(request, name)
+        rng = np.random.default_rng(57)
+        x = rng.uniform(-0.3, 0.3, (3, c.num_edges)) + (0.0 if flavor == "ideal" else 1.3)
+        r = rng.uniform(-0.1, 0.1, x.shape)
+        shift = np.array([[1e-3], [0.0], [0.1]])
+        steps = {}
+        for dense in newton_paths(c):
+            system = _NewtonSystem(c, flavor, 3)
+            steps[dense] = system.step(record_rows(c, x, flavor), r, shift)
+            assert system.dense == dense
+            assert np.all(_rowdot(r, steps[dense]) < 0.0)
+            if flavor == "ideal":
+                assert np.max(np.abs(steps[dense] @ gauge_matrix(c))) <= 1e-12
+        gap = np.abs(steps[True] - steps[False]).max(axis=1)
+        assert np.all(gap <= 1e-12 * np.abs(steps[False]).max(axis=1))
+        assert not np.any(np.all(steps[True] == -r, axis=1))  # no start fell back to -r
 
     def test_bordered_step_stays_in_the_gauge_complement(self, fixtures_dir):
         # the projected step P (H + mu' I)^-1 (-P r) is the step of the
@@ -293,12 +337,14 @@ class TestNewtonSystem:
         assert np.max(np.abs(d - floored)) <= 1e-12 * np.max(np.abs(d))
         assert float(r @ d) < 0.0
 
-    def test_singular_system_falls_back_to_steepest_descent(self, double_tet):
-        # every hyper slot clamped: all blocks vanish and H = 0
+    def test_singular_system_falls_back_to_steepest_descent(self, double_tet, newton_paths):
+        # every hyper slot clamped: all blocks vanish and H = 0, on both paths
         r = np.random.default_rng(53).uniform(-1.0, 1.0, double_tet.num_edges)
         x = -np.ones(double_tet.num_edges)
-        d = _NewtonSystem(double_tet, "hyper").step(record(double_tet, x, "hyper"), r, 0.0)
-        assert np.array_equal(d, -r)
+        for dense in newton_paths(double_tet):
+            system = _NewtonSystem(double_tet, "hyper")
+            assert system.dense == dense
+            assert np.array_equal(system.step(record(double_tet, x, "hyper"), r, 0.0), -r)
 
     def test_bordered_factorization_is_ordered_against_fill(self, fixtures_dir, monkeypatch):
         # one vertex class holds every edge of a fig8 cover, so a border by
@@ -306,8 +352,7 @@ class TestNewtonSystem:
         # under SuperLU's default ordering has neither, and its L + U hold
         # about 31 thousand entries here, where the bordered system's held
         # about 105 thousand
-        with open(fixtures_dir / "fig8.json") as fh:
-            c = build_complex(GluingSpec.from_dict(cyclic_cover(json.load(fh), FIG8_COCYCLE, 1024)))
+        c = fig8_cover(fixtures_dir, 2048)
         assert c.n_tets == 2048 and c.num_vertices == 1
         fill = []
         factor = hypmet.solver.splu
@@ -327,31 +372,41 @@ class TestNewtonSystem:
         assert np.max(np.abs(gauge_matrix(c).T @ d)) <= 1e-10 and float(r @ d) < 0.0
 
     def test_pattern_built_once_per_complex_flavor_and_copies_and_only_when_stepping(
-        self, fixtures_dir, monkeypatch
+        self, fixtures_dir, sparse_tets, monkeypatch
     ):
-        builds = []
-        build = hypmet.solver._newton_pattern
+        # fig8 takes the dense path and its cover of sparse_tets tetrahedra
+        # the sparse one; each complex builds the pattern of its own path
+        # only
+        builds = {"dense": [], "sparse": []}
 
-        def counting(c, copies):
-            builds.append(copies)
-            return build(c, copies)
+        def counting(path, build):
+            def built(c, copies):
+                builds[path].append((c.num_edges, copies))
+                return build(c, copies)
 
-        monkeypatch.setattr(hypmet.solver, "_newton_pattern", counting)
-        c = build_complex(load_triangulation(fixtures_dir / "fig8.json"))
-        res = solve_metric(c, [TWO_PI, TWO_PI], "ideal")  # starts at the answer
-        assert res.iterations == 0 and builds == []
-        # the three starts descend in lockstep, one descent with one pattern,
-        # which the complex keeps for the next check with three starts
-        for seed in (1, 2):
-            rep = rigidity_check(c, [TWO_PI, TWO_PI], "ideal", starts=3, seed=seed)
-            assert rep.ok and min(rep.iterations) > 1 and builds == [3]
-        # one start gets its own pattern, once, and both flavors share it
-        for flavor, lengths in (("ideal", [0.3, -0.3]), ("hyper", [1.2, 1.5])):
-            k = cone_angles(c, angles_of_metric(c, lengths, flavor))
-            for _ in range(2):
-                assert solve_metric(c, k, flavor).iterations > 0
-        assert builds == [3, 1]
-        # a complex built anew builds its own
-        fresh = build_complex(load_triangulation(fixtures_dir / "fig8.json"))
-        solve_metric(fresh, k, "hyper")
-        assert builds == [3, 1, 1]
+            return built
+
+        monkeypatch.setattr(hypmet.solver, "_dense_pattern", counting("dense", hypmet.solver._dense_pattern))
+        monkeypatch.setattr(hypmet.solver, "_newton_pattern", counting("sparse", hypmet.solver._newton_pattern))
+        for tets, path, other in ((2, "dense", "sparse"), (sparse_tets, "sparse", "dense")):
+            c = fig8_cover(fixtures_dir, tets)
+            e = c.num_edges
+            complete = cone_angles(c, angles_of_metric(c, np.zeros(e), "ideal"))
+            res = solve_metric(c, complete, "ideal")  # starts at the answer
+            assert res.iterations == 0 and builds[path] == []
+            # the three starts descend in lockstep, one descent with one
+            # pattern, which the complex keeps for the next check with three
+            for seed in (1, 2):
+                rep = rigidity_check(c, complete, "ideal", starts=3, seed=seed)
+                assert rep.ok and min(rep.iterations) > 1 and builds[path] == [(e, 3)]
+            # one start gets its own pattern, once, and both flavors share it
+            lengths = np.random.default_rng(tets).uniform(-0.3, 0.3, e)
+            for flavor, x in (("ideal", lengths), ("hyper", lengths + 1.3)):
+                k = cone_angles(c, angles_of_metric(c, x, flavor))
+                for _ in range(2):
+                    assert solve_metric(c, k, flavor).iterations > 0
+            assert builds[path] == [(e, 3), (e, 1)]
+            # a complex built anew builds its own
+            solve_metric(fig8_cover(fixtures_dir, tets), k, "hyper")
+            assert builds[path] == [(e, 3), (e, 1), (e, 1)] and builds[other] == []
+            builds[path].clear()

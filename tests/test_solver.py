@@ -996,9 +996,13 @@ class TestLockstep:
     """rigidity_check's starts descend in lockstep, each as it would alone."""
 
     @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
-    @pytest.mark.parametrize("name", ["fig8", "double_tet", "fig8_16"])
-    def test_lockstep_matches_independent_descents(self, request, fig8_cover, name, flavor):
-        c = fig8_cover(16) if name == "fig8_16" else request.getfixturevalue(name)
+    @pytest.mark.parametrize("name", ["fig8", "double_tet", "fig8_16", "fig8_sparse"])
+    def test_lockstep_matches_independent_descents(self, request, fig8_cover, sparse_tets, name, flavor):
+        # fig8_sparse is the least fig8 cover whose starts are the diagonal
+        # blocks of one SuperLU matrix; the others stack dense matrices
+        covers = {"fig8_16": 16, "fig8_sparse": sparse_tets}
+        c = fig8_cover(covers[name]) if name in covers else request.getfixturevalue(name)
+        assert hypmet.solver._NewtonSystem(c, flavor).dense == (name != "fig8_sparse")
         draw = random_positive_ideal_k if flavor == "ideal" else random_positive_hyper_k
         descend, opts = hypmet.solver._descend, SolveOptions()
         for seed in range(20):
@@ -1084,19 +1088,22 @@ class TestLockstep:
         assert np.array_equal(both.x[0], x[0] + d[0])
         assert_rows_searched_alone(fig8, "hyper", k, pts, d, gd, gnorm, both)
 
-    def test_singular_block_falls_back_alone(self, double_tet):
+    def test_singular_block_falls_back_alone(self, double_tet, newton_paths):
         # row 0 has every hyper slot clamped, so its block is H = 0; the
-        # matrix of both rows is singular, and each block is solved alone
+        # matrices of both rows do not solve at once, on either path, and
+        # each block is solved alone
         rng = np.random.default_rng(25)
         x = np.vstack([-np.ones(double_tet.num_edges), rng.uniform(0.8, 1.6, double_tet.num_edges)])
         r = rng.uniform(-1.0, 1.0, x.shape)
         shift = np.array([[0.0], [0.01]])
-        record = _evaluate(double_tet, x, "hyper")[0]
-        d = hypmet.solver._NewtonSystem(double_tet, "hyper", 2).step(record, r, shift)
-        assert np.array_equal(d[0], -r[0])
-        record = _evaluate(double_tet, x[1:], "hyper")[0]
-        alone = hypmet.solver._NewtonSystem(double_tet, "hyper").step(record, r[1], 0.01)
-        assert np.max(np.abs(d[1] - alone)) <= 1e-12 and float(r[1] @ d[1]) < 0.0
+        both, one = (_evaluate(double_tet, rows, "hyper")[0] for rows in (x, x[1:]))
+        for dense in newton_paths(double_tet):
+            system = hypmet.solver._NewtonSystem(double_tet, "hyper", 2)
+            assert system.dense == dense
+            d = system.step(both, r, shift)
+            assert np.array_equal(d[0], -r[0])
+            alone = hypmet.solver._NewtonSystem(double_tet, "hyper").step(one, r[1], 0.01)
+            assert np.max(np.abs(d[1] - alone)) <= 1e-12 and float(r[1] @ d[1]) < 0.0
 
     @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
     def test_groups_run_one_after_another(self, fig8, monkeypatch, flavor):
