@@ -7,12 +7,14 @@ targets (perfbench/workloads.py: seeded lengths l* on the figure-eight cyclic
 covers of T tetrahedra and their reference cone angles), TARGETS per cover
 size from default_rng(SEED), and solves every target with both trees, round
 after round.  The tree that runs first alternates from round to round.  Both
-trees must take the same number of iterations on every target and agree on
-its angle assignment to 1e-10, or the run stops.  The angles are what the
-descent converges in (cone angles to 1e-9); the lengths are their inverse
-image, whose rounding grows with the conditioning of H: at T = 2048 two
-orderings of one factorization give ideal lengths 3e-12 apart.  The largest
-length and angle gaps over all rounds are printed at the end.
+trees must take the same number of iterations on every target, report
+objective traces of the same length and agree on its angle assignment to
+1e-10, or the run stops.  The angles are what the descent converges in
+(cone angles to 1e-9); the lengths are their inverse image, whose rounding
+grows with the conditioning of H: at T = 2048 two orderings of one
+factorization give ideal lengths 3e-12 apart.  The largest gaps over all
+rounds of the lengths, the angles, the volume, W and the objective traces
+are printed at the end.
 
 Prints each round's time per tree and the median and quartiles of the
 ratio (this tree) / (parent tree) over the rounds.  Alternating in one
@@ -92,7 +94,7 @@ def main():
 
     times = {name: [] for name in trees}
     order = list(trees)
-    gaps = {"lengths": 0.0, "angles": 0.0}
+    gaps = dict.fromkeys(("lengths", "angles", "volume", "W", "trace"), 0.0)
     for r in range(args.rounds):
         results = {}
         for name in order if r % 2 == 0 else order[::-1]:
@@ -101,11 +103,22 @@ def main():
         for i, (a, b) in enumerate(zip(results["parent"], results["this"])):
             if a.iterations != b.iterations:
                 sys.exit(f"target {i}: {a.iterations} iterations (parent) against {b.iterations} (this)")
+            if len(a.objective_trace) != len(b.objective_trace):
+                sys.exit(
+                    f"target {i}: objective traces of {len(a.objective_trace)} (parent) "
+                    f"and {len(b.objective_trace)} (this) values"
+                )
             gap = float(np.max(np.abs(a.assignment - b.assignment)))
             if gap > ANGLE_TOL:
                 sys.exit(f"target {i}: angle assignments differ by {gap:.3g} > {ANGLE_TOL:g}")
-            gaps["angles"] = max(gaps["angles"], gap)
-            gaps["lengths"] = max(gaps["lengths"], float(np.max(np.abs(a.lengths - b.lengths))))
+            for name, got in (
+                ("angles", gap),
+                ("lengths", np.max(np.abs(a.lengths - b.lengths))),
+                ("volume", abs(a.volume - b.volume)),
+                ("W", abs(a.w_value - b.w_value)),
+                ("trace", np.max(np.abs(np.subtract(a.objective_trace, b.objective_trace)))),
+            ):
+                gaps[name] = max(gaps[name], float(got))
         print(
             f"round {r:3d}: parent {1e3 * times['parent'][-1]:8.2f} ms   this {1e3 * times['this'][-1]:8.2f} ms",
             flush=True,
@@ -117,7 +130,7 @@ def main():
         f"{args.flavor} round trips, T = {args.tets}, {len(ks)} targets, {args.rounds} rounds: "
         f"parent {1e3 * np.median(times['parent']):.2f} ms, this {1e3 * np.median(times['this']):.2f} ms "
         f"per round (medians); ratio this/parent median {med:.3f}, quartiles {q1:.3f}-{q3:.3f}; "
-        f"largest gaps: lengths {gaps['lengths']:.2g}, angles {gaps['angles']:.2g}"
+        "largest gaps: " + ", ".join(f"{name} {gap:.2g}" for name, gap in gaps.items())
     )
 
 

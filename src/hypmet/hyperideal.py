@@ -50,6 +50,10 @@ smooth.
 
 `hyper_kernel` evaluates phi, the angles, cov and vol for an array of T
 tetrahedra in one numpy pass; the scalar functions are its T = 1 views.
+It runs in two stages, which the descent calls apart: the angle stage
+(`hyper_angle_stage`), the cosine law, the angles and the row masks, and
+the volume stage (`hyper_volume_stage`), `_volume` with the flat and
+near-wall fix-ups.
 Like the ideal kernel it raises on no finite input: rows it cannot
 evaluate come back NaN, where the named functions raise NumericalError.
 `mu_segment_integral`, the adaptive quadrature of mu along a straight
@@ -82,6 +86,7 @@ __all__ = [
     "VERTEX_SLOTS",
     "LengthClass",
     "HyperKernel",
+    "HyperAngles",
     "vertex_edge_length",
     "phi",
     "flat_pairs",
@@ -89,6 +94,8 @@ __all__ = [
     "hyper_angles",
     "hyper_angles_from_lengths",
     "hyper_kernel",
+    "hyper_angle_stage",
+    "hyper_volume_stage",
     "hyper_jacobian",
     "psi",
     "classify_angles",
@@ -446,6 +453,20 @@ class HyperKernel(NamedTuple):
     smooth: np.ndarray  # (T,) neither flat nor in the near-wall band
 
 
+class HyperAngles(NamedTuple):
+    """The angle stage of hyper_kernel for T tetrahedra: its record less cov and vol."""
+
+    phi: np.ndarray  # (T, 6) as in HyperKernel, NaN on the rows beyond the range
+    angles: np.ndarray  # (T, 6) likewise
+    lengths: np.ndarray
+    c: np.ndarray
+    e: np.ndarray
+    face: np.ndarray
+    den: np.ndarray
+    smooth: np.ndarray
+    closed: np.ndarray  # (T,) neither beyond the range nor in the near-wall band
+
+
 def hyper_kernel(l, tol=1e-10):
     """phi, angles, covolume and volume of T tetrahedra with lengths l, shape (T, 6).
 
@@ -454,38 +475,81 @@ def hyper_kernel(l, tol=1e-10):
     form in the near-wall band.  A row beyond the cosine law's range, or
     whose band integral does not converge, gets NaN phi, angles, cov and
     vol; every other row keeps its bits.  Non-finite input is a DomainError.
+    The kernel is its two stages, hyper_angle_stage and hyper_volume_stage,
+    run one after the other.
+    """
+    r = hyper_angle_stage(l)
+    cov, vol = hyper_volume_stage(r, tol)
+    if not r.closed.all():  # a band integral that fails takes its row's angles too
+        lost = np.isnan(cov)
+        r.phi[lost] = r.angles[lost] = np.nan
+    return HyperKernel(r.phi, r.angles, cov, vol, r.lengths, r.c, r.e, r.face, r.den, r.smooth)
+
+
+def hyper_angle_stage(l):
+    """The angle stage of hyper_kernel: the cosine law, the angles and the row masks.
+
+    Everything of the kernel's record but cov and vol, as a HyperAngles:
+    what the cone angles, the Jacobian and hyper_volume_stage read.  closed
+    marks the rows whose covolume hyper_volume_stage gives in closed form,
+    finite and from the row's angles and lengths alone: not beyond the
+    cosine law's range (NaN phi and angles here) and not in the near-wall
+    band, whose integral may fail.  Non-finite input is a DomainError.
     """
     lp = np.maximum(_check_batch(l), 0.0)
     ph, c, e, face, den, bad = _cosine_law(lp)
-    if bad is not None:  # angles 0 until the end: _volume, _regions and max see no NaN
+    if bad is not None:  # angles 0 until the end: _regions and max see no NaN
         ph[bad] = 1.0
     a = _angles(ph)
+    smooth, closed = np.ones((2, len(lp)), dtype=bool)
+    if a.max(initial=0.0) > math.pi - _BAND:  # some row may be flat or in the band
+        pair, near = _regions(ph, a)
+        closed = ~near.any(axis=1)
+        smooth = (pair < 0) & closed
+    if bad is not None:
+        ph[bad] = a[bad] = np.nan
+        closed = closed & ~bad
+    return HyperAngles(ph, a, lp, c, e, face, den, smooth, closed)
+
+
+def hyper_volume_stage(record, tol=1e-10):
+    """The volume stage of hyper_kernel: cov and vol, shape (T,), of a HyperAngles record.
+
+    The closed form 2 vol + sum a l+ with vol = _volume(a), then the fix-ups:
+    vol 0 and cov pi (l_p + l_{p+3}) on the flat rows, the band integral
+    (tol its accuracy target) on the near-wall rows, and NaN on the rows
+    beyond the range and those whose integral does not converge.  Each
+    row's values depend on that row alone.
+    """
+    ph, a, lp = record.phi, record.angles, record.lengths
+    bad = None
+    if not record.closed.all():
+        bad = np.isnan(a[:, 0])
+        if bad.any():  # the angle stage's clean values, as the rows had them
+            ph = np.where(bad[:, None], 1.0, ph)
+            a = np.where(bad[:, None], 0.0, a)
     vol = _volume(a)
     cov = 2.0 * vol + np.einsum("ij,ij->i", a, lp)
-    smooth = np.ones(len(lp), dtype=bool)
     if a.max(initial=0.0) > math.pi - _BAND:  # some row may be flat or in the band
         pair, near = _regions(ph, a)
         flat = np.flatnonzero(pair >= 0)
         p = pair[flat]
         vol[flat] = 0.0
         cov[flat] = math.pi * (lp[flat, p] + lp[flat, p + 3])
-        band = near.any(axis=1)
-        for t in np.flatnonzero(band):
+        for t in np.flatnonzero(near.any(axis=1)):
             cov[t] = _cov_near_wall(lp[t], int(near[t].argmax()), tol)
             vol[t] = 0.5 * (cov[t] - float(a[t] @ lp[t]))
-        smooth = (pair < 0) & ~band
-        lost = np.isnan(cov)
-        bad = lost if bad is None else bad | lost
     if bad is not None:
-        ph[bad] = a[bad] = cov[bad] = vol[bad] = np.nan
-    return HyperKernel(ph, a, cov, vol, lp, c, e, face, den, smooth)
+        cov[bad] = vol[bad] = np.nan
+    return cov, vol
 
 
 def hyper_jacobian(kernel):
     """Jacobian of the extended dihedral angles in the lengths, shape (T, 6, 6).
 
-    kernel is the HyperKernel of the T tetrahedra, whose cosine-law terms
-    give the Jacobian at the point it evaluated.  By the chain rule through
+    kernel is the HyperKernel of the T tetrahedra, or its angle stage
+    (HyperAngles), whose cosine-law terms give the Jacobian at the point it
+    evaluated.  By the chain rule through
     the cosine law, d a_s = -d phi_s / sin a_s, where phi_s = num_s /
     sqrt(F1 F2) is differentiated in c = cosh l (see _cosine_law) and
     dc/dl = e sinh l (e = 1 unless some length exceeds _SCALE_FROM).  By
@@ -494,7 +558,7 @@ def hyper_jacobian(kernel):
     slots (l <= 0), and a zero block on flat tetrahedra and on those in the
     near-wall band, where sin a -> 0 makes the derivative blow up.
     """
-    ph, _, _, _, lp, c, e, face, den, smooth = kernel
+    ph, lp, c, e, face, den = kernel.phi, kernel.lengths, kernel.c, kernel.e, kernel.face, kernel.den
     ca, cb, cc, ik, ih, jk, jh, kh = _gathered(c)
     eca, ecb, ecc, eik, eih, ejk, ejh, _ = _gathered(e * c)
     # half of d log F_f / d c_u on the three slots of each face f; a zero row
@@ -512,8 +576,8 @@ def hyper_jacobian(kernel):
     jac -= dnum.take(_DNUM, axis=1) * (w / den)[:, :, None]
     sh = np.where(lp < _COSH_MAX, np.sinh(np.minimum(lp, _COSH_MAX)) * e, c)
     jac *= sh[:, None, :]
-    if not smooth.all():
-        jac[~smooth] = 0.0
+    if not kernel.smooth.all():
+        jac[~kernel.smooth] = 0.0
     return jac
 
 

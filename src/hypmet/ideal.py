@@ -14,7 +14,9 @@ the triangle volume sum(Lambda(a_i)).
 
 `ideal_kernel` evaluates the angles, covolume and volume of a whole (T, 6)
 array of labels in one numpy pass; the single-tetrahedron functions are its
-T = 1 views.  All side lengths are handled in log space so that no finite
+T = 1 views.  It runs in two stages, which the descent calls apart: the
+angle stage (`ideal_angle_stage`), the triangle angles of the log sides,
+and the volume stage (`ideal_volume_stage`), their Lobachevsky sums.  All side lengths are handled in log space so that no finite
 label overflows the angles, and the angles come from Kahan's sorted half-angle
 arctangent form, which stays accurate where the law of cosines would cancel.
 """
@@ -30,7 +32,10 @@ from .lobachevsky import lobachevsky, lobachevsky_array
 
 __all__ = [
     "IdealKernel",
+    "IdealAngles",
     "ideal_kernel",
+    "ideal_angle_stage",
+    "ideal_volume_stage",
     "ideal_jacobian",
     "triangle_angles",
     "penner_angle",
@@ -53,6 +58,14 @@ class IdealKernel(NamedTuple):
     angles: np.ndarray  # (T, 3) quad angles; slots p and p + 3 carry angle p
     cov: np.ndarray  # (T,) covolume, the gradient of which is the slot angles
     vol: np.ndarray  # (T,) volume sum_p Lambda(a_p), 0 on the flat tetrahedra
+
+
+class IdealAngles(NamedTuple):
+    """The angle stage of ideal_kernel for T tetrahedra."""
+
+    angles: np.ndarray  # (T, 3) quad angles
+    y: np.ndarray  # (T, 3) log sides l_p / 2 + l_{p+3} / 2
+    closed: np.ndarray  # (T,) labels at most _LARGE in size
 
 
 def _triangle_angles(x):
@@ -85,14 +98,24 @@ def _triangle_angles(x):
     return out
 
 
+def _log_side_angles(y):
+    """The quad angles of log sides y, shape (T, 3), each row shifted by its maximum before exp."""
+    return _triangle_angles(np.exp(y - y.max(axis=1, keepdims=True)))
+
+
+def _log_side_volumes(a, y):
+    """2 phi_star and the volume of the angles a at log sides y, both shape (T, 3)."""
+    lam = lobachevsky_array(a)
+    return 2.0 * (lam + a * y).sum(axis=1), lam.sum(axis=1)
+
+
 def _log_side_kernel(y):
     """Angles, 2 phi_star and volume of log sides y, shape (T, 3), as an IdealKernel.
 
-    Each row is shifted by its maximum before exp, so any finite y is safe.
+    Any finite y is safe.
     """
-    a = _triangle_angles(np.exp(y - y.max(axis=1, keepdims=True)))
-    lam = lobachevsky_array(a)
-    return IdealKernel(a, 2.0 * (lam + a * y).sum(axis=1), lam.sum(axis=1))
+    a = _log_side_angles(y)
+    return IdealKernel(a, *_log_side_volumes(a, y))
 
 
 def ideal_kernel(l):
@@ -104,16 +127,43 @@ def ideal_kernel(l):
     every step in the double range.  Past it the angles and volumes are
     still exact, no step warns, and a covolume of size beyond DBL_MAX / T,
     where a sum of T of them could overflow, is NaN.  Raises DomainError for
-    non-finite labels.
+    non-finite labels.  The kernel is its two stages, ideal_angle_stage and
+    ideal_volume_stage, run one after the other.
+    """
+    r = ideal_angle_stage(l)
+    return IdealKernel(r.angles, *ideal_volume_stage(r))
+
+
+def ideal_angle_stage(l):
+    """The angle stage of ideal_kernel: the quad angles and log sides, as an IdealAngles.
+
+    closed marks the rows whose labels are at most _LARGE in size, whose
+    covolume ideal_volume_stage gives finite and from the row alone.
+    Raises DomainError for non-finite labels.
     """
     l = np.asarray(l, dtype=float)
-    if l.ndim != 2 or l.shape[1] != 6 or not np.abs(l).max(initial=0.0) <= _LARGE:
-        l = _check_batch(l, "edge labels")
-        with np.errstate(over="ignore"):
-            kernel = _log_side_kernel(0.5 * l[:, :3] + 0.5 * l[:, 3:])
-        kernel.cov[~(np.abs(kernel.cov) <= np.finfo(float).max / len(l))] = np.nan
-        return kernel
-    return _log_side_kernel(0.5 * l[:, :3] + 0.5 * l[:, 3:])
+    if l.ndim == 2 and l.shape[1] == 6 and np.abs(l).max(initial=0.0) <= _LARGE:  # False where NaN
+        y = 0.5 * l[:, :3] + 0.5 * l[:, 3:]
+        return IdealAngles(_log_side_angles(y), y, np.ones(len(l), dtype=bool))
+    l = _check_batch(l, "edge labels")
+    y = 0.5 * l[:, :3] + 0.5 * l[:, 3:]
+    with np.errstate(over="ignore"):
+        return IdealAngles(_log_side_angles(y), y, np.abs(l).max(axis=1) <= _LARGE)
+
+
+def ideal_volume_stage(record):
+    """The volume stage of ideal_kernel: cov and vol, shape (T,), of an IdealAngles record.
+
+    Where some label of the record exceeds _LARGE, a covolume of size
+    beyond DBL_MAX / T, T the record's length, is NaN (see ideal_kernel).
+    """
+    a, y = record.angles, record.y
+    if np.logical_and.reduce(record.closed, axis=None):
+        return _log_side_volumes(a, y)
+    with np.errstate(over="ignore"):
+        cov, vol = _log_side_volumes(a, y)
+    cov[~(np.abs(cov) <= np.finfo(float).max / len(cov))] = np.nan
+    return cov, vol
 
 
 def _cotangent_map():
@@ -132,11 +182,12 @@ _COTANGENT_MAP = _cotangent_map()
 def ideal_jacobian(kernel):
     """Jacobian of the slot angles in the labels, shape (T, 6, 6).
 
-    kernel is the IdealKernel of the T tetrahedra, whose quad angles are all
-    the Jacobian needs: it is the cotangent form of the triangle-angle map
-    on log sides (Bobenko-Pinkall-Springborn, Geom. Topol. 2015), d a_p /
-    d y_p = cot a_q + cot a_r and d a_p / d y_q = -cot a_r, with y_p =
-    (l_p + l_{p+3}) / 2, so d a_p / d l_s is half the entry at (p, s mod 3).
+    kernel is the IdealKernel of the T tetrahedra, or its angle stage
+    (IdealAngles), whose quad angles are all the Jacobian needs: it is the
+    cotangent form of the triangle-angle map on log sides
+    (Bobenko-Pinkall-Springborn, Geom. Topol. 2015), d a_p / d y_p = cot a_q
+    + cot a_r and d a_p / d y_q = -cot a_r, with y_p = (l_p + l_{p+3}) / 2,
+    so d a_p / d l_s is half the entry at (p, s mod 3).
     It is symmetric, and the all-ones vector of each tetrahedron lies in
     its kernel.  Flat tetrahedra, whose angles (pi, 0, 0) stay put nearby,
     get a zero block.

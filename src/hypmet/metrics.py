@@ -21,10 +21,12 @@ solvers exploit.  _evaluate is the one evaluator of metrics on a complex:
 it takes m metrics, one per row, through one call of the flavor's batched
 kernel (ideal.ideal_kernel, hyperideal.hyper_kernel) and returns the
 kernel record, the covolumes and the cone angles of every row.
-cov_complex, volume_of_metric and the solvers' descent and duality check
-all read it.  A tetrahedron beyond its kernel's range makes its row's
-covolume NaN; the descent reads that as a failed Armijo test, and the
-named functions raise NumericalError.
+cov_complex, volume_of_metric and the solvers' duality check read it.  The
+descent runs the kernel's two stages apart: _evaluate_angles, the angle
+stage and the cone angles, at every point, and _evaluate_volumes, the
+volume stage, only where a value is read.  A tetrahedron beyond its
+kernel's range makes its row's covolume NaN; the descent reads that as a
+failed Armijo test, and the named functions raise NumericalError.
 """
 
 import math
@@ -32,8 +34,15 @@ import math
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .hyperideal import VERTEX_SLOTS, hyper_angles, hyper_kernel, volumes_from_angles
-from .ideal import ideal_kernel
+from .hyperideal import (
+    VERTEX_SLOTS,
+    hyper_angle_stage,
+    hyper_angles,
+    hyper_kernel,
+    hyper_volume_stage,
+    volumes_from_angles,
+)
+from .ideal import ideal_angle_stage, ideal_kernel, ideal_volume_stage
 from .lobachevsky import lobachevsky_array
 
 __all__ = [
@@ -223,3 +232,31 @@ def _evaluate(c, x, flavor, tol=1e-10):
     kernel = hyper_kernel(lengths, tol=tol) if flavor == "hyper" else ideal_kernel(lengths)
     kernel = kernel._make(a.reshape(m, c.n_tets, *a.shape[1:]) for a in kernel)
     return kernel, kernel.cov.sum(axis=1), _cone_angles(c, kernel.angles)
+
+
+def _evaluate_angles(c, x, flavor):
+    """The flavor's angle stage on the metrics x, shape (m, E), one per row, in one call.
+
+    Returns the angle-stage record, each array of shape (m, T, ...), and the
+    cone angles of each row, shape (m, E), as _evaluate gives them wherever
+    the record's tetrahedra are all closed.
+    """
+    m = len(x)
+    lengths = x.take(c.edge_index, axis=1).reshape(-1, 6)
+    record = hyper_angle_stage(lengths) if flavor == "hyper" else ideal_angle_stage(lengths)
+    record = record._make(a.reshape(m, c.n_tets, *a.shape[1:]) for a in record)
+    return record, _cone_angles(c, record.angles)
+
+
+def _evaluate_volumes(record, flavor, tol=1e-10):
+    """The covolume and volume of each row, shape (m,), of an _evaluate_angles record, in one call.
+
+    The flavor's volume stage on all of the record's tetrahedra; each row
+    gets the bits _evaluate gives it, but that an ideal covolume past the
+    double range is judged against this call's number of tetrahedra (see
+    ideal.ideal_volume_stage).
+    """
+    m = len(record.angles)
+    rows = record._make(a.reshape(-1, *a.shape[2:]) for a in record)
+    cov, vol = hyper_volume_stage(rows, tol) if flavor == "hyper" else ideal_volume_stage(rows)
+    return cov.reshape(m, -1).sum(axis=1), vol.reshape(m, -1).sum(axis=1)

@@ -30,17 +30,17 @@ one gets it sparse, factored by SuperLU.  On fig8 covers the two take equal
 time at E = 104-136, SuperLU's fixed costs per call outweighing the dense
 solve below that, and every benchmark ladder rung (E <= 64) takes the dense
 path.  The solver evaluates no tetrahedron itself: every point goes
-through metrics._evaluate, the library's one evaluator, once.  The
-descent keeps the kernel record of the accepted point, and both the
-Jacobians and the results read it.  The ideal H vanishes on the
-decoration gauge col(B), H B = 0, so both flavors solve one E x E
-matrix; the ideal step goes through the gauge projection onto ker B^T
-before and after the solve, which gives the step of the system bordered
-by B.  What depends on the complex alone is derived once per complex and
-kept on it (triangulation.Complex._derive): where H's entries land, dense or
-sparse, per start count, the vertex sums of the target check, and the gauge
-projection's matrices, so repeated solves on one complex build none of
-them again.
+through the library's evaluator (metrics), each stage of the kernel at
+most once.  The descent keeps the angle-stage record of the accepted
+point, and both the Jacobians and the results read it.  The ideal H
+vanishes on the decoration gauge col(B), H B = 0, so both flavors solve
+one E x E matrix; the ideal step goes through the gauge projection onto
+ker B^T before and after the solve, which gives the step of the system
+bordered by B.  What depends on the complex alone is derived once per
+complex and kept on it (triangulation.Complex._derive): where H's entries
+land, dense or sparse, per start count, the vertex sums and edge valences
+of the target check, and the gauge projection's matrices, so repeated
+solves on one complex build none of them again.
 Every ideal metric's cone angles meet the vertex sums (B^T k_x)_v = pi n_v
 (n_v corners in vertex class v), so the residual for a target that meets
 them is orthogonal to col(B), and steps in ker B^T can drive it to zero.
@@ -55,14 +55,28 @@ convergence quadratic; it is never below _SHIFT_FLOOR times H's largest
 diagonal entry, or it would be lost when rounded onto that diagonal.
 Where the factorization is singular anyway, or the step is no descent
 direction, the step is the steepest-descent -r.
-A backtracking Armijo line search damps the step.  One covolume call per
-trial point gives value and gradient; the Armijo test allows 8 ulp of
-|cov(x)| + |<x, k>| at both points (at least 1e-13).  A trial point
-beyond a kernel's range has a NaN covolume, which fails the test.
+A backtracking Armijo line search damps the step.  Each trial point runs
+the kernel's angle stage, which gives the gradient: the cone angles k_x,
+so r = k_x - k.  Convexity accepts most trial points from it alone: f is
+convex along the step, so f(x + a d) - f(x) <= a <r(x + a d), d>, and
+where that is at most c a <r, d> the Armijo bound holds.  A trial point
+whose tetrahedra are all closed (no near-wall band, nothing beyond the
+kernel's range; see the kernels' angle stages) is accepted when
+<r(x + a d), d> <= c <r, d>.  Any other runs the volume stage, at the
+trial and the current point, and takes the Armijo test, which allows 8
+ulp of |cov(x)| + |<x, k>| at both points (at least 1e-13); a trial point
+beyond a kernel's range has a NaN covolume, which fails it.  So the
+decisions, and the iterates, are those of the Armijo test at every trial
+point.  The objective values that the traces, the results and the errors
+report come from the accepted points' records in few volume-stage calls
+(_Traces): each call the line search makes takes every waiting record
+along, and the rest wait until a start finishes or fails, or until they
+exceed _GROUP_TETS tetrahedra.  A desk-scale solve makes one to three.
 
-rigidity_check's random starts descend in lockstep: each iteration makes
-one evaluator call on the stacked points of every unconverged start, one
-Jacobian call, and one solve of the starts' Newton matrices: one batched
+rigidity_check's random starts descend in lockstep: each line-search round
+makes one angle-stage call on the stacked points of every unconverged
+start, and at most one volume-stage call; each iteration one Jacobian
+call, and one solve of the starts' Newton matrices: one batched
 dense solve of their stack, or one factorization of their block-diagonal
 matrix, as if they were one point of the disjoint union of copies of the
 complex, copy i's edges numbered after copy i - 1's.  Each start keeps its
@@ -97,7 +111,14 @@ from .errors import (
 )
 from .hyperideal import _PAIRS, VERTEX_SLOTS, _slot_sums, flat_pairs, hyper_jacobian
 from .ideal import ideal_jacobian
-from .metrics import _check_assignment, _check_edge_vector, _check_flavor, _evaluate
+from .metrics import (
+    _check_assignment,
+    _check_edge_vector,
+    _check_flavor,
+    _evaluate,
+    _evaluate_angles,
+    _evaluate_volumes,
+)
 from .triangulation import gauge_project
 
 __all__ = [
@@ -298,28 +319,106 @@ def _rowdot(a, b):
 
 
 class _Points(NamedTuple):
-    """Evaluated points of m starts, one row each."""
+    """Points of m starts, one row each, through the flavor's angle stage.
+
+    f, size and vol are NaN until the volume stage has run on the row
+    (_Traces.settle), which the descent asks for only where a value is read.
+    """
 
     x: np.ndarray  # (m, E) edge vectors
+    kx: np.ndarray  # (m, E) cone angles, the gradient of cov
     f: np.ndarray  # (m,) objective cov(x) - <x, k>
     size: np.ndarray  # (m,) |cov(x)| + |<x, k>|, the scale of f's roundoff
-    kx: np.ndarray  # (m, E) cone angles, the gradient of cov
-    kernel: tuple  # the flavor's kernel record at x, each array of shape (m, T, ...)
+    vol: np.ndarray  # (m,) volume
+    record: tuple  # the flavor's angle-stage record at x, each array of shape (m, T, ...)
 
     def take(self, rows):
-        kernel = self.kernel._make(a[rows] for a in self.kernel)
-        return _Points(*(a[rows] for a in self[:-1]), kernel)
+        record = self.record._make(a[rows] for a in self.record)
+        return _Points(*(a[rows] for a in self[:-1]), record)
 
     def put(self, rows, other):
-        for a, b in zip((*self[:-1], *self.kernel), (*other[:-1], *other.kernel)):
+        for a, b in zip((*self[:-1], *self.record), (*other[:-1], *other.record)):
             a[rows] = b
 
 
 def _points(c, flavor, x, k):
-    """The _Points of the rows of x, shape (m, E), from one kernel call."""
-    kernel, cov, kx = _evaluate(c, x, flavor)
-    xk = _rowdot(x, k)
-    return _Points(x, cov - xk, np.abs(cov) + np.abs(xk), kx, kernel)
+    """The _Points of the rows of x, shape (m, E), from one angle-stage call; f, size and vol NaN."""
+    record, kx = _evaluate_angles(c, x, flavor)
+    unknown = np.empty((3, len(x)))
+    unknown.fill(np.nan)
+    return _Points(x, kx, *unknown, record)
+
+
+class _Traces:
+    """The objective traces of a descent's starts, and the volume-stage calls that fill them.
+
+    A point the line search accepts from its angles alone has no f yet.
+    When the descent leaves it, its trace entry waits, with the point's
+    angle-stage record, for the next volume-stage call (settle): one the
+    line search makes for its Armijo tests, the one made when starts finish
+    or fail, or one made as soon as the waiting records exceed _GROUP_TETS
+    tetrahedra, which bounds their memory.  Each call takes every waiting
+    record along, so a desk-scale solve makes one call per Armijo round
+    that needs f, and at most one more.
+    """
+
+    def __init__(self, c, flavor, k, starts):
+        self.c, self.flavor, self.k = c, flavor, k
+        self.values = [[] for _ in range(starts)]
+        self.waiting = []  # (points, starts, trace positions), one per leave with unknown f
+        self.tets = 0
+
+    def leave(self, ids, pts, rows=None):
+        """Append the f of pts's rows (all if None), the points of starts ids[rows], to their traces."""
+        values = (pts.f if rows is None else pts.f[rows]).tolist()
+        starts = (ids if rows is None else ids[rows]).tolist()
+        for i, value in zip(starts, values):
+            self.values[i].append(value)
+        unknown = [j for j, value in enumerate(values) if math.isnan(value)]
+        if unknown:
+            if len(unknown) < len(starts):
+                starts = [starts[j] for j in unknown]
+                pts = pts.take(unknown if rows is None else rows[unknown])
+            elif rows is not None and len(rows) < len(pts.x):
+                pts = pts.take(rows)
+            self.waiting.append((pts, starts, [len(self.values[i]) - 1 for i in starts]))
+            self.tets += len(starts) * self.c.n_tets
+            if self.tets > _GROUP_TETS:
+                self.settle()
+
+    def settle(self, parts=()):
+        """f, size and vol of the rows of parts, and every waiting f, from one volume-stage call.
+
+        parts holds (points, rows), rows ascending; each part's rows get their
+        values in place, each the bits of its own kernel call.  No call is
+        made when there is nothing to evaluate.
+        """
+        parts = [(p, rows) for p, rows in parts if len(rows)]
+        waiting = self.waiting
+        if not (parts or waiting):
+            return
+        pieces = [p if len(rows) == len(p.x) else p.take(rows) for p, rows in parts]
+        pieces += [p for p, _, _ in waiting]
+        if len(pieces) == 1:
+            x, record = pieces[0].x, pieces[0].record
+        else:
+            x = np.concatenate([p.x for p in pieces])
+            record = pieces[0].record._make(np.concatenate(a) for a in zip(*(p.record for p in pieces)))
+        cov, vol = _evaluate_volumes(record, self.flavor)
+        xk = _rowdot(x, self.k)
+        f, size = cov - xk, np.abs(cov) + np.abs(xk)
+        start = 0
+        for p, rows in parts:
+            stop = start + len(rows)
+            p.f[rows], p.size[rows], p.vol[rows] = f[start:stop], size[start:stop], vol[start:stop]
+            start = stop
+        for i, pos, value in zip(
+            [i for _, starts, _ in waiting for i in starts],
+            [pos for _, _, positions in waiting for pos in positions],
+            f[start:].tolist(),
+        ):
+            self.values[i][pos] = value
+        self.waiting, self.tets = [], 0
 
 
 class _Pattern(NamedTuple):
@@ -519,13 +618,22 @@ def _vertex_sums(c):
     return math.pi * corners, np.bincount(c.edge_endpoints.ravel(), minlength=c.num_vertices)
 
 
+def _cone_angle_tops(c):
+    """pi val(e) for each edge e of c, val(e) the number of tetrahedron slots it fills."""
+    return math.pi * np.bincount(c.edge_index.ravel(), minlength=c.num_edges)
+
+
 def _reachable_target(c, k, flavor, tol):
-    """The checked target; NotPositiveFeasibleError if the vertex sums put it out of reach.
+    """The checked target; NotPositiveFeasibleError if it is out of reach.
 
     Ideal targets off a vertex sum pi n_v by more than (B^T 1)_v tol are out
-    of reach, since |B^T r|_v <= (B^T 1)_v max|r|.  Both sums depend on
-    the complex alone, which keeps them.  Positivity is left to the
-    descent's certificate.
+    of reach, since |B^T r|_v <= (B^T 1)_v max|r|.  In either flavor a
+    positive angle assignment puts angles in (0, pi) on the val(e) slots of
+    an edge e, so its cone angle lies in (0, pi val(e)); a target outside
+    that range has none, which the feasibility LP confirms at once, before
+    any descent (its huge entries would overflow the objective).  The
+    sums and valences depend on the complex alone, which keeps them.
+    Positivity is otherwise left to the descent's certificate.
     """
     _check_flavor(flavor)
     k = _check_target(c, k)
@@ -539,7 +647,19 @@ def _reachable_target(c, k, flavor, tol):
             raise NotPositiveFeasibleError(
                 f"target misses the vertex sum pi n_v at vertex {v} by {miss[v]:.3e} > {allowed[v]:.3e}"
             )
+    if not ((k > 0.0) & (k < c._derive(_cone_angle_tops))).all():
+        _refuse_unless_positive(c, k, flavor)
     return k
+
+
+def _refuse_unless_positive(c, k, flavor):
+    """NotPositiveFeasibleError unless the feasibility LP finds a positive angle assignment for k."""
+    report = feasibility(c, k, flavor)
+    if not report.positive:
+        raise NotPositiveFeasibleError(
+            f"target has no positive angle assignment (status {report.status}, "
+            f"max slack {report.max_slack})"
+        )
 
 
 def _certifies(result):
@@ -582,32 +702,32 @@ def _descend(c, k, flavor, x0, opts, lead=False):
     shift, step lengths, stopping test and iteration count, so its iterates
     are those of its descent run alone, up to rounding in the factorization;
     an iteration makes one Jacobian call and one factorization for all
-    unconverged starts, and one kernel call per line-search round.  A
-    failing start's error is raised once every start before it has
+    unconverged starts, and one angle-stage call per line-search round.
+    The volume stage runs where a value is read: in the line search's
+    Armijo tests, whose calls take every waiting record along, and for the
+    f of the traces, the results and the errors' diagnostics, in one call
+    when starts finish or fail (see _Traces).  Initial points with a
+    tetrahedron that is not closed run it at once, so that a tetrahedron the
+    kernel gives as NaN has NaN cone angles there.
+    A failing start's error is raised once every start before it has
     finished, which is the outcome of running the starts one after another.
     With lead, start 0 carries the LP rules: the feasibility LP is consulted,
     once, when start 0 reaches _GATE_AFTER iterations unconverged, fails, or
     converges to a solution that does not certify, and a target without a
     positive angle assignment raises NotPositiveFeasibleError.
     """
-    x0 = np.array(x0, dtype=float)  # the rows of pts, which are updated in place
+    x0 = np.array(x0, dtype=float)
     newton = _NewtonSystem(c, flavor, len(x0))
     results = [None] * len(x0)
-    traces = [[] for _ in results]
+    traces = _Traces(c, flavor, k, len(x0))
     errors = {}
     consulted = False
 
     def consult():
         nonlocal consulted
-        if consulted:
-            return
-        consulted = True
-        report = feasibility(c, k, flavor)
-        if not report.positive:
-            raise NotPositiveFeasibleError(
-                f"target has no positive angle assignment (status {report.status}, "
-                f"max slack {report.max_slack})"
-            )
+        if not consulted:
+            consulted = True
+            _refuse_unless_positive(c, k, flavor)
 
     def fail(start, exc):
         if start == 0 and lead:
@@ -616,24 +736,35 @@ def _descend(c, k, flavor, x0, opts, lead=False):
 
     ids = np.arange(len(x0))
     pts, failed = _points(c, flavor, x0, k), {}
+    if not pts.record.closed.all():
+        unsure = np.flatnonzero(~np.logical_and.reduce(pts.record.closed, axis=1))
+        traces.settle([(pts, unsure)])
+        pts.kx[unsure[np.isnan(pts.f[unsure])]] = np.nan
     iterations = 0
     while True:
-        for i, f in zip(ids.tolist(), pts.f.tolist()):
-            traces[i].append(f)
         r = pts.kx - k
         gnorm = np.maximum.reduce(np.abs(r), axis=1)
         done = gnorm <= opts.tol
-        if iterations >= opts.max_iter:
-            for j in np.flatnonzero(~done):
-                failed.setdefault(j, MaxIterationsError(
-                    f"no convergence in {opts.max_iter} iterations",
-                    {"grad_norm": float(gnorm[j]), "objective": float(pts.f[j]), "flavor": flavor},
-                ))
         converged = done.any()
+        over = np.flatnonzero(~done) if iterations >= opts.max_iter else []
+        if converged or failed or len(over):
+            ending = done.copy()
+            ending[over] = True
+            ending[list(failed)] = True
+            rows = np.flatnonzero(ending)
+            unknown = rows[np.isnan(pts.f[rows])]
+            if unknown.size or traces.waiting:
+                traces.settle([(pts, unknown)])
+            traces.leave(ids, pts, rows)
+        for j in over:
+            failed.setdefault(j, MaxIterationsError(
+                f"no convergence in {opts.max_iter} iterations",
+                {"grad_norm": float(gnorm[j]), "objective": float(pts.f[j]), "flavor": flavor},
+            ))
         if converged:
-            # results keep views of their rows, and pts is updated in place
+            # results keep views of their rows
             finished = pts if done.all() else pts.take(done)
-            assembled = _assemble(c, flavor, k, finished, gnorm[done], iterations, traces, ids[done])
+            assembled = _assemble(c, flavor, k, finished, gnorm[done], iterations, traces.values, ids[done])
             for i, res in zip(ids[done].tolist(), assembled):
                 if isinstance(res, Exception):
                     fail(i, res)
@@ -657,44 +788,67 @@ def _descend(c, k, flavor, x0, opts, lead=False):
             consult()
         iterations += 1
         shift = gnorm * np.minimum(gnorm, 1.0)
-        d = newton.step(pts.kernel, r, shift[:, None])
-        pts, failed = _line_search(c, flavor, k, pts, d, _rowdot(r, d), gnorm, iterations)
+        d = newton.step(pts.record, r, shift[:, None])
+        left = pts
+        pts, failed = _line_search(c, flavor, k, left, d, _rowdot(r, d), gnorm, iterations, traces)
+        traces.leave(ids, left, np.setdiff1d(np.arange(len(ids)), list(failed)) if failed else None)
 
 
-def _line_search(c, flavor, k, pts, d, gd, gnorm, iteration):
+def _line_search(c, flavor, k, pts, d, gd, gnorm, iteration, traces):
     """Backtracking Armijo steps from each row of pts along the matching row of d.
 
     Each row halves its step length, at most 50 times, until its trial
-    point passes the Armijo test, which allows 8 ulp of f's terms at both
-    points; a trial point beyond the kernel's range, whose covolume the
-    kernel gives as NaN, fails the test.  The trial points of all rows
-    still searching, which share the step length 2^-round, go through one
-    _points call per round.  Returns the points, with the accepted ones in
-    place of pts's rows, and the LineSearchError of each row that failed,
-    by row.
+    point is accepted.  The trial points of all rows still searching, which
+    share the step length 2^-round, go through one angle-stage call per
+    round.  A trial point is accepted from its angles alone where every
+    tetrahedron is closed and <r(x + a d), d> <= c <r, d>: by the convexity
+    of f, f(x + a d) - f(x) <= a <r(x + a d), d> <= c a <r, d>, the Armijo
+    bound.  Every other row takes the Armijo test, which allows 8 ulp of
+    f's terms at both points; a trial point beyond the kernel's range, whose
+    covolume the kernel gives as NaN, fails it.  Its values come from one
+    volume-stage call per round (traces.settle) on those trial points and
+    on their current points whose f is not known yet.  So the decisions,
+    and the iterates, are those of the Armijo test at every trial point.
+    Returns the points, the accepted ones in place of pts's rows, and the
+    LineSearchError of each row that failed, by row.  pts itself keeps its
+    points; the call only fills in f, size and vol where it computes them.
     """
     rows = np.arange(len(d))  # the rows still searching, and their data
-    x, f, size = pts.x, pts.f, pts.size
+    x, f, size, bound = pts.x, pts.f, pts.size, _ARMIJO * gd
+    out = None
     failed = {}
     alpha = 1.0
     for _ in range(50):
         trial = _points(c, flavor, x + alpha * d, k)
-        allowance = np.maximum(_ROUNDOFF, _ULPS * (size + trial.size))
-        ok = trial.f - f <= _ARMIJO * alpha * gd + allowance
-        if ok.all() and len(rows) == len(pts.x):
-            return trial, failed
-        pts.put(rows[ok], trial.take(ok))
+        ok = _rowdot(trial.kx - k, d) <= bound
+        closed = trial.record.closed
+        if not np.logical_and.reduce(closed, axis=None):
+            ok &= np.logical_and.reduce(closed, axis=1)
+        if not ok.all():
+            # at all the round's trial points and every current point whose
+            # f is unknown: the test, the traces or an error reads each one
+            # (after the first round the current points' f are all known, so
+            # f and size, which start as views of pts's, stay up to date)
+            traces.settle([(trial, np.arange(len(rows))), (pts, np.isnan(pts.f).nonzero()[0])])
+            allowance = np.maximum(_ROUNDOFF, _ULPS * (size + trial.size))
+            ok |= trial.f - f <= _ARMIJO * alpha * gd + allowance
+        if out is None:
+            if ok.all():
+                return trial, failed
+            out = pts.take(np.arange(len(pts.x)))
+        out.put(rows[ok], trial.take(ok))
         stay = ~ok
-        rows, x, f, size, d, gd = rows[stay], x[stay], f[stay], size[stay], d[stay], gd[stay]
+        rows, x, f, size = rows[stay], x[stay], f[stay], size[stay]
+        d, gd, bound = d[stay], gd[stay], bound[stay]
         if not rows.size:
-            return pts, failed
+            return out, failed
         alpha *= 0.5
     for j, g, fj in zip(rows.tolist(), gnorm[rows].tolist(), f.tolist()):
         failed[j] = LineSearchError(
             "backtracking found no acceptable step",
             {"grad_norm": g, "objective": fj, "iteration": iteration},
         )
-    return pts, failed
+    return out, failed
 
 
 def _assemble(c, flavor, k, pts, gnorm, iterations, traces, ids):
@@ -707,7 +861,6 @@ def _assemble(c, flavor, k, pts, gnorm, iterations, traces, ids):
     NumericalError instead.
     """
     lengths = gauge_project(c, pts.x) if flavor == "ideal" else pts.x
-    vol = pts.kernel.vol.sum(axis=1)
     out = []
     for j, i in enumerate(ids.tolist()):
         if flavor == "hyper" and np.min(lengths[j]) <= 0.0:
@@ -720,10 +873,10 @@ def _assemble(c, flavor, k, pts, gnorm, iterations, traces, ids):
         out.append(SolveResult(
             flavor=flavor,
             lengths=lengths[j],
-            assignment=pts.kernel.angles[j],
+            assignment=pts.record.angles[j],
             achieved_cone_angles=pts.kx[j],
             target_cone_angles=k,
-            volume=float(vol[j]),
+            volume=float(pts.vol[j]),
             w_value=-f,
             objective=f,
             iterations=iterations,

@@ -450,6 +450,21 @@ class TestErrorPaths:
         assert code == 2
         assert report["error"]["code"] == "infeasible"
 
+    @pytest.mark.parametrize("command", ["solve", "rigidity"])
+    @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
+    def test_out_of_reach_target_exit_two(self, fixtures_dir, command, flavor):
+        # cone angles of 1e308 are beyond pi times any valence: refused as
+        # infeasible before the descent, whose objective they would overflow,
+        # with no warning and a report that parses strictly
+        argv = [command, "--flavor", flavor, "--triangulation", fig8_path(fixtures_dir),
+                "--cone-angles", "[1e308,1e308]"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, report = run(argv)
+        assert code == 2
+        assert report["error"]["code"] == "infeasible"
+        json.dumps(report, allow_nan=False)
+
     def test_rigidity_without_starts_is_malformed(self, fixtures_dir):
         argv = ["rigidity", "--flavor", "ideal", "--triangulation", fig8_path(fixtures_dir),
                 "--cone-angles", json.dumps([TWO_PI, TWO_PI]), "--starts"]
@@ -538,21 +553,20 @@ class TestErrorPaths:
 
     def test_line_search_failure_carries_diagnostics(self, fixtures_dir, monkeypatch):
         import hypmet.metrics
-        from hypmet.ideal import ideal_kernel
+        from hypmet.ideal import ideal_angle_stage
 
         calls = []
 
         def failing(l):
-            # the start point evaluates; every trial point is out of range,
-            # which the kernel reports as a NaN covolume
+            # the start point evaluates; every trial point is out of range:
+            # its labels are replaced by labels past the kernel's range, which
+            # the angle stage marks as not closed and whose covolume, outside
+            # the double range, the volume stage gives as NaN
             calls.append(1)
-            kernel = ideal_kernel(l)
-            if len(calls) > 1:
-                kernel.cov[:] = math.nan
-            return kernel
+            return ideal_angle_stage(l if len(calls) == 1 else np.full_like(l, 1e308))
 
-        # the descent's one kernel call per point
-        monkeypatch.setattr(hypmet.metrics, "ideal_kernel", failing)
+        # the descent's one angle-stage call per point
+        monkeypatch.setattr(hypmet.metrics, "ideal_angle_stage", failing)
         # a positive-feasible fig8 target (the cone angles sum to 4 pi) other than the start
         code, report = run(
             ["solve", "--flavor", "ideal", "--triangulation", fig8_path(fixtures_dir),
@@ -562,6 +576,8 @@ class TestErrorPaths:
         diagnostics = report["error"]["diagnostics"]
         assert set(diagnostics) == {"grad_norm", "objective", "iteration"}
         assert diagnostics["iteration"] == 1
+        # 50 halvings after the start point's call; the objective is the start's
+        assert len(calls) == 51 and math.isfinite(diagnostics["objective"])
 
     def test_one_parser_serves_many_commands(self, fixtures_dir):
         # reports of successive in-process calls equal those of fresh processes

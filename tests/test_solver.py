@@ -24,7 +24,15 @@ from hypmet.errors import (
 )
 from hypmet.hyperideal import VERTEX_SLOTS, classify_lengths, hyper_kernel, mu_segment_integral
 from hypmet.ideal import PAIRS, ideal_kernel
-from hypmet.metrics import _cone_angles, _evaluate, angles_of_metric, cone_angles, cov_complex, volume
+from hypmet.metrics import (
+    _cone_angles,
+    _evaluate,
+    angles_of_metric,
+    cone_angles,
+    cov_complex,
+    volume,
+    volume_of_metric,
+)
 from hypmet.solver import (
     SolveOptions,
     SolveResult,
@@ -978,18 +986,33 @@ def assert_same_descent(got, want, tol=1e-12):
     assert np.max(np.abs(got.assignment - want.assignment)) <= tol
 
 
+def line_search(c, flavor, k, pts, d, gd, gnorm):
+    """The descent's line search at iteration 1, with the traces of its own starts."""
+    traces = hypmet.solver._Traces(c, flavor, k, len(d))
+    return hypmet.solver._line_search(c, flavor, k, pts, d, gd, gnorm, 1, traces)
+
+
 def assert_rows_searched_alone(c, flavor, k, pts, d, gd, gnorm, both):
     """Each row of a lockstep line search ends where its search alone ends.
 
-    Both kernels give each row the same bits whatever the batch, so every
-    value and every array of the kernel record agrees to the bit.
+    Both kernel stages give each row the same bits whatever the batch, so
+    the point, its cone angles and every array of its angle-stage record
+    agree to the bit.  Whether the search ran the volume stage at a point
+    depends on the other rows of its round; where it did, f, size and vol
+    are those of the whole kernel at the point, to the bit.
     """
     for i in range(len(d)):
         s = slice(i, i + 1)
-        alone, failed = hypmet.solver._line_search(c, flavor, k, pts.take(s), d[s], gd[s], gnorm[s], 1)
+        alone, failed = line_search(c, flavor, k, pts.take(s), d[s], gd[s], gnorm[s])
         assert not failed
-        for got, want in zip((*both[:-1], *both.kernel), (*alone[:-1], *alone.kernel)):
+        for got, want in zip((both.x, both.kx, *both.record), (alone.x, alone.kx, *alone.record)):
             assert np.array_equal(got[i], want[0])
+        for row in (both.take([i]), alone):
+            if not math.isnan(row.f[0]):
+                kernel, cov, _ = _evaluate(c, row.x, flavor)
+                xk = float(row.x[0] @ k)
+                assert row.f[0] == cov[0] - xk and row.size[0] == abs(cov[0]) + abs(xk)
+                assert row.vol[0] == kernel.vol[0].sum()
 
 
 class TestLockstep:
@@ -1040,7 +1063,7 @@ class TestLockstep:
         x = start_points(fig8, flavor, 2, np.random.default_rng(22))
         pts = hypmet.solver._points(fig8, flavor, x, k)
         r = pts.kx - k
-        d = hypmet.solver._NewtonSystem(fig8, flavor, 2).step(pts.kernel, r, np.zeros((2, 1)))
+        d = hypmet.solver._NewtonSystem(fig8, flavor, 2).step(pts.record, r, np.zeros((2, 1)))
         d[1] *= 64.0
         gd = np.einsum("ij,ij->i", r, d)
         rows = []
@@ -1052,37 +1075,48 @@ class TestLockstep:
 
         monkeypatch.setattr(hypmet.solver, "_points", recording)
         gnorm = np.abs(r).max(axis=1)
-        both, failed = hypmet.solver._line_search(fig8, flavor, k, pts.take([0, 1]), d, gd, gnorm, 1)
+        both, failed = line_search(fig8, flavor, k, pts.take([0, 1]), d, gd, gnorm)
         assert not failed and rows[0] == 2 and rows[1:] == [1] * (len(rows) - 1) and len(rows) > 1
         assert np.array_equal(both.x[0], x[0] + d[0])
         assert_rows_searched_alone(fig8, flavor, k, pts, d, gd, gnorm, both)
 
     def test_trial_point_beyond_the_kernels_range_halves_its_row_only(self, fig8, monkeypatch):
         # row 1's first trial has lengths above 1e12, beyond the hyper
-        # cosine law: its tetrahedra come back NaN, which fails its Armijo
-        # test, while row 0 accepts; every round is one kernel call
+        # cosine law: the angle stage gives its tetrahedra NaN angles, not
+        # closed, so the row takes the Armijo test, which its NaN covolume
+        # fails, while row 0 accepts; every round is one angle-stage call
         k = random_positive_hyper_k(fig8, np.random.default_rng(23))
         x = start_points(fig8, "hyper", 2, np.random.default_rng(26))
         pts = hypmet.solver._points(fig8, "hyper", x, k)
         r = pts.kx - k
-        d = hypmet.solver._NewtonSystem(fig8, "hyper", 2).step(pts.kernel, r, np.zeros((2, 1)))
+        d = hypmet.solver._NewtonSystem(fig8, "hyper", 2).step(pts.record, r, np.zeros((2, 1)))
         d[1] *= 2.0**42
         assert np.max(np.abs(x[1] + d[1])) > 1e12
         gd = np.einsum("ij,ij->i", r, d)
         gnorm = np.abs(r).max(axis=1)
-        calls, lost = [], []
-        kernel = hypmet.metrics.hyper_kernel
+        calls, lost, volumes = [], [], []
+        angle_stage, volume_stage = hypmet.metrics.hyper_angle_stage, hypmet.metrics.hyper_volume_stage
 
-        def recording(l, tol=1e-10):
-            out = kernel(l, tol)
+        def recording(l):
+            out = angle_stage(l)
             calls.append(len(l))
-            lost.append(int(np.isnan(out.cov).sum()))
+            lost.append(int(np.isnan(out.angles[:, 0]).sum()))
+            assert np.array_equal(np.isnan(out.angles[:, 0]), ~out.closed)
             return out
 
-        monkeypatch.setattr(hypmet.metrics, "hyper_kernel", recording)
-        both, failed = hypmet.solver._line_search(fig8, "hyper", k, pts.take([0, 1]), d, gd, gnorm, 1)
+        def recording_volumes(record, tol=1e-10):
+            cov, vol = volume_stage(record, tol)
+            volumes.append(int(np.isnan(cov).sum()))
+            return cov, vol
+
+        monkeypatch.setattr(hypmet.metrics, "hyper_angle_stage", recording)
+        monkeypatch.setattr(hypmet.metrics, "hyper_volume_stage", recording_volumes)
+        both, failed = line_search(fig8, "hyper", k, pts.take([0, 1]), d, gd, gnorm)
         assert not failed and calls == [2 * fig8.n_tets] + [fig8.n_tets] * (len(calls) - 1)
         assert lost[0] > 0 and lost[-1] == 0
+        # the first round's volume stage ran on row 1's trial point, NaN,
+        # and its current point
+        assert volumes[0] == lost[0]
         # row 1 accepts the step length of the last call
         assert np.array_equal(both.x[1], x[1] + 0.5 ** (len(calls) - 1) * d[1])
         assert np.array_equal(both.x[0], x[0] + d[0])
@@ -1183,11 +1217,14 @@ class TestLockstep:
 
     def test_hyper_solve_reuses_its_last_kernel_call(self, double_tet, monkeypatch):
         # the result's angles and volume come from the accepted point's
-        # kernel call: one kernel call per evaluation, none more
-        kernels, evaluations = count_kernel_calls(monkeypatch, "hyper")
+        # angle-stage call and a volume-stage call on its record: one
+        # angle-stage call per evaluation, none more, and fewer volume-stage
+        # calls than evaluations
+        kernels, evaluations, volumes = count_kernel_calls(monkeypatch, "hyper")
         k = random_positive_hyper_k(double_tet, np.random.default_rng(29))
         res = solve_metric(double_tet, k, "hyper")
         assert res.iterations > 0 and len(kernels) == len(evaluations) > res.iterations
+        assert 0 < len(volumes) < len(evaluations)
         # the reused record is what a fresh kernel call at the lengths gives
         fresh = hyper_kernel(res.lengths[double_tet.edge_index])
         assert np.array_equal(res.assignment, fresh.angles)
@@ -1197,10 +1234,11 @@ class TestLockstep:
     def test_ideal_solve_reuses_its_last_kernel_call(self, fig8, monkeypatch):
         # the ideal result reads the record of its unprojected point and
         # reports gauge-projected lengths, at which the kernel agrees to rounding
-        kernels, evaluations = count_kernel_calls(monkeypatch, "ideal")
+        kernels, evaluations, volumes = count_kernel_calls(monkeypatch, "ideal")
         k = random_positive_ideal_k(fig8, np.random.default_rng(29))
         res = solve_metric(fig8, k, "ideal")
         assert res.iterations > 0 and len(kernels) == len(evaluations) > res.iterations
+        assert 0 < len(volumes) < len(evaluations)
         fresh = ideal_kernel(res.lengths[fig8.edge_index])
         assert np.max(np.abs(res.assignment - fresh.angles)) <= 1e-14
         assert abs(res.volume - float(fresh.vol.sum())) <= 1e-14
@@ -1210,17 +1248,20 @@ class TestLockstep:
     @pytest.mark.parametrize("name", ["fig8", "double_tet"])
     def test_rigidity_makes_one_kernel_call_per_evaluation(self, request, monkeypatch, name, flavor):
         # the starts' Newton steps and results read the accepted points'
-        # records, so every kernel call is one line-search evaluation
+        # records, so every angle-stage call is one line-search evaluation,
+        # and the volume stage runs at most once per evaluation
         c = request.getfixturevalue(name)
-        kernels, evaluations = count_kernel_calls(monkeypatch, flavor)
+        kernels, evaluations, volumes = count_kernel_calls(monkeypatch, flavor)
         draw = random_positive_ideal_k if flavor == "ideal" else random_positive_hyper_k
         rep = rigidity_check(c, draw(c, np.random.default_rng(32)), flavor, starts=10, seed=33)
         assert rep.ok and len(kernels) == len(evaluations) > max(rep.iterations)
+        assert 0 < len(volumes) <= len(evaluations)
 
     def test_hyper_descent_runs_one_cosine_law_per_kernel_call(self, fig8, monkeypatch):
-        # the Jacobian reads the cosine-law terms of the kernel record; away
-        # from the near-wall band, whose integral evaluates phi along a ray,
-        # no other caller runs the cosine law
+        # the Jacobian reads the cosine-law terms of the angle-stage record,
+        # and the volume stage runs none; away from the near-wall band, whose
+        # integral evaluates phi along a ray, no other caller runs the
+        # cosine law
         laws = []
         law = hypmet.hyperideal._cosine_law
 
@@ -1229,7 +1270,7 @@ class TestLockstep:
             return law(lp)
 
         monkeypatch.setattr(hypmet.hyperideal, "_cosine_law", counting)
-        kernels, _ = count_kernel_calls(monkeypatch, "hyper")
+        kernels, _, _ = count_kernel_calls(monkeypatch, "hyper")
         k = random_positive_hyper_k(fig8, np.random.default_rng(34))
         res = solve_metric(fig8, k, "hyper")
         rep = rigidity_check(fig8, k, "hyper", starts=10, seed=35)
@@ -1237,22 +1278,38 @@ class TestLockstep:
 
 
 def count_kernel_calls(monkeypatch, flavor):
-    """Lists that grow by one per call of the flavor kernel and of the descent's _points."""
-    kernels, evaluations = [], []
-    name = f"{flavor}_kernel"
-    kernel, evaluate = getattr(hypmet.metrics, name), hypmet.solver._points
+    """Lists that grow by one per call of the flavor's angle stage, of the descent's _points
+    and of the flavor's volume stage.
+
+    The whole kernel counts too, as an angle-stage and a volume-stage call.
+    """
+    kernels, evaluations, volumes = [], [], []
+    angle_stage, volume_stage = f"{flavor}_angle_stage", f"{flavor}_volume_stage"
+    stages = getattr(hypmet.metrics, angle_stage), getattr(hypmet.metrics, volume_stage)
+    kernel, evaluate = getattr(hypmet.metrics, f"{flavor}_kernel"), hypmet.solver._points
+
+    def counting_angles(*args, **kwargs):
+        kernels.append(1)
+        return stages[0](*args, **kwargs)
+
+    def counting_volumes(*args, **kwargs):
+        volumes.append(1)
+        return stages[1](*args, **kwargs)
 
     def counting_kernel(*args, **kwargs):
         kernels.append(1)
+        volumes.append(1)
         return kernel(*args, **kwargs)
 
     def counting_evaluate(c, flavor, x, k):
         evaluations.append(1)
         return evaluate(c, flavor, x, k)
 
-    monkeypatch.setattr(hypmet.metrics, name, counting_kernel)
+    monkeypatch.setattr(hypmet.metrics, angle_stage, counting_angles)
+    monkeypatch.setattr(hypmet.metrics, volume_stage, counting_volumes)
+    monkeypatch.setattr(hypmet.metrics, f"{flavor}_kernel", counting_kernel)
     monkeypatch.setattr(hypmet.solver, "_points", counting_evaluate)
-    return kernels, evaluations
+    return kernels, evaluations, volumes
 
 
 class TestCountArguments:
@@ -1343,3 +1400,269 @@ class TestReuseOfOneComplex:
             ]
         for call in calls + calls[::-1]:
             assert _bits(call(shared)) == _bits(call(build_complex(spec)))
+
+
+def reference_line_search(c, flavor, k, pts, d, gd, gnorm, iteration, traces):
+    """The line search that evaluates f at every trial point, through the whole kernel.
+
+    This is the rule the angle-stage acceptance replaced: each row halves its
+    step until its trial point passes the Armijo test with its roundoff
+    allowance.  The current and the accepted points get their f, size and
+    vol from that kernel call, so the traces and results read its values;
+    only the records come from the angle stage, for the Newton steps.
+    """
+
+    def evaluate(x):
+        kernel, cov, _ = _evaluate(c, x, flavor)
+        xk = np.array([row @ k for row in x])
+        return cov - xk, np.abs(cov) + np.abs(xk), kernel.vol.sum(axis=1)
+
+    def points(x, values):
+        out = hypmet.solver._points(c, flavor, x, k)
+        out.f[:], out.size[:], out.vol[:] = values
+        return out
+
+    pts = points(pts.x, evaluate(pts.x))
+    out = pts.take(np.arange(len(d)))
+    rows, x, alpha = np.arange(len(d)), pts.x, 1.0
+    for _ in range(50):
+        trial = x + alpha * d
+        f, size, vol = evaluate(trial)
+        allowance = np.maximum(1e-13, 8.0 * np.finfo(float).eps * (pts.size[rows] + size))
+        ok = f - pts.f[rows] <= 1e-4 * alpha * gd + allowance
+        if ok.any():
+            out.put(rows[ok], points(trial[ok], (f[ok], size[ok], vol[ok])))
+        rows, x, d, gd = rows[~ok], x[~ok], d[~ok], gd[~ok]
+        if not rows.size:
+            return out, {}
+        alpha *= 0.5
+    return out, {
+        int(j): LineSearchError(
+            "backtracking found no acceptable step",
+            {"grad_norm": float(gnorm[j]), "objective": float(pts.f[j]), "iteration": iteration},
+        )
+        for j in rows
+    }
+
+
+def assert_bitwise_same_descents(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.iterations == b.iterations
+        assert np.array_equal(a.lengths, b.lengths)
+        assert np.array_equal(a.assignment, b.assignment)
+        assert np.array_equal(a.achieved_cone_angles, b.achieved_cone_angles)
+        assert a.volume == b.volume and a.w_value == b.w_value and a.objective == b.objective
+        assert a.objective_trace == b.objective_trace
+        assert len(a.objective_trace) == a.iterations + 1
+        assert not any(math.isnan(f) for f in a.objective_trace)
+
+
+class TestAngleStageAcceptance:
+    """The line search accepts a trial point from its angles alone only where the Armijo test would."""
+
+    @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
+    @pytest.mark.parametrize("name", ["fig8", "double_tet", "fig8_16"])
+    def test_descents_match_the_reference_line_search(
+        self, request, fig8_cover, monkeypatch, name, flavor
+    ):
+        # single starts, 10-start lockstep descents and the 10-start
+        # lockstep descent of rigidity_check, bit for bit the descents whose
+        # line search evaluates f at every trial point
+        c = fig8_cover(16) if name == "fig8_16" else request.getfixturevalue(name)
+        draw = random_positive_ideal_k if flavor == "ideal" else random_positive_hyper_k
+        descend, opts = hypmet.solver._descend, SolveOptions()
+        descents = []
+
+        def recording(*args, **kwargs):
+            descents.append(descend(*args, **kwargs))
+            return descents[-1]
+
+        monkeypatch.setattr(hypmet.solver, "_descend", recording)
+        for seed in range(4 if name == "fig8_16" else 8):
+            rng = np.random.default_rng(100 + seed)
+            k = draw(c, rng)
+            x0 = start_points(c, flavor, 10, rng)
+            start = (np.zeros if flavor == "ideal" else np.ones)((1, c.num_edges))
+            runs = []
+            for line_search in (hypmet.solver._line_search, reference_line_search):
+                monkeypatch.setattr(hypmet.solver, "_line_search", line_search)
+                descents.clear()
+                report = rigidity_check(c, k, flavor, starts=10, seed=seed)
+                assert len(descents) == 1 and report.ok
+                runs.append((descend(c, k, flavor, start, opts, lead=True), descend(c, k, flavor, x0, opts),
+                             descents[0], report))
+            *got, got_report = runs[0]
+            *want, want_report = runs[1]
+            assert got_report == want_report
+            for a, b in zip(got, want):
+                assert_bitwise_same_descents(a, b)
+
+    @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
+    def test_failures_match_the_reference_line_search(self, fig8, monkeypatch, flavor):
+        # an iteration budget that stops some starts: the first failing
+        # start raises the same error with the same diagnostics
+        draw = random_positive_ideal_k if flavor == "ideal" else random_positive_hyper_k
+        rng = np.random.default_rng(7)
+        k = draw(fig8, rng)
+        x0 = start_points(fig8, flavor, 10, rng)
+        raised = []
+        for line_search in (hypmet.solver._line_search, reference_line_search):
+            monkeypatch.setattr(hypmet.solver, "_line_search", line_search)
+            with pytest.raises(MaxIterationsError) as exc:
+                hypmet.solver._descend(fig8, k, flavor, x0, SolveOptions(max_iter=3))
+            raised.append(exc.value.diagnostics)
+        assert raised[0] == raised[1]
+
+    def test_volume_stage_calls_of_a_fixture_solve(self, double_tet, monkeypatch):
+        # the regular hyper-ideal target (lengths arccosh 2) on double_tet,
+        # from lengths 1: 4 iterations and 5 angle-stage calls, one per
+        # point, where the whole kernel ran 5 times; the trials before the
+        # last are accepted from their angles, and the last one's Armijo
+        # test makes the one volume-stage call, which also gives the earlier
+        # points' objectives, so none is left for the result
+        kernels, evaluations, volumes = count_kernel_calls(monkeypatch, "hyper")
+        res = solve_metric(double_tet, K_HYPER, "hyper")
+        assert res.iterations == 4
+        assert len(kernels) == len(evaluations) == 5
+        assert len(volumes) == 1
+        assert len(res.objective_trace) == 5 and np.all(np.diff(res.objective_trace) < 0.0)
+
+    @staticmethod
+    def within_bound(c, flavor, k, x, d, gd):
+        """Whether <r(x + d), d> <= c gd, the bound that accepts a closed trial x + d."""
+        kx = hypmet.metrics._evaluate_angles(c, (x + d)[None], flavor)[1][0]
+        return float((kx - k) @ d) <= 1e-4 * gd
+
+    def search_one(self, c, flavor, k, x, d, gd):
+        """The accepted point of a one-row line search from x along d, and the rows the volume stage saw."""
+        pts = hypmet.solver._points(c, flavor, x[None], k)
+        r = pts.kx - k
+        out, failed = line_search(c, flavor, k, pts, d[None], np.array([gd]), np.abs(r).max(axis=1))
+        assert not failed
+        return out
+
+    def test_a_closed_trial_within_the_bound_takes_no_volume(self, double_tet):
+        # the control for the cases below: a closed trial point whose
+        # <r(x + d), d> is below c <r, d> is accepted with f unknown
+        k = K_HYPER
+        x = np.full(double_tet.num_edges, 1.1)
+        d = np.full(double_tet.num_edges, 0.05)
+        assert self.within_bound(double_tet, "hyper", k, x, d, 1.0)
+        out = self.search_one(double_tet, "hyper", k, x, d, 1.0)
+        assert np.array_equal(out.x[0], x + d) and math.isnan(out.f[0])
+
+    def test_a_near_wall_trial_takes_the_armijo_test(self, double_tet):
+        # the trial puts tetrahedron 0 in the near-wall band of pair 0:
+        # its row is not closed, so even within the bound it runs the
+        # volume stage, here the band integral, and passes the Armijo test
+        t, s = 1e-8, 0.5  # the pair's angles 2.4e-4 from pi
+        wall = math.acosh(2.0 * math.cosh(s) + 1.0)
+        trial = np.empty(double_tet.num_edges)
+        trial[double_tet.edge_index[0]] = [wall - t, s, s, wall - t, s, s]
+        assert len(set(double_tet.edge_index[0].tolist())) == 6
+        record = hypmet.metrics._evaluate_angles(double_tet, trial[None], "hyper")[0]
+        assert not record.closed[0, 0] and np.isfinite(record.angles).all()
+        d = np.full(double_tet.num_edges, 0.01)
+        assert self.within_bound(double_tet, "hyper", K_HYPER, trial - d, d, 1e3)
+        out = self.search_one(double_tet, "hyper", K_HYPER, trial - d, d, 1e3)
+        assert np.array_equal(out.x[0], trial)
+        assert np.isfinite(out.f[0]) and out.vol[0] == volume_of_metric(double_tet, trial, "hyper")
+
+    def test_a_trial_beyond_the_range_takes_the_armijo_test(self, double_tet, monkeypatch):
+        # a length above 1e12: NaN angles, not closed; the volume stage
+        # gives it a NaN covolume, which fails, and the row halves its step
+        x = np.full(double_tet.num_edges, 1.0)
+        d = np.zeros(double_tet.num_edges)
+        d[0] = 2e12
+        seen = []
+        stage = hypmet.metrics.hyper_volume_stage
+
+        def recording(record, tol=1e-10):
+            seen.append(int(np.isnan(record.angles[:, 0]).sum()))
+            return stage(record, tol)
+
+        monkeypatch.setattr(hypmet.metrics, "hyper_volume_stage", recording)
+        out = self.search_one(double_tet, "hyper", K_HYPER, x, d, 1e300)
+        assert seen[0] > 0
+        assert out.x[0, 0] < 1e12 + 1.0 and np.isfinite(out.kx[0]).all()
+
+    def test_ideal_labels_past_the_kernels_range_take_the_armijo_test(self, fig8):
+        # labels of 1e301 keep finite angles but are not closed: the row
+        # runs the volume stage although the bound holds
+        k = np.array([TWO_PI, TWO_PI])
+        x = np.zeros(fig8.num_edges)
+        d = np.array([1e301, -1e301])
+        record = hypmet.metrics._evaluate_angles(fig8, (x + d)[None], "ideal")[0]
+        assert not record.closed.any() and np.isfinite(record.angles).all()
+        assert self.within_bound(fig8, "ideal", k, x, d, 1e308)
+        out = self.search_one(fig8, "ideal", k, x, d, 1e308)
+        assert np.array_equal(out.x[0], x + d) and np.isfinite(out.f[0])
+
+    @staticmethod
+    def scaled_newton_step(c, flavor, k, offset, factor):
+        """x = the solution for k moved by (offset, -offset), the Newton step from x times factor,
+        <r(x), d> and <r(x + d), d>."""
+        x = solve_metric(c, k, flavor).lengths + np.array([offset, -offset])
+        pts = hypmet.solver._points(c, flavor, x[None], k)
+        r = pts.kx - k
+        d = factor * hypmet.solver._NewtonSystem(c, flavor).step(pts.record, r, np.zeros((1, 1)))[0]
+        trial = hypmet.solver._points(c, flavor, (x + d)[None], k)
+        return x, d, float(r[0] @ d), float((trial.kx - k)[0] @ d)
+
+    @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
+    def test_an_overshooting_newton_step_takes_the_armijo_test(self, fig8, flavor):
+        # 1.9 times the Newton step from near the solution overshoots it:
+        # <r(x + d), d> > 0 > c <r, d>, so the trial runs the volume stage,
+        # and passes the Armijo test, since f still falls by about 0.1 <r, d>
+        draw = random_positive_ideal_k if flavor == "ideal" else random_positive_hyper_k
+        k = draw(fig8, np.random.default_rng(41))
+        x, d, gd, slope = self.scaled_newton_step(fig8, flavor, k, 1e-3, 1.9)
+        assert slope > 0.0 > gd
+        out = self.search_one(fig8, flavor, k, x, d, gd)
+        assert np.array_equal(out.x[0], x + d) and np.isfinite(out.f[0])
+        assert out.f[0] < cov_complex(fig8, x, flavor)[0] - float(x @ k)
+
+    @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
+    def test_a_trial_short_of_the_bound_takes_the_armijo_test(self, fig8, flavor):
+        # 1 - 1e-5 times the Newton step from 1e-6 off the solution: f falls
+        # at the trial, but <r(x + d), d>, about 1e-5 <r, d>, lies between
+        # c <r, d> and 0, so the angles alone do not accept the trial; it
+        # runs the volume stage and passes the Armijo test
+        draw = random_positive_ideal_k if flavor == "ideal" else random_positive_hyper_k
+        k = draw(fig8, np.random.default_rng(41))
+        x, d, gd, slope = self.scaled_newton_step(fig8, flavor, k, 1e-6, 1.0 - 1e-5)
+        assert 1e-4 * gd < slope < 0.0
+        out = self.search_one(fig8, flavor, k, x, d, gd)
+        assert np.array_equal(out.x[0], x + d) and np.isfinite(out.f[0])
+
+
+class TestOutOfReachTargets:
+    """A cone angle outside (0, pi val(e)) has no positive assignment: the LP refuses it at once."""
+
+    @pytest.mark.parametrize(
+        "flavor, target",
+        [
+            ("hyper", [1e308, 1e308]),
+            ("hyper", [6 * math.pi, 1.0]),
+            ("hyper", [0.0, 3.0]),
+            ("ideal", [-1.0, 4 * math.pi + 1.0]),
+            ("ideal", [0.0, 4 * math.pi]),
+        ],
+    )
+    def test_refused_before_any_descent(self, fig8, lp_calls, newton_steps, flavor, target):
+        message = refusal_message(fig8, np.array(target), flavor)
+        for solve in (
+            lambda: solve_metric(fig8, target, flavor),
+            lambda: rigidity_check(fig8, target, flavor, starts=3),
+        ):
+            lp_calls.clear()
+            with pytest.raises(NotPositiveFeasibleError) as exc:
+                solve()
+            assert str(exc.value) == message
+            assert len(lp_calls) == 1 and not newton_steps
+
+    def test_the_range_is_the_edge_valences(self, double_tet):
+        valence = np.bincount(double_tet.edge_index.ravel(), minlength=double_tet.num_edges)
+        assert np.array_equal(hypmet.solver._cone_angle_tops(double_tet), math.pi * valence)
+        assert valence.sum() == 6 * double_tet.n_tets
