@@ -118,20 +118,20 @@ def _log_side_kernel(y):
     return IdealKernel(a, *_log_side_volumes(a, y))
 
 
-def ideal_kernel(l):
+def ideal_kernel(l, tets=None):
     """Quad angles, covolume and volume of T tetrahedra with labels l, shape (T, 6).
 
     Any finite reals are accepted; the log sides are y_p = l_p / 2 + l_{p+3} / 2,
     halved before they are added so that no finite pair overflows, and
     cov = 2 sum_p (Lambda(a_p) + a_p y_p).  Labels up to _LARGE in size keep
     every step in the double range.  Past it the angles and volumes are
-    still exact, no step warns, and a covolume of size beyond DBL_MAX / T,
-    where a sum of T of them could overflow, is NaN.  Raises DomainError for
-    non-finite labels.  The kernel is its two stages, ideal_angle_stage and
-    ideal_volume_stage, run one after the other.
+    still exact, no step warns, and a covolume of size beyond DBL_MAX / tets
+    (T unless given), where a sum of tets of them could overflow, is NaN.
+    Raises DomainError for non-finite labels.  The kernel is its two stages,
+    ideal_angle_stage and ideal_volume_stage, run one after the other.
     """
     r = ideal_angle_stage(l)
-    return IdealKernel(r.angles, *ideal_volume_stage(r))
+    return IdealKernel(r.angles, *ideal_volume_stage(r, tets))
 
 
 def ideal_angle_stage(l):
@@ -151,18 +151,18 @@ def ideal_angle_stage(l):
         return IdealAngles(_log_side_angles(y), y, np.abs(l).max(axis=1) <= _LARGE)
 
 
-def ideal_volume_stage(record):
+def ideal_volume_stage(record, tets=None):
     """The volume stage of ideal_kernel: cov and vol, shape (T,), of an IdealAngles record.
 
     Where some label of the record exceeds _LARGE, a covolume of size
-    beyond DBL_MAX / T, T the record's length, is NaN (see ideal_kernel).
+    beyond DBL_MAX / tets (T unless given) is NaN (see ideal_kernel).
     """
     a, y = record.angles, record.y
     if np.logical_and.reduce(record.closed, axis=None):
         return _log_side_volumes(a, y)
     with np.errstate(over="ignore"):
         cov, vol = _log_side_volumes(a, y)
-    cov[~(np.abs(cov) <= np.finfo(float).max / len(cov))] = np.nan
+    cov[~(np.abs(cov) <= np.finfo(float).max / (tets or len(cov)))] = np.nan
     return cov, vol
 
 

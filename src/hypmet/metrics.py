@@ -229,7 +229,7 @@ def _evaluate(c, x, flavor, tol=1e-10):
     """
     m = len(x)
     lengths = x.take(c.edge_index, axis=1).reshape(-1, 6)
-    kernel = hyper_kernel(lengths, tol=tol) if flavor == "hyper" else ideal_kernel(lengths)
+    kernel = hyper_kernel(lengths, tol=tol) if flavor == "hyper" else ideal_kernel(lengths, c.n_tets)
     kernel = kernel._make(a.reshape(m, c.n_tets, *a.shape[1:]) for a in kernel)
     return kernel, kernel.cov.sum(axis=1), _cone_angles(c, kernel.angles)
 
@@ -252,11 +252,9 @@ def _evaluate_volumes(record, flavor, tol=1e-10):
     """The covolume and volume of each row, shape (m,), of an _evaluate_angles record, in one call.
 
     The flavor's volume stage on all of the record's tetrahedra; each row
-    gets the bits _evaluate gives it, but that an ideal covolume past the
-    double range is judged against this call's number of tetrahedra (see
-    ideal.ideal_volume_stage).
+    gets the bits _evaluate gives it.
     """
-    m = len(record.angles)
+    m, tets = record.angles.shape[:2]
     rows = record._make(a.reshape(-1, *a.shape[2:]) for a in record)
-    cov, vol = hyper_volume_stage(rows, tol) if flavor == "hyper" else ideal_volume_stage(rows)
+    cov, vol = hyper_volume_stage(rows, tol) if flavor == "hyper" else ideal_volume_stage(rows, tets)
     return cov.reshape(m, -1).sum(axis=1), vol.reshape(m, -1).sum(axis=1)

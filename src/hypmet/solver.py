@@ -67,28 +67,20 @@ trial and the current point, and takes the Armijo test, which allows 8
 ulp of |cov(x)| + |<x, k>| at both points (at least 1e-13); a trial point
 beyond a kernel's range has a NaN covolume, which fails it.  So the
 decisions, and the iterates, are those of the Armijo test at every trial
-point.  The objective values that the traces, the results and the errors
-report come from the accepted points' records in few volume-stage calls
-(_Traces): each call the line search makes takes every waiting record
-along, and the rest wait until a start finishes or fails, or until they
-exceed _GROUP_TETS tetrahedra.  A desk-scale solve makes one to three.
+point.  Beyond them the volume stage runs only where a value is read: for
+the W and volume of the results and the errors' diagnostics.  A result
+keeps its descent path, along which objective_trace evaluates f on request.
 
-rigidity_check's random starts descend in lockstep: each line-search round
-makes one angle-stage call on the stacked points of every unconverged
-start, and at most one volume-stage call; each iteration one Jacobian
-call, and one solve of the starts' Newton matrices: one batched
-dense solve of their stack, or one factorization of their block-diagonal
-matrix, as if they were one point of the disjoint union of copies of the
-complex, copy i's edges numbered after copy i - 1's.  Each start keeps its
-own shift, step length, stopping test and iteration count, so it follows
-its own descent up to rounding, and the numpy, LAPACK and SuperLU calls
-number about the largest iteration count of the starts rather than their
-sum.  solve_metric is the same descent with one start.  The starts run in
-groups of at most _GROUP_TETS tetrahedra in total, which bounds the memory
-of a large start count (a dense stack of E x E matrices at most about 1 MB
-on fig8 covers).  Start 0 alone carries the LP rules above; a failing
-start's error is raised once the starts before it have finished, as if
-they had run one after another.
+rigidity_check's random starts descend in lockstep (_descend): each
+line-search round makes one angle-stage call on the stacked points of every
+unconverged start, and at most one volume-stage call; each iteration one
+Jacobian call and one solve of the starts' Newton matrices (_NewtonSystem).
+Each start follows its own descent up to rounding, and the calls number
+about the largest iteration count of the starts rather than their sum;
+solve_metric is the same descent with one start.  The starts run in groups
+of at most _GROUP_TETS tetrahedra in total, which bounds the memory of a
+large start count (a dense stack of E x E matrices at most about 1 MB on
+fig8 covers).
 """
 
 import math
@@ -130,6 +122,7 @@ __all__ = [
     "feasibility",
     "solve_metric",
     "duality_gap",
+    "objective_trace",
     "classify_maximizer",
     "rigidity_check",
 ]
@@ -214,7 +207,8 @@ class SolveResult:
     objective: float  # cov(l*) - <l*, k> = -w_value
     iterations: int
     grad_norm: float
-    objective_trace: list = field(default_factory=list, repr=False)
+    # (iterations + 1, E): the start and each accepted point of the descent
+    path: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -322,7 +316,7 @@ class _Points(NamedTuple):
     """Points of m starts, one row each, through the flavor's angle stage.
 
     f, size and vol are NaN until the volume stage has run on the row
-    (_Traces.settle), which the descent asks for only where a value is read.
+    (_settle), which the descent asks for only where a value is read.
     """
 
     x: np.ndarray  # (m, E) edge vectors
@@ -349,76 +343,30 @@ def _points(c, flavor, x, k):
     return _Points(x, kx, *unknown, record)
 
 
-class _Traces:
-    """The objective traces of a descent's starts, and the volume-stage calls that fill them.
+def _settle(flavor, k, parts):
+    """f, size and vol of the rows of parts, from one volume-stage call.
 
-    A point the line search accepts from its angles alone has no f yet.
-    When the descent leaves it, its trace entry waits, with the point's
-    angle-stage record, for the next volume-stage call (settle): one the
-    line search makes for its Armijo tests, the one made when starts finish
-    or fail, or one made as soon as the waiting records exceed _GROUP_TETS
-    tetrahedra, which bounds their memory.  Each call takes every waiting
-    record along, so a desk-scale solve makes one call per Armijo round
-    that needs f, and at most one more.
+    parts holds (points, rows), rows ascending; each part's rows get their
+    values in place, each the bits of its own kernel call.  No call is made
+    when there are no rows.
     """
-
-    def __init__(self, c, flavor, k, starts):
-        self.c, self.flavor, self.k = c, flavor, k
-        self.values = [[] for _ in range(starts)]
-        self.waiting = []  # (points, starts, trace positions), one per leave with unknown f
-        self.tets = 0
-
-    def leave(self, ids, pts, rows=None):
-        """Append the f of pts's rows (all if None), the points of starts ids[rows], to their traces."""
-        values = (pts.f if rows is None else pts.f[rows]).tolist()
-        starts = (ids if rows is None else ids[rows]).tolist()
-        for i, value in zip(starts, values):
-            self.values[i].append(value)
-        unknown = [j for j, value in enumerate(values) if math.isnan(value)]
-        if unknown:
-            if len(unknown) < len(starts):
-                starts = [starts[j] for j in unknown]
-                pts = pts.take(unknown if rows is None else rows[unknown])
-            elif rows is not None and len(rows) < len(pts.x):
-                pts = pts.take(rows)
-            self.waiting.append((pts, starts, [len(self.values[i]) - 1 for i in starts]))
-            self.tets += len(starts) * self.c.n_tets
-            if self.tets > _GROUP_TETS:
-                self.settle()
-
-    def settle(self, parts=()):
-        """f, size and vol of the rows of parts, and every waiting f, from one volume-stage call.
-
-        parts holds (points, rows), rows ascending; each part's rows get their
-        values in place, each the bits of its own kernel call.  No call is
-        made when there is nothing to evaluate.
-        """
-        parts = [(p, rows) for p, rows in parts if len(rows)]
-        waiting = self.waiting
-        if not (parts or waiting):
-            return
-        pieces = [p if len(rows) == len(p.x) else p.take(rows) for p, rows in parts]
-        pieces += [p for p, _, _ in waiting]
-        if len(pieces) == 1:
-            x, record = pieces[0].x, pieces[0].record
-        else:
-            x = np.concatenate([p.x for p in pieces])
-            record = pieces[0].record._make(np.concatenate(a) for a in zip(*(p.record for p in pieces)))
-        cov, vol = _evaluate_volumes(record, self.flavor)
-        xk = _rowdot(x, self.k)
-        f, size = cov - xk, np.abs(cov) + np.abs(xk)
-        start = 0
-        for p, rows in parts:
-            stop = start + len(rows)
-            p.f[rows], p.size[rows], p.vol[rows] = f[start:stop], size[start:stop], vol[start:stop]
-            start = stop
-        for i, pos, value in zip(
-            [i for _, starts, _ in waiting for i in starts],
-            [pos for _, _, positions in waiting for pos in positions],
-            f[start:].tolist(),
-        ):
-            self.values[i][pos] = value
-        self.waiting, self.tets = [], 0
+    parts = [(p, rows) for p, rows in parts if len(rows)]
+    if not parts:
+        return
+    pieces = [p if len(rows) == len(p.x) else p.take(rows) for p, rows in parts]
+    if len(pieces) == 1:
+        x, record = pieces[0].x, pieces[0].record
+    else:
+        x = np.concatenate([p.x for p in pieces])
+        record = pieces[0].record._make(np.concatenate(a) for a in zip(*(p.record for p in pieces)))
+    cov, vol = _evaluate_volumes(record, flavor)
+    xk = _rowdot(x, k)
+    f, size = cov - xk, np.abs(cov) + np.abs(xk)
+    start = 0
+    for p, rows in parts:
+        stop = start + len(rows)
+        p.f[rows], p.size[rows], p.vol[rows] = f[start:stop], size[start:stop], vol[start:stop]
+        start = stop
 
 
 class _Pattern(NamedTuple):
@@ -704,11 +652,11 @@ def _descend(c, k, flavor, x0, opts, lead=False):
     an iteration makes one Jacobian call and one factorization for all
     unconverged starts, and one angle-stage call per line-search round.
     The volume stage runs where a value is read: in the line search's
-    Armijo tests, whose calls take every waiting record along, and for the
-    f of the traces, the results and the errors' diagnostics, in one call
-    when starts finish or fail (see _Traces).  Initial points with a
+    Armijo tests, and for the f of the results and the errors' diagnostics,
+    in one call when starts finish or fail.  Initial points with a
     tetrahedron that is not closed run it at once, so that a tetrahedron the
-    kernel gives as NaN has NaN cone angles there.
+    kernel gives as NaN has NaN cone angles there.  Each start keeps the
+    points it leaves, its result's path.
     A failing start's error is raised once every start before it has
     finished, which is the outcome of running the starts one after another.
     With lead, start 0 carries the LP rules: the feasibility LP is consulted,
@@ -719,7 +667,7 @@ def _descend(c, k, flavor, x0, opts, lead=False):
     x0 = np.array(x0, dtype=float)
     newton = _NewtonSystem(c, flavor, len(x0))
     results = [None] * len(x0)
-    traces = _Traces(c, flavor, k, len(x0))
+    paths = [[x] for x in x0]
     errors = {}
     consulted = False
 
@@ -738,7 +686,7 @@ def _descend(c, k, flavor, x0, opts, lead=False):
     pts, failed = _points(c, flavor, x0, k), {}
     if not pts.record.closed.all():
         unsure = np.flatnonzero(~np.logical_and.reduce(pts.record.closed, axis=1))
-        traces.settle([(pts, unsure)])
+        _settle(flavor, k, [(pts, unsure)])
         pts.kx[unsure[np.isnan(pts.f[unsure])]] = np.nan
     iterations = 0
     while True:
@@ -752,10 +700,7 @@ def _descend(c, k, flavor, x0, opts, lead=False):
             ending[over] = True
             ending[list(failed)] = True
             rows = np.flatnonzero(ending)
-            unknown = rows[np.isnan(pts.f[rows])]
-            if unknown.size or traces.waiting:
-                traces.settle([(pts, unknown)])
-            traces.leave(ids, pts, rows)
+            _settle(flavor, k, [(pts, rows[np.isnan(pts.f[rows])])])
         for j in over:
             failed.setdefault(j, MaxIterationsError(
                 f"no convergence in {opts.max_iter} iterations",
@@ -764,7 +709,7 @@ def _descend(c, k, flavor, x0, opts, lead=False):
         if converged:
             # results keep views of their rows
             finished = pts if done.all() else pts.take(done)
-            assembled = _assemble(c, flavor, k, finished, gnorm[done], iterations, traces.values, ids[done])
+            assembled = _assemble(c, flavor, k, finished, gnorm[done], iterations, paths, ids[done])
             for i, res in zip(ids[done].tolist(), assembled):
                 if isinstance(res, Exception):
                     fail(i, res)
@@ -789,12 +734,12 @@ def _descend(c, k, flavor, x0, opts, lead=False):
         iterations += 1
         shift = gnorm * np.minimum(gnorm, 1.0)
         d = newton.step(pts.record, r, shift[:, None])
-        left = pts
-        pts, failed = _line_search(c, flavor, k, left, d, _rowdot(r, d), gnorm, iterations, traces)
-        traces.leave(ids, left, np.setdiff1d(np.arange(len(ids)), list(failed)) if failed else None)
+        pts, failed = _line_search(c, flavor, k, pts, d, _rowdot(r, d), gnorm, iterations)
+        for i, x in zip(ids.tolist(), pts.x):
+            paths[i].append(x)
 
 
-def _line_search(c, flavor, k, pts, d, gd, gnorm, iteration, traces):
+def _line_search(c, flavor, k, pts, d, gd, gnorm, iteration):
     """Backtracking Armijo steps from each row of pts along the matching row of d.
 
     Each row halves its step length, at most 50 times, until its trial
@@ -806,8 +751,8 @@ def _line_search(c, flavor, k, pts, d, gd, gnorm, iteration, traces):
     bound.  Every other row takes the Armijo test, which allows 8 ulp of
     f's terms at both points; a trial point beyond the kernel's range, whose
     covolume the kernel gives as NaN, fails it.  Its values come from one
-    volume-stage call per round (traces.settle) on those trial points and
-    on their current points whose f is not known yet.  So the decisions,
+    volume-stage call per round (_settle) on those trial points and on
+    their current points whose f is not known yet.  So the decisions,
     and the iterates, are those of the Armijo test at every trial point.
     Returns the points, the accepted ones in place of pts's rows, and the
     LineSearchError of each row that failed, by row.  pts itself keeps its
@@ -826,10 +771,10 @@ def _line_search(c, flavor, k, pts, d, gd, gnorm, iteration, traces):
             ok &= np.logical_and.reduce(closed, axis=1)
         if not ok.all():
             # at all the round's trial points and every current point whose
-            # f is unknown: the test, the traces or an error reads each one
-            # (after the first round the current points' f are all known, so
-            # f and size, which start as views of pts's, stay up to date)
-            traces.settle([(trial, np.arange(len(rows))), (pts, np.isnan(pts.f).nonzero()[0])])
+            # f is unknown: the test or an error reads each one (after the
+            # first round the current points' f are all known, so f and
+            # size, which start as views of pts's, stay up to date)
+            _settle(flavor, k, [(trial, np.arange(len(rows))), (pts, np.isnan(pts.f).nonzero()[0])])
             allowance = np.maximum(_ROUNDOFF, _ULPS * (size + trial.size))
             ok |= trial.f - f <= _ARMIJO * alpha * gd + allowance
         if out is None:
@@ -851,8 +796,8 @@ def _line_search(c, flavor, k, pts, d, gd, gnorm, iteration, traces):
     return out, failed
 
 
-def _assemble(c, flavor, k, pts, gnorm, iterations, traces, ids):
-    """The SolveResults of the converged starts ids, one per row of pts.
+def _assemble(c, flavor, k, pts, gnorm, iterations, paths, ids):
+    """The SolveResults of the converged starts ids, one per row of pts, with their paths.
 
     The assignment, volume and cone angles are those of each point's kernel
     record.  The ideal lengths are reported gauge-projected, a change of
@@ -881,7 +826,7 @@ def _assemble(c, flavor, k, pts, gnorm, iterations, traces, ids):
             objective=f,
             iterations=iterations,
             grad_norm=float(gnorm[j]),
-            objective_trace=traces[i],
+            path=np.array(paths[i]),
         ))
     return out
 
@@ -907,6 +852,23 @@ def duality_gap(c, k, result, samples, seed=0):
     if math.isnan(gap):
         raise NumericalError("a sampled covolume is outside the double range")
     return gap
+
+
+def objective_trace(c, result):
+    """The objective cov(x) - <x, k> at each point of result's descent path, as a list.
+
+    The path holds the start and each accepted point of the descent,
+    unprojected for the ideal flavor, so the trace decreases up to the
+    Armijo test's roundoff allowance.  Its rows go through one call of the
+    flavor's kernel, each with the bits the descent would give it.  A
+    result without a path, or whose path does not fit c, is a DomainError.
+    """
+    _check_flavor(result.flavor)
+    path = np.asarray(result.path, dtype=float)  # a 0-d NaN for None
+    if path.ndim != 2 or path.shape[1] != c.num_edges:
+        raise DomainError(f"no descent path over {c.num_edges} edges, got shape {np.shape(result.path)}")
+    k = _check_edge_vector(c, result.target_cone_angles, "result target")
+    return (_evaluate(c, path, result.flavor)[1] - _rowdot(path, k)).tolist()
 
 
 def _check_result(c, result):

@@ -484,6 +484,8 @@ class TestIdealKernel:
         assert np.all(np.isnan(k.cov[:4]))
         # a flat row's covolume 2 pi 1e307 fits DBL_MAX / 1 but not DBL_MAX / 5
         assert np.isnan(k.cov[4]) and one.cov[0] == 2.0 * (math.pi * 1e307)
+        # and fits it again where each row is a complex of its own (tets = 1)
+        assert ideal_kernel(rows, tets=1).cov[4] == one.cov[0]
 
     def test_mixed_flat_and_realized_rows(self):
         rng = np.random.default_rng(14)

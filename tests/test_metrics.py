@@ -145,6 +145,15 @@ class TestEvaluator:
             for got, want in zip(kernel, alone):
                 assert np.array_equal(got[i], want[0])
 
+    def test_an_ideal_covolume_past_the_range_keeps_its_bits_in_a_batch(self, fig8):
+        # each tetrahedron's covolume 2 pi 1e306 fits DBL_MAX / T for the
+        # complex's T = 2, but not DBL_MAX / (100 T), the batch's count
+        x = np.full(fig8.num_edges, 1e306)
+        alone = _evaluate(fig8, x[None], "ideal")[1]
+        batch = _evaluate(fig8, np.tile(x, (100, 1)), "ideal")[1]
+        assert alone[0] == cov_complex(fig8, x, "ideal")[0] == 4.0 * (math.pi * 1e306)
+        assert np.array_equal(batch, np.full(100, alone[0]))
+
 
 class TestVolume:
     def test_fig8_regular(self, fig8):

@@ -39,6 +39,7 @@ from hypmet.solver import (
     classify_maximizer,
     duality_gap,
     feasibility,
+    objective_trace,
     rigidity_check,
     solve_metric,
 )
@@ -276,7 +277,7 @@ class TestSolveIdeal:
         rng = np.random.default_rng(1)
         k = random_positive_ideal_k(fig8, rng)
         res = solve_metric(fig8, k, "ideal")
-        trace = np.asarray(res.objective_trace)
+        trace = np.asarray(objective_trace(fig8, res))
         assert np.all(np.diff(trace) <= 1e-12)
 
     def test_target_off_vertex_sum_refused(self, fig8):
@@ -331,7 +332,7 @@ class TestSolveHyper:
         rng = np.random.default_rng(3)
         k = random_positive_hyper_k(double_tet, rng)
         res = solve_metric(double_tet, k, "hyper")
-        trace = np.asarray(res.objective_trace)
+        trace = np.asarray(objective_trace(double_tet, res))
         assert np.all(np.diff(trace) <= 1e-7)
 
     def test_line_search_increment_consistency(self, double_tet):
@@ -683,6 +684,16 @@ class TestDualityGap:
         with pytest.raises(NumericalError, match="outside the double range"):
             duality_gap(double_tet, K_HYPER, far, samples=5)
 
+    def test_ideal_samples_past_the_range_give_a_gap_in_any_number(self, fig8):
+        # the samples all round to lengths 1e306, whose covolume fits the
+        # double range for fig8's two tetrahedra, in a batch of any size
+        res = synthetic_result(fig8, np.full(fig8.num_edges, 1e306), "ideal")
+        k = res.target_cone_angles
+        cov = cov_complex(fig8, res.lengths, "ideal")[0]
+        for samples in (1, 100):
+            gap = duality_gap(fig8, k, res, samples)
+            assert abs(gap) <= 8.0 * np.finfo(float).eps * cov
+
     @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
     @pytest.mark.parametrize("name", ["fig8", "double_tet"])
     def test_batched_samples_match_per_sample_loop(self, request, name, flavor):
@@ -987,9 +998,8 @@ def assert_same_descent(got, want, tol=1e-12):
 
 
 def line_search(c, flavor, k, pts, d, gd, gnorm):
-    """The descent's line search at iteration 1, with the traces of its own starts."""
-    traces = hypmet.solver._Traces(c, flavor, k, len(d))
-    return hypmet.solver._line_search(c, flavor, k, pts, d, gd, gnorm, 1, traces)
+    """The descent's line search at iteration 1."""
+    return hypmet.solver._line_search(c, flavor, k, pts, d, gd, gnorm, 1)
 
 
 def assert_rows_searched_alone(c, flavor, k, pts, d, gd, gnorm, both):
@@ -1402,13 +1412,13 @@ class TestReuseOfOneComplex:
             assert _bits(call(shared)) == _bits(call(build_complex(spec)))
 
 
-def reference_line_search(c, flavor, k, pts, d, gd, gnorm, iteration, traces):
+def reference_line_search(c, flavor, k, pts, d, gd, gnorm, iteration):
     """The line search that evaluates f at every trial point, through the whole kernel.
 
     This is the rule the angle-stage acceptance replaced: each row halves its
     step until its trial point passes the Armijo test with its roundoff
     allowance.  The current and the accepted points get their f, size and
-    vol from that kernel call, so the traces and results read its values;
+    vol from that kernel call, so the results and errors read its values;
     only the records come from the angle stage, for the Newton steps.
     """
 
@@ -1445,7 +1455,7 @@ def reference_line_search(c, flavor, k, pts, d, gd, gnorm, iteration, traces):
     }
 
 
-def assert_bitwise_same_descents(got, want):
+def assert_bitwise_same_descents(c, got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a.iterations == b.iterations
@@ -1453,9 +1463,11 @@ def assert_bitwise_same_descents(got, want):
         assert np.array_equal(a.assignment, b.assignment)
         assert np.array_equal(a.achieved_cone_angles, b.achieved_cone_angles)
         assert a.volume == b.volume and a.w_value == b.w_value and a.objective == b.objective
-        assert a.objective_trace == b.objective_trace
-        assert len(a.objective_trace) == a.iterations + 1
-        assert not any(math.isnan(f) for f in a.objective_trace)
+        assert _bits(a.path) == _bits(b.path)
+        trace = objective_trace(c, a)
+        assert trace == objective_trace(c, b)
+        assert len(trace) == a.iterations + 1
+        assert not any(math.isnan(f) for f in trace)
 
 
 class TestAngleStageAcceptance:
@@ -1496,7 +1508,7 @@ class TestAngleStageAcceptance:
             *want, want_report = runs[1]
             assert got_report == want_report
             for a, b in zip(got, want):
-                assert_bitwise_same_descents(a, b)
+                assert_bitwise_same_descents(c, a, b)
 
     @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
     def test_failures_match_the_reference_line_search(self, fig8, monkeypatch, flavor):
@@ -1519,14 +1531,33 @@ class TestAngleStageAcceptance:
         # from lengths 1: 4 iterations and 5 angle-stage calls, one per
         # point, where the whole kernel ran 5 times; the trials before the
         # last are accepted from their angles, and the last one's Armijo
-        # test makes the one volume-stage call, which also gives the earlier
-        # points' objectives, so none is left for the result
+        # test makes the one volume-stage call, which also gives the
+        # result's objective
         kernels, evaluations, volumes = count_kernel_calls(monkeypatch, "hyper")
         res = solve_metric(double_tet, K_HYPER, "hyper")
         assert res.iterations == 4
         assert len(kernels) == len(evaluations) == 5
         assert len(volumes) == 1
-        assert len(res.objective_trace) == 5 and np.all(np.diff(res.objective_trace) < 0.0)
+        trace = objective_trace(double_tet, res)
+        assert len(trace) == 5 and np.all(np.diff(trace) < 0.0)
+
+    @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
+    def test_one_volume_stage_call_on_a_1024_tet_round_trip(self, fig8_cover, monkeypatch, flavor):
+        # 6 iterations; the one Armijo round that needs f evaluates its
+        # trial and current point, and the result's point is that trial
+        c = fig8_cover(1024)
+        low, high = (-0.3, 0.3) if flavor == "ideal" else (0.8, 1.6)
+        lengths = np.random.default_rng(0).uniform(low, high, c.num_edges)
+        k = cone_angles(c, angles_of_metric(c, lengths, flavor))
+        rows, stage = [], getattr(hypmet.metrics, f"{flavor}_volume_stage")
+
+        def recording(record, *args):
+            rows.append(len(record.angles) // c.n_tets)
+            return stage(record, *args)
+
+        monkeypatch.setattr(hypmet.metrics, f"{flavor}_volume_stage", recording)
+        res = solve_metric(c, k, flavor)
+        assert res.iterations == 6 and rows == [2]
 
     @staticmethod
     def within_bound(c, flavor, k, x, d, gd):
@@ -1635,6 +1666,35 @@ class TestAngleStageAcceptance:
         assert 1e-4 * gd < slope < 0.0
         out = self.search_one(fig8, flavor, k, x, d, gd)
         assert np.array_equal(out.x[0], x + d) and np.isfinite(out.f[0])
+
+
+class TestObjectiveTrace:
+    """objective_trace evaluates f along a result's kept descent path."""
+
+    @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
+    @pytest.mark.parametrize("name", ["fig8", "double_tet"])
+    def test_trace_is_the_covolume_along_the_path(self, request, name, flavor):
+        c = request.getfixturevalue(name)
+        draw = random_positive_ideal_k if flavor == "ideal" else random_positive_hyper_k
+        rng = np.random.default_rng(40)
+        k = draw(c, rng)
+        starts = hypmet.solver._descend(c, k, flavor, start_points(c, flavor, 3, rng), SolveOptions())
+        for res in [solve_metric(c, k, flavor), *starts]:
+            assert res.path.shape == (res.iterations + 1, c.num_edges)
+            want = [cov_complex(c, x, flavor)[0] - x @ k for x in res.path]
+            assert objective_trace(c, res) == want
+            assert want[-1] == res.objective
+
+    def test_a_result_without_a_path_is_refused(self, fig8):
+        res = synthetic_result(fig8, np.zeros(fig8.num_edges), "ideal")
+        assert res.path is None
+        with pytest.raises(DomainError, match="path"):
+            objective_trace(fig8, res)
+
+    def test_a_path_of_another_complex_is_refused(self, fig8, double_tet):
+        res = solve_metric(double_tet, K_HYPER, "hyper")
+        with pytest.raises(DomainError, match="path"):
+            objective_trace(fig8, res)
 
 
 class TestOutOfReachTargets:
