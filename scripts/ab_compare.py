@@ -22,8 +22,19 @@ Prints each round's time per tree and the median and quartiles of the
 ratio (this tree) / (parent tree) over the rounds.  Alternating in one
 process cancels most of the host's drift, which separate processes do not.
 
+With --fresh it times fresh complexes instead, as the benchmark's
+large-cover `ideal-complete` operation makes them: each cover of T
+tetrahedra is relabelled by a permutation from default_rng(SEED), and every
+round each tree parses it (GluingSpec.from_dict), builds it (build_complex)
+and solves its complete structure (cone angles 2 pi, ideal flavor), the
+three timed apart.  Every Complex array and every result field of the two
+trees must be bit-identical, or the run stops.  The ratio is reported per
+cover size, with each phase's median time per tree.
+
 Usage: python scripts/ab_compare.py --parent PATH --flavor hyper|ideal
            [--tets 2,4,8,16,32] [--rounds 40]
+       python scripts/ab_compare.py --parent PATH --fresh
+           [--tets 128,256,512,1024] [--rounds 40]
 """
 
 import argparse
@@ -41,12 +52,20 @@ import numpy as np
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import covers  # noqa: E402
 import hypmet.solver  # noqa: E402
 import workloads  # noqa: E402
 
 TARGETS = 2  # round-trip targets per cover size
 SEED = 0
 ANGLE_TOL = 1e-10
+PHASES = ("from_dict", "build_complex", "solve")
+# what must match bit for bit between the trees in --fresh mode
+COMPLEX_ARRAYS = ("edge_index", "vertex_index", "edge_boundary", "edge_endpoints")
+RESULT_FIELDS = (
+    "lengths", "assignment", "achieved_cone_angles", "target_cone_angles",
+    "volume", "w_value", "objective", "iterations", "grad_norm", "path",
+)
 
 
 def load_tree(src, name):
@@ -79,18 +98,73 @@ def solve_all(tree, complexes, ks, flavor):
     return time.perf_counter() - start, results
 
 
+def fresh(tree, tri):
+    """Parse, build and solve the complete structure of tri: the three times and the complex and result."""
+    t0 = time.perf_counter()
+    spec = tree.triangulation.GluingSpec.from_dict(tri)
+    t1 = time.perf_counter()
+    c = tree.triangulation.build_complex(spec)
+    t2 = time.perf_counter()
+    res = tree.solver.solve_metric(c, np.full(c.num_edges, 2.0 * np.pi), "ideal")
+    t3 = time.perf_counter()
+    return (t1 - t0, t2 - t1, t3 - t2), c, res
+
+
+def bits(c, res):
+    """Everything of a complex and a result that --fresh compares, as bytes."""
+    arrays = [getattr(c, name) for name in COMPLEX_ARRAYS]
+    arrays += [c.incidence.indices, c.incidence.indptr, c.incidence.data]
+    arrays += [np.asarray(getattr(res, name)) for name in RESULT_FIELDS]
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays] + [c.n_tets, c.closed, c.incidence.shape]
+
+
+def compare_fresh(trees, tets, rounds):
+    fx = workloads.Fixtures(ROOT)
+    rng = np.random.default_rng(SEED)
+    tris = [covers.relabel(fx.cover(t), rng.permutation(t)) for t in tets]
+    times = {name: np.zeros((rounds, len(tets), len(PHASES))) for name in trees}
+    order = list(trees)
+    for r in range(rounds):
+        for i, (t, tri) in enumerate(zip(tets, tris)):
+            out = {}
+            for name in order if r % 2 == 0 else order[::-1]:
+                times[name][r, i], *out[name] = fresh(trees[name], tri)
+            if bits(*out["parent"]) != bits(*out["this"]):
+                sys.exit(f"T = {t}: the trees' complexes or results differ")
+        total = {name: 1e3 * times[name][r].sum() for name in trees}
+        print(f"round {r:3d}: parent {total['parent']:8.2f} ms   this {total['this']:8.2f} ms", flush=True)
+
+    for i, t in enumerate(tets):
+        ratio = times["this"][:, i].sum(axis=1) / times["parent"][:, i].sum(axis=1)
+        q1, med, q3 = np.percentile(ratio, [25, 50, 75])
+        phases = ", ".join(
+            f"{phase} {1e3 * np.median(times['parent'][:, i, j]):.3f} -> {1e3 * np.median(times['this'][:, i, j]):.3f} ms"
+            for j, phase in enumerate(PHASES)
+        )
+        print(
+            f"fresh complex T = {t}, {rounds} rounds: ratio this/parent median {med:.3f}, "
+            f"quartiles {q1:.3f}-{q3:.3f}, lower in {int(np.sum(ratio < 1))}/{rounds}; {phases} (medians)"
+        )
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", required=True, type=pathlib.Path, help="root of the other source tree")
-    parser.add_argument("--flavor", required=True, choices=("hyper", "ideal"))
-    parser.add_argument("--tets", default="2,4,8,16,32", help="comma-separated cover sizes (even)")
+    parser.add_argument("--flavor", choices=("hyper", "ideal"))
+    parser.add_argument("--fresh", action="store_true", help="time fresh complexes (see above)")
+    parser.add_argument("--tets", help="comma-separated cover sizes (even)")
     parser.add_argument("--rounds", type=int, default=40)
     args = parser.parse_args()
-    tets = [int(t) for t in args.tets.split(",")]
+    if args.fresh == (args.flavor is not None):
+        parser.error("give exactly one of --flavor and --fresh")
+    tets = [int(t) for t in (args.tets or ("128,256,512,1024" if args.fresh else "2,4,8,16,32")).split(",")]
     if any(t < 2 or t % 2 for t in tets) or args.rounds < 1:
         parser.error("cover sizes must be even and at least 2; rounds positive")
 
     trees = {"parent": load_tree(args.parent.resolve() / "src", "hypmet_parent"), "this": hypmet}
+    if args.fresh:
+        compare_fresh(trees, tets, args.rounds)
+        return
     fx = workloads.Fixtures(ROOT)
     round_trip = workloads.hyper_round_trip if args.flavor == "hyper" else workloads.ideal_round_trip
     rng = np.random.default_rng(SEED)
@@ -135,7 +209,7 @@ def main():
     ratio = np.array(times["this"]) / np.array(times["parent"])
     q1, med, q3 = np.percentile(ratio, [25, 50, 75])
     print(
-        f"{args.flavor} round trips, T = {args.tets}, {len(ks)} targets, {args.rounds} rounds: "
+        f"{args.flavor} round trips, T = {','.join(map(str, tets))}, {len(ks)} targets, {args.rounds} rounds: "
         f"parent {1e3 * np.median(times['parent']):.2f} ms, this {1e3 * np.median(times['this']):.2f} ms "
         f"per round (medians); ratio this/parent median {med:.3f}, quartiles {q1:.3f}-{q3:.3f}; "
         "largest gaps: " + ", ".join(f"{name} {gap:.2g}" for name, gap in gaps.items())

@@ -100,13 +100,14 @@ def _triangle_angles(x):
 
 def _log_side_angles(y):
     """The quad angles of log sides y, shape (T, 3), each row shifted by its maximum before exp."""
-    return _triangle_angles(np.exp(y - y.max(axis=1, keepdims=True)))
+    return _triangle_angles(np.exp(y - np.maximum(np.maximum(y[:, 0], y[:, 1]), y[:, 2])[:, None]))
 
 
 def _log_side_volumes(a, y):
-    """2 phi_star and the volume of the angles a at log sides y, both shape (T, 3)."""
+    """2 phi_star and the volume of angles a at log sides y, both (T, 3): column sums, left to right."""
     lam = lobachevsky_array(a)
-    return 2.0 * (lam + a * y).sum(axis=1), lam.sum(axis=1)
+    terms = lam + a * y
+    return 2.0 * (terms[:, 0] + terms[:, 1] + terms[:, 2]), lam[:, 0] + lam[:, 1] + lam[:, 2]
 
 
 def _log_side_kernel(y):

@@ -93,11 +93,11 @@ def lobachevsky(x):
     return _core(r)
 
 
-# the coefficients padded with zeros to 32, as (even, odd) columns of pairs
-_PAIRED = np.zeros((16, 2, 1))
-_PAIRED.flat[: len(_COEFFS)] = _COEFFS
-# lobachevsky_array's block size, in values
-_BLOCK = 8192
+# the coefficients padded with zeros to 32, a column in bit-reversed order: each level of
+# Estrin's scheme then pairs the two halves of its rows
+_ESTRIN = np.pad(_COEFFS, (0, 32 - len(_COEFFS)))[[int(f"{j:05b}"[::-1], 2) for j in range(32)], None]
+# lobachevsky_array's block size, in values: (16, 8192) temporaries outgrow a 2 MB L2 cache
+_BLOCK = 6144
 
 
 def lobachevsky_array(x):
@@ -106,7 +106,7 @@ def lobachevsky_array(x):
     Same expansion as `lobachevsky`, summed in full by Estrin's scheme:
     with z = a^2, the 16 pairs c_2j + c_2j+1 z are formed at once, then
     halved level by level, q_j + q_j+1 z^2, q_j + q_j+1 z^4, ..., so the
-    whole sum takes 14 elementwise numpy calls whatever the size, where a
+    whole sum takes 15 elementwise numpy calls whatever the size, where a
     Horner loop would take two per coefficient.  Each value depends on its
     own argument only, never on its neighbours in the array, so larger
     arrays go in blocks of _BLOCK values, which keep the (16, _BLOCK)
@@ -131,11 +131,11 @@ def _estrin(x):
     r = np.where(r < -_HALF_PI, r + math.pi, r)
     a = np.abs(r)
     a2 = a * a
-    z = a2.reshape(1, -1)
-    q = _PAIRED[:, 0] + _PAIRED[:, 1] * z
-    while len(q) > 1:
+    q, z = _ESTRIN, a2.reshape(1, -1)
+    while len(q) > 1:  # the sums q_j + q_j+1 z, j even, from the halves; then z squared
+        low, q = q[: len(q) // 2], q[len(q) // 2 :] * z
+        q += low
         z = z * z
-        q = q[0::2] + q[1::2] * z
     # a - a log(2a) -> 0 as a -> 0; the placeholder 1 keeps log away from 0
     core = a - a * np.log(2.0 * np.where(a > 0.0, a, 1.0)) + a * a2 * q.reshape(a.shape)
     return np.copysign(core, r)

@@ -848,7 +848,7 @@ def duality_gap(c, k, result, samples, seed=0):
     rng = _rng(seed)
     x = base + rng.uniform(-_DUALITY_SPREAD, _DUALITY_SPREAD, (samples, c.num_edges))
     cov = _evaluate(c, x, result.flavor)[1]
-    gap = float((x @ k - cov).max()) - result.w_value
+    gap = float((_rowdot(x, k) - cov).max()) - result.w_value
     if math.isnan(gap):
         raise NumericalError("a sampled covolume is outside the double range")
     return gap

@@ -64,9 +64,22 @@ _EDGE_VERTICES = np.array(EDGE_VERTICES)
 _SLOT = np.zeros((4, 4), dtype=np.intp)  # slot of the edge between two vertices
 _SLOT[_EDGE_VERTICES[:, 0], _EDGE_VERTICES[:, 1]] = np.arange(6)
 _SLOT[_EDGE_VERTICES[:, 1], _EDGE_VERTICES[:, 0]] = np.arange(6)
-# the two faces that contain each slot: those opposite the other two vertices
-_SLOT_FACES = np.array([[f for f in range(4) if f not in e] for e in EDGE_VERTICES])
 _PACK = np.array([16, 4, 1])  # three vertices as one integer
+
+
+def _reached(code, f, ends):
+    """Where a gluing of face f whose images pack to code sends the slot of edge ends, or vertex ends[0]."""
+    images = tuple((code >> 4 - 2 * (v - (v > f))) & 3 for v in ends)
+    return _SLOT[images] if len(images) == 2 else images[0]
+
+
+# a tet's 24 class-graph links, one through each face holding a slot (2 s, 2 s + 1) or vertex
+# (12 + 3 v ...); _LINK_IMAGES[code, j] is where link j leads under a face gluing packed as code
+_LINK_ENDS = [(f, e) for e in EDGE_VERTICES for f in range(4) if f not in e]
+_LINK_ENDS += [(f, (v,)) for v in range(4) for f in range(4) if f != v]
+_LINK_FACES = np.array([f for f, _ in _LINK_ENDS])
+_LINK_IMAGES = np.int32([[_reached(c, f, e) for f, e in _LINK_ENDS] for c in range(64)])
+_LINK_TETS = np.repeat(np.int32([6, 4]), 12)  # a tet's stride among the slot nodes, the vertex nodes
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +106,7 @@ class GluingSpec:
             i = next(i for i, r in enumerate(rows) if len(r) != 7 or set(map(type, r)) - {int})
             raise GluingError(f"gluing {i} is not four JSON integers and a perm of 3: {rows[i]}")
         try:
-            return cls(int(np.int64(n)), np.array(flat, dtype=np.int64).reshape(-1, 7))
+            return cls(int(np.int64(n)), np.fromiter(flat, np.int64, len(flat)).reshape(-1, 7))
         except OverflowError as exc:
             raise GluingError(f"a triangulation integer does not fit 64 bits: {exc}") from exc
 
@@ -171,31 +184,35 @@ def _refuse(table, bad, what):
         raise GluingError(f"{what} in gluing {i}: tet {t} face {f} -> {to_t} face {to_f}, {perm}")
 
 
-def _glued_faces(spec):
-    """The (n_tets, 4) mask of glued faces, after checking every gluing."""
+def _registry(spec):
+    """Check every gluing; return the (n_tets, 4) registry of the faces' gluings and the glued mask."""
     n, g = spec.tetrahedra, spec.gluings
     if n <= 0:
         raise GluingError("a complex needs at least one tetrahedron")
-    tets, faces = g[:, [0, 2]], g[:, [1, 3]]
-    out = (tets < 0) | (tets >= n) | (faces < 0) | (faces > 3)
-    _refuse(g, out.any(axis=1), "tet/face index out of range")
-    src, perm = _FACE_VERTICES[g[:, 1]], g[:, 4:]
-    onto = (np.sort(perm, axis=1) == _FACE_VERTICES[g[:, 3]]).all(axis=1)
+    # column by column: numpy loops over the rows of a sort or reduction only 3 wide
+    t, f, to_t, to_f, p0, p1, p2 = g.T
+    out = (t < 0) | (t >= n) | (f < 0) | (f > 3) | (to_t < 0) | (to_t >= n) | (to_f < 0) | (to_f > 3)
+    _refuse(g, out, "tet/face index out of range")
+    lo, hi = np.minimum(p0, p1), np.maximum(p0, p1)  # a sorting network on the perm
+    mid = np.minimum(np.maximum(lo, p2), hi)
+    v0, v1, v2 = _FACE_VERTICES.T.take(to_f, axis=1)
+    onto = (np.minimum(lo, p2) == v0) & (mid == v1) & (np.maximum(hi, p2) == v2)
     _refuse(g, ~onto, "perm is not a bijection onto the vertices of to_face")
-    key, target = 4 * g[:, 0] + g[:, 1], 4 * g[:, 2] + g[:, 3]
+    key, target = 4 * t + f, 4 * to_t + to_f
     pair = key != target
-    _refuse(g, ~pair & (perm == src).any(axis=1), "self-gluing fixes a vertex")
+    s0, s1, s2 = _FACE_VERTICES.T.take(f, axis=1)
+    _refuse(g, ~pair & ((p0 == s0) | (p1 == s1) | (p2 == s2)), "self-gluing fixes a vertex")
 
-    # the registry: each gluing registers its face with the target face's key
-    # 4 * tet + face and the images of the face's vertices, packed into one
-    # integer, and the target face with the reverse gluing, which sends
-    # perm[i], the (perm[i] - (perm[i] > to_face))-th vertex of the target
-    # face, back to src[i]
-    reverse = (src * _PACK[perm - (perm > g[:, 3:4])]).sum(axis=1)
+    # the registry: each gluing registers its face with 64 times the target face's key
+    # 4 * tet + face plus the images p_i of the face's vertices s_i packed by _PACK, and the
+    # target face with the reverse gluing, which sends p_i, the (p_i - (p_i > to_face))-th
+    # vertex of the target face, back to s_i; an unglued face keeps the identity onto itself
+    reverse = s0 * _PACK[p0 - (p0 > to_f)] + s1 * _PACK[p1 - (p1 > to_f)] + s2 * _PACK[p2 - (p2 > to_f)]
     keys = np.concatenate([key, target[pair]])
     values = 64 * np.concatenate([target, key[pair]])
-    values += np.concatenate([perm @ _PACK, reverse[pair]])
-    registry = np.full(4 * n, -1, dtype=np.int64)
+    values += np.concatenate([16 * p0 + 4 * p1 + p2, reverse[pair]])
+    unglued = 64 * np.arange(4 * n) + np.tile(_FACE_VERTICES @ _PACK, n)
+    registry = unglued.copy()
     registry[keys] = values  # keeps one registration of each face
     # every registration of a face must agree with the kept one: the same
     # value, or, for a self-glued face, the same target, since such a face
@@ -206,7 +223,7 @@ def _glued_faces(spec):
     if clash.any():
         face = int(keys[np.argmax(clash)])
         raise GluingError(f"face {divmod(face, 4)} glued twice inconsistently")
-    return (registry >= 0).reshape(n, 4)
+    return registry.reshape(n, 4), (registry != unglued).reshape(n, 4)
 
 
 def build_complex(spec):
@@ -216,21 +233,21 @@ def build_complex(spec):
     allowed; they make the complex non-closed and flag their edges as
     boundary.
     """
-    glued = _glued_faces(spec)
-    n, g = spec.tetrahedra, spec.gluings
+    registry, glued = _registry(spec)
+    n = spec.tetrahedra
 
-    # one graph: the 6n slots 6t + s, then the 4n vertices 6n + 4t + v, with
-    # each face's three edges and three vertices joined to their images.
-    # connected_components numbers the components by their least node, so
-    # the slot classes come first, in the order of their least instance.
-    a, b = [0, 0, 1], [1, 2, 2]  # the face's three edges, as positions in its vertices
-    tails, heads = (
-        np.hstack([6 * t + _SLOT[v[:, a], v[:, b]], 6 * n + 4 * t + v]).ravel()
-        for t, v in ((g[:, :1], _FACE_VERTICES[g[:, 1]]), (g[:, 2:3], g[:, 4:]))
-    )
-    indptr = np.zeros(10 * n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(tails, minlength=10 * n), out=indptr[1:])
-    graph = csr_array((np.ones(tails.size), heads[np.argsort(tails)], indptr), (10 * n, 10 * n))
+    # one graph: the 6n slots 6t + s, then the 4n vertices 6n + 4t + v, each linked
+    # through every face holding it to its image under the face's registered gluing,
+    # in rows of 2 links per slot and 3 per vertex, node numbers in 32 bits while they
+    # fit.  connected_components numbers the components by their least node, so the
+    # slot classes come first, in the order of their least instance.
+    index = np.int32 if 24 * n < np.iinfo(np.int32).max else np.int64
+    partner, image = (registry >> 8).astype(index), registry & 63
+    links = _LINK_TETS * partner[:, _LINK_FACES] + _LINK_IMAGES[image[:, _LINK_FACES], np.arange(24)]
+    links[:, 12:] += 6 * n
+    indptr = np.concatenate([np.arange(0, 12 * n, 2, index), np.arange(12 * n, 24 * n + 1, 3, index)])
+    heads = np.concatenate([links[:, :12].ravel(), links[:, 12:].ravel()])
+    graph = csr_array((np.ones(24 * n), heads, indptr), (10 * n, 10 * n))
     labels = connected_components(graph, directed=False)[1]
     slot_id = labels[: 6 * n]
     num_edges = int(slot_id.max()) + 1
@@ -243,18 +260,18 @@ def build_complex(spec):
     np.cumsum(np.bincount(slot_id), out=edge_starts[1:])
     incidence = csr_array((np.ones(6 * n), edge_order, edge_starts), shape=(num_edges, 6 * n))
 
-    open_slot = ~glued[:, _SLOT_FACES].all(axis=2)
+    open_slot = ~(glued[:, _LINK_FACES[0:12:2]] & glued[:, _LINK_FACES[1:12:2]])
     boundary = np.bincount(slot_id, weights=open_slot.ravel(), minlength=num_edges) > 0
 
     vertex_index = vertex_id.reshape(n, 4)
-    slot_ends = vertex_index[:, _EDGE_VERTICES].reshape(-1, 2)
-    ends = np.column_stack([slot_ends.min(axis=1), slot_ends.max(axis=1)])
-    endpoints = ends[edge_order[edge_starts[:-1]]]
-    bad = np.any(ends != endpoints[slot_id], axis=1)
+    u, v = (vertex_index[:, _EDGE_VERTICES[:, i]].ravel() for i in (0, 1))
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    endpoints = np.column_stack([lo, hi])[edge_order[edge_starts[:-1]]]
+    bad = (lo != endpoints[:, 0][slot_id]) | (hi != endpoints[:, 1][slot_id])
     if bad.any():
         members = np.flatnonzero(slot_id == slot_id[bad].min())
         instances = tuple(divmod(i, 6) for i in members.tolist())
-        found = {tuple(e) for e in ends[members].tolist()}
+        found = set(zip(lo[members].tolist(), hi[members].tolist()))
         raise GluingError(f"edge class {instances} has inconsistent endpoints {found}")
 
     return Complex(

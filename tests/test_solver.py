@@ -694,6 +694,23 @@ class TestDualityGap:
             gap = duality_gap(fig8, k, res, samples)
             assert abs(gap) <= 8.0 * np.finfo(float).eps * cov
 
+    @pytest.mark.parametrize("case", ["past-the-range", "round-trip"])
+    def test_a_second_sample_never_lowers_the_gap(self, fig8, case):
+        # a seed draws the same first sample in a batch of any size, and that
+        # sample's pairing <x, k> is the same number in every batch, so the
+        # gap of two samples is at least the gap of one, bit for bit; a
+        # matrix-vector product x @ k once gave 1.2566370614359175e307 for
+        # the first of one sample at lengths 1e306 and ...172e307 in a pair
+        if case == "past-the-range":
+            res = synthetic_result(fig8, np.full(fig8.num_edges, 1e306), "ideal")
+            k = res.target_cone_angles
+        else:
+            lengths = np.random.default_rng(9).uniform(-0.3, 0.3, fig8.num_edges)
+            k = cone_angles(fig8, angles_of_metric(fig8, lengths, "ideal"))
+            res = solve_metric(fig8, k, "ideal")
+        for seed in range(8):
+            assert duality_gap(fig8, k, res, 1, seed) <= duality_gap(fig8, k, res, 2, seed)
+
     @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
     @pytest.mark.parametrize("name", ["fig8", "double_tet"])
     def test_batched_samples_match_per_sample_loop(self, request, name, flavor):

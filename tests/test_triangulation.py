@@ -9,6 +9,7 @@ import pytest
 from scipy.linalg import null_space
 from scipy.sparse import csr_array
 
+import hypmet.triangulation
 from hypmet.errors import DomainError, GluingError
 from hypmet.hyperideal import EDGE_VERTICES, SLOT_OF_EDGE
 from hypmet.triangulation import (
@@ -184,6 +185,99 @@ class TestBuilderErrors:
         assert c.num_edges == 4
 
 
+def gluing(tet, face, to_tet, to_face, perm):
+    return {"tet": tet, "face": face, "to_tet": to_tet, "to_face": to_face, "perm": perm}
+
+
+def gluing_error(tets, gluings):
+    with pytest.raises(GluingError) as exc:
+        build_complex(GluingSpec.from_dict({"tets": tets, "gluings": gluings}))
+    return str(exc.value)
+
+
+class TestBuilderErrorMessages:
+    """Each check names the first gluing, face or edge class that fails it."""
+
+    @pytest.mark.parametrize(
+        "tets, gluings, message",
+        [
+            (
+                1,
+                [gluing(0, 0, 3, 0, [1, 2, 3])],
+                "tet/face index out of range in gluing 0: tet 0 face 0 -> 3 face 0, [1, 2, 3]",
+            ),
+            (
+                2,
+                [gluing(0, 0, 1, 0, [1, 2, 3]), gluing(0, 1, 1, 4, [0, 2, 3])],
+                "tet/face index out of range in gluing 1: tet 0 face 1 -> 1 face 4, [0, 2, 3]",
+            ),
+            (
+                2,
+                [gluing(0, 0, 1, 0, [1, 2, 2])],
+                "perm is not a bijection onto the vertices of to_face in gluing 0: "
+                "tet 0 face 0 -> 1 face 0, [1, 2, 2]",
+            ),
+            (
+                2,
+                [gluing(0, 0, 1, 0, [0, 2, 3])],
+                "perm is not a bijection onto the vertices of to_face in gluing 0: "
+                "tet 0 face 0 -> 1 face 0, [0, 2, 3]",
+            ),
+            (
+                1,
+                [gluing(0, 0, 0, 0, [1, 3, 2])],
+                "self-gluing fixes a vertex in gluing 0: tet 0 face 0 -> 0 face 0, [1, 3, 2]",
+            ),
+            (
+                2,
+                [gluing(0, 0, 1, 0, [1, 2, 3]), gluing(0, 0, 1, 1, [0, 2, 3])],
+                "face (0, 0) glued twice inconsistently",
+            ),
+        ],
+        ids=["to-tet", "to-face", "repeated-vertex", "to-face-vertex", "self-fixed", "twice"],
+    )
+    def test_message(self, tets, gluings, message):
+        assert gluing_error(tets, gluings) == message
+
+    def test_several_faults_raise_the_first_check_that_fails(self):
+        # the checks run in order over the whole table: indices, perms,
+        # self-gluings, then the registry of faces
+        bad_perm = gluing(0, 0, 1, 0, [1, 1, 3])
+        fixes = gluing(1, 1, 1, 1, [0, 2, 3])
+        out = [gluing(0, 2, 5, 0, [1, 2, 3]), gluing(0, 3, -1, 0, [1, 2, 3])]
+        assert gluing_error(2, [bad_perm, fixes, *out]) == (
+            "tet/face index out of range in gluing 2: tet 0 face 2 -> 5 face 0, [1, 2, 3]"
+        )
+        twice = [gluing(0, 2, 1, 2, [0, 1, 3]), gluing(0, 2, 1, 3, [0, 1, 2])]
+        assert gluing_error(2, [bad_perm, fixes, *twice]) == (
+            "perm is not a bijection onto the vertices of to_face in gluing 0: "
+            "tet 0 face 0 -> 1 face 0, [1, 1, 3]"
+        )
+        fine = gluing(0, 3, 1, 3, [0, 1, 2])
+        assert gluing_error(2, [fine, fixes, *twice]) == (
+            "self-gluing fixes a vertex in gluing 1: tet 1 face 1 -> 1 face 1, [0, 2, 3]"
+        )
+        crossed = [fine, gluing(0, 2, 1, 2, [0, 1, 3]), gluing(0, 3, 1, 2, [0, 1, 3]), twice[1]]
+        assert gluing_error(2, crossed) == "face (0, 3) glued twice inconsistently"
+
+    def test_inconsistent_endpoints(self, fixture_dicts, monkeypatch):
+        # consistent gluings always give an edge class one pair of endpoint
+        # classes; a labelling that merges double_tet's last edge class into
+        # its first, whose endpoints differ, reaches the check
+        real = hypmet.triangulation.connected_components
+
+        def merged(graph, directed):
+            count, labels = real(graph, directed=directed)
+            slots = labels[: graph.shape[0] // 10 * 6]
+            slots[slots == slots.max()] = 0
+            return count, labels
+
+        monkeypatch.setattr(hypmet.triangulation, "connected_components", merged)
+        assert gluing_error(2, fixture_dicts["double_tet"]["gluings"]) == (
+            "edge class ((0, 0), (0, 5), (1, 0), (1, 5)) has inconsistent endpoints {(2, 3), (1, 2)}"
+        )
+
+
 SELF_GLUED = {"tet": 0, "face": 0, "to_tet": 0, "to_face": 0, "perm": [2, 3, 1]}
 
 
@@ -290,8 +384,8 @@ def reference_complex(tri):
     """Edge and vertex classes, boundary flags and endpoints by union-find.
 
     Takes a triangulation dict whose gluings are listed once per face pair;
-    returns (edge_classes, vertex_classes, edge_index, edge_endpoints,
-    edge_boundary) in build_complex's conventions.
+    returns (edge_classes, vertex_classes, edge_index, vertex_index,
+    edge_endpoints, edge_boundary) in build_complex's conventions.
     """
     n = tri["tets"]
     edges = _UnionFind([(t, s) for t in range(n) for s in range(6)])
@@ -316,6 +410,7 @@ def reference_complex(tri):
         for t, s in cls:
             edge_index[t, s] = eid
     vertex_of = {inst: vid for vid, cls in enumerate(vertex_classes) for inst in cls}
+    vertex_index = np.array([[vertex_of[t, v] for v in range(4)] for t in range(n)])
     endpoints = []
     boundary = []
     for cls in edge_classes:
@@ -325,17 +420,24 @@ def reference_complex(tri):
         boundary.append(
             any((t, f) not in glued for t, s in cls for f in range(4) if f not in EDGE_VERTICES[s])
         )
-    return edge_classes, vertex_classes, edge_index, np.array(endpoints), np.array(boundary)
+    return (
+        edge_classes, vertex_classes, edge_index, vertex_index, np.array(endpoints), np.array(boundary)
+    )
 
 
 def assert_matches_reference(tri):
     c = build_complex(GluingSpec.from_dict(tri))
-    edge_classes, vertex_classes, edge_index, endpoints, boundary = reference_complex(tri)
+    edge_classes, vertex_classes, edge_index, vertex_index, endpoints, boundary = reference_complex(tri)
     assert c.edge_classes == edge_classes
     assert c.vertex_classes == vertex_classes
     assert np.array_equal(c.edge_index, edge_index)
+    assert np.array_equal(c.vertex_index, vertex_index)
     assert np.array_equal(c.edge_endpoints, endpoints)
     assert np.array_equal(c.edge_boundary, boundary)
+    # the incidence CSR: row e lists the instances 6t + s of edge class e, ascending
+    assert np.array_equal(c.incidence.indptr, np.cumsum([0, *map(len, edge_classes)]))
+    assert np.array_equal(c.incidence.indices, [6 * t + s for cls in edge_classes for t, s in cls])
+    assert np.array_equal(c.incidence.data, np.ones(6 * tri["tets"]))
     assert c.closed == (2 * len(tri["gluings"]) == 4 * tri["tets"])
     return c
 
@@ -382,7 +484,7 @@ class TestBuilderAgainstUnionFind:
         assert not c.closed
         assert c.edge_boundary.any()
 
-    @pytest.mark.parametrize("tets", [64, 256])
+    @pytest.mark.parametrize("tets", [64, 256, 1024])
     def test_relabelled_fig8_covers(self, fixture_dicts, tets):
         tri = relabelled_fig8_cover(fixture_dicts["fig8"], tets, np.random.default_rng(tets))
         c = assert_matches_reference(tri)
@@ -392,6 +494,14 @@ class TestBuilderAgainstUnionFind:
         rng = np.random.default_rng(7)
         tri = relabelled_fig8_cover(fixture_dicts["fig8"], 64, rng)
         keep = np.sort(rng.choice(len(tri["gluings"]), size=80, replace=False))
+        c = assert_matches_reference(dict(tri, gluings=[tri["gluings"][i] for i in keep]))
+        assert not c.closed and c.edge_boundary.any() and not c.edge_boundary.all()
+
+    def test_open_relabelled_cover_1024(self, fixture_dicts):
+        # a quarter of the face pairs of a relabelled T = 1024 cover left open
+        rng = np.random.default_rng(8)
+        tri = relabelled_fig8_cover(fixture_dicts["fig8"], 1024, rng)
+        keep = np.sort(rng.choice(len(tri["gluings"]), size=1536, replace=False))
         c = assert_matches_reference(dict(tri, gluings=[tri["gluings"][i] for i in keep]))
         assert not c.closed and c.edge_boundary.any() and not c.edge_boundary.all()
 
