@@ -31,10 +31,17 @@ three timed apart.  Every Complex array and every result field of the two
 trees must be bit-identical, or the run stops.  The ratio is reported per
 cover size, with each phase's median time per tree.
 
+With --rigidity it times solver.rigidity_check with RIGIDITY_STARTS starts,
+the lockstep of many starts, instead: on fig8, double_tet and the fig8 cover
+of 16 tetrahedra, in both flavors, for TARGETS seeded round-trip targets
+each, every round with both trees.  The two trees' reports must have the
+same iteration lists and the same deviations, bit for bit, or the run stops.
+
 Usage: python scripts/ab_compare.py --parent PATH --flavor hyper|ideal
            [--tets 2,4,8,16,32] [--rounds 40]
        python scripts/ab_compare.py --parent PATH --fresh
            [--tets 128,256,512,1024] [--rounds 40]
+       python scripts/ab_compare.py --parent PATH --rigidity [--rounds 40]
 """
 
 import argparse
@@ -58,6 +65,8 @@ import workloads  # noqa: E402
 
 TARGETS = 2  # round-trip targets per cover size
 SEED = 0
+RIGIDITY_STARTS = 10
+RIGIDITY_COMPLEXES = ("fig8", "double_tet", 16)  # fixtures, and fig8 covers by size
 ANGLE_TOL = 1e-10
 PHASES = ("from_dict", "build_complex", "solve")
 # what must match bit for bit between the trees in --fresh mode
@@ -147,21 +156,77 @@ def compare_fresh(trees, tets, rounds):
         )
 
 
+def rigidity_reports(tree, cases):
+    """The rigidity_check report of each (complex, flavor, target, seed) of cases, and the time they took."""
+    start = time.perf_counter()
+    reports = [
+        tree.solver.rigidity_check(c, k, flavor, starts=RIGIDITY_STARTS, seed=seed) for c, flavor, k, seed in cases
+    ]
+    return time.perf_counter() - start, reports
+
+
+def compare_rigidity(trees, rounds):
+    fx = workloads.Fixtures(ROOT)
+    tris = [fx.cover(t) if isinstance(t, int) else covers.load_gluing(fx.path(t)) for t in RIGIDITY_COMPLEXES]
+    labels = [f"fig8 cover T = {t}" if isinstance(t, int) else t for t in RIGIDITY_COMPLEXES]
+    complexes = {name: [build(tree, tri) for tri in tris] for name, tree in trees.items()}
+    rng = np.random.default_rng(SEED)
+    targets = []  # (complex index, flavor, target, seed)
+    for i, c in enumerate(complexes["this"]):
+        for flavor, round_trip in (("ideal", workloads.ideal_round_trip), ("hyper", workloads.hyper_round_trip)):
+            targets += [(i, flavor, round_trip(c, rng).k, int(rng.integers(1 << 31))) for _ in range(TARGETS)]
+    cases = {name: [(complexes[name][i], flavor, k, seed) for i, flavor, k, seed in targets] for name in trees}
+
+    times = {name: [] for name in trees}
+    order = list(trees)
+    for r in range(rounds):
+        reports = {}
+        for name in order if r % 2 == 0 else order[::-1]:
+            elapsed, reports[name] = rigidity_reports(trees[name], cases[name])
+            times[name].append(elapsed)
+        for (i, flavor, _, _), a, b in zip(targets, reports["parent"], reports["this"]):
+            same = (a.ok, a.iterations, a.max_angle_deviation, a.max_length_deviation) == (
+                b.ok, b.iterations, b.max_angle_deviation, b.max_length_deviation
+            )
+            if not same:
+                sys.exit(f"{labels[i]} {flavor}: the trees' rigidity reports differ: {a} against {b}")
+        print(
+            f"round {r:3d}: parent {1e3 * times['parent'][-1]:8.2f} ms   this {1e3 * times['this'][-1]:8.2f} ms",
+            flush=True,
+        )
+
+    ratio = np.array(times["this"]) / np.array(times["parent"])
+    q1, med, q3 = np.percentile(ratio, [25, 50, 75])
+    print(
+        f"rigidity_check, {RIGIDITY_STARTS} starts, {len(targets)} targets on "
+        f"{', '.join(labels)}, {rounds} rounds: "
+        f"parent {1e3 * np.median(times['parent']):.2f} ms, this {1e3 * np.median(times['this']):.2f} ms "
+        f"per round (medians); ratio this/parent median {med:.3f}, quartiles {q1:.3f}-{q3:.3f}, "
+        f"lower in {int(np.sum(ratio < 1))}/{rounds}; iteration lists and deviations identical"
+    )
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", required=True, type=pathlib.Path, help="root of the other source tree")
     parser.add_argument("--flavor", choices=("hyper", "ideal"))
     parser.add_argument("--fresh", action="store_true", help="time fresh complexes (see above)")
+    parser.add_argument("--rigidity", action="store_true", help="time rigidity_check's lockstep (see above)")
     parser.add_argument("--tets", help="comma-separated cover sizes (even)")
     parser.add_argument("--rounds", type=int, default=40)
     args = parser.parse_args()
-    if args.fresh == (args.flavor is not None):
-        parser.error("give exactly one of --flavor and --fresh")
+    if (args.flavor is not None) + args.fresh + args.rigidity != 1:
+        parser.error("give exactly one of --flavor, --fresh and --rigidity")
+    if args.rigidity and args.tets:
+        parser.error("--rigidity takes no --tets")
     tets = [int(t) for t in (args.tets or ("128,256,512,1024" if args.fresh else "2,4,8,16,32")).split(",")]
     if any(t < 2 or t % 2 for t in tets) or args.rounds < 1:
         parser.error("cover sizes must be even and at least 2; rounds positive")
 
     trees = {"parent": load_tree(args.parent.resolve() / "src", "hypmet_parent"), "this": hypmet}
+    if args.rigidity:
+        compare_rigidity(trees, args.rounds)
+        return
     if args.fresh:
         compare_fresh(trees, tets, args.rounds)
         return

@@ -156,7 +156,11 @@ def _solve_report(result):
 
 
 def _execute(args):
-    c = build_complex(load_triangulation(args.triangulation))
+    spec = load_triangulation(args.triangulation)
+    try:
+        c = build_complex(spec)
+    except MemoryError as exc:
+        raise GluingError(f"the complex does not fit in memory: {exc}") from exc
     report = {"command": args.command, "triangulation": args.triangulation}
 
     if args.command == "validate":

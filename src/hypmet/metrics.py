@@ -23,10 +23,11 @@ kernel (ideal.ideal_kernel, hyperideal.hyper_kernel) and returns the
 kernel record, the covolumes and the cone angles of every row.
 cov_complex, volume_of_metric and the solvers' duality check read it.  The
 descent runs the kernel's two stages apart: _evaluate_angles, the angle
-stage and the cone angles, at every point, and _evaluate_volumes, the
-volume stage, only where a value is read.  A tetrahedron beyond its
-kernel's range makes its row's covolume NaN; the descent reads that as a
-failed Armijo test, and the named functions raise NumericalError.
+stage and the cone angles, at every point (one vector or a stack of rows),
+and _evaluate_volumes, the volume stage, only where a value is read.  A
+tetrahedron beyond its kernel's range makes its row's covolume NaN; the
+descent reads that as a failed Armijo test, and the named functions raise
+NumericalError.
 """
 
 import math
@@ -239,12 +240,14 @@ def _evaluate_angles(c, x, flavor):
 
     Returns the angle-stage record, each array of shape (m, T, ...), and the
     cone angles of each row, shape (m, E), as _evaluate gives them wherever
-    the record's tetrahedra are all closed.
+    the record's tetrahedra are all closed.  One metric x, shape (E,), gets
+    the bits of the row x: its record, arrays (T, ...), and cone angles (E,).
     """
-    m = len(x)
-    lengths = x.take(c.edge_index, axis=1).reshape(-1, 6)
+    lengths = x.take(c.edge_index, axis=-1).reshape(-1, 6)
     record = hyper_angle_stage(lengths) if flavor == "hyper" else ideal_angle_stage(lengths)
-    record = record._make(a.reshape(m, c.n_tets, *a.shape[1:]) for a in record)
+    if x.ndim == 1:
+        return record, _cone_angles(c, record.angles[None])[0]
+    record = record._make(a.reshape(len(x), c.n_tets, *a.shape[1:]) for a in record)
     return record, _cone_angles(c, record.angles)
 
 

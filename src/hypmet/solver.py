@@ -71,16 +71,21 @@ point.  Beyond them the volume stage runs only where a value is read: for
 the W and volume of the results and the errors' diagnostics.  A result
 keeps its descent path, along which objective_trace evaluates f on request.
 
-rigidity_check's random starts descend in lockstep (_descend): each
+rigidity_check's random starts descend in lockstep (_lockstep): each
 line-search round makes one angle-stage call on the stacked points of every
 unconverged start, and at most one volume-stage call; each iteration one
 Jacobian call and one solve of the starts' Newton matrices (_NewtonSystem).
 Each start follows its own descent up to rounding, and the calls number
-about the largest iteration count of the starts rather than their sum;
-solve_metric is the same descent with one start.  The starts run in groups
-of at most _GROUP_TETS tetrahedra in total, which bounds the memory of a
-large start count (a dense stack of E x E matrices at most about 1 MB on
-fig8 covers).
+about the largest iteration count of the starts rather than their sum.  The
+starts run in groups of at most _GROUP_TETS tetrahedra in total, which
+bounds the memory of a large start count (a dense stack of E x E matrices
+at most about 1 MB on fig8 covers).  _descend picks the loop by the start
+count: one start (solve_metric, a group of one) descends on its own
+vectors (_descend_one), with the lockstep's decisions, calls and results
+to the bit but none of its per-row masks, stacked records and NaN
+placeholders.  On a 2-vCPU x86-64 host that took 0.78-0.82 of the
+lockstep's time on ideal round trips at T = 8 and 16, but ten starts one
+after another took 2.9-5.1 times the lockstep's time for ten.
 """
 
 import math
@@ -157,7 +162,7 @@ _CERTIFY_MARGIN = 1e-6
 # target without a positive assignment takes to be refused, never a result.
 _GATE_AFTER = 20
 # rigidity_check runs its starts in groups of at most this many tetrahedra
-# in total (see _descend)
+# in total (see _lockstep)
 _GROUP_TETS = 1024
 # the half-width of the box duality_gap samples around the solved metric
 _DUALITY_SPREAD = 1.0
@@ -513,8 +518,9 @@ class _NewtonSystem:
         record is the kernel record of the points of m <= copies starts, each
         array of shape (m, T, ...), from which the flavor's Jacobian forms H.
         r is an array (m, E), one start per row, and shift an array (m, 1); or
-        r is one start's vector and shift its number.  mu' is the shift, or
-        _SHIFT_FLOOR times the start's largest |H_ee| where that is larger.
+        r is one start's vector, shift its number and record's arrays (T, ...).
+        mu' is the shift, or _SHIFT_FLOOR times the start's largest |H_ee|
+        where that is larger.
         Ideal steps are confined to ker B^T.  Where the matrix of all m
         starts is exactly singular, each start's block is solved alone.
         """
@@ -526,7 +532,9 @@ class _NewtonSystem:
         rows = r.reshape(-1, e_count)
         m = len(rows)
         jacobian = hyper_jacobian if self.flavor == "hyper" else ideal_jacobian
-        blocks = jacobian(record._make(a.reshape(-1, *a.shape[2:]) for a in record)).ravel()
+        if record.angles.ndim == 3:
+            record = record._make(a.reshape(-1, *a.shape[2:]) for a in record)
+        blocks = jacobian(record).ravel()
         data = np.bincount(p.pos[: blocks.size], blocks, m * p.nnz)
         diagonal = p.diagonal[:m]
         h = data[diagonal]
@@ -644,13 +652,95 @@ def solve_metric(c, k, flavor, opts=None):
 
 
 def _descend(c, k, flavor, x0, opts, lead=False):
+    """One SolveResult per start, a row of x0 (S, E), in order: _descend_one's for one, else _lockstep's."""
+    if len(x0) == 1:
+        return [_descend_one(c, k, flavor, np.array(x0[0], dtype=float), opts, lead)]
+    return _lockstep(c, k, flavor, x0, opts, lead)
+
+
+def _descend_one(c, k, flavor, x, opts, lead):
+    """_lockstep's descent from the one start x, shape (E,), on that start's vectors.
+
+    Its decisions, kernel-stage calls, Newton steps and result or error are
+    the lockstep's, to the bit.  It holds one vector and record per point,
+    and Python floats for |r|, <r, d>, the step length and f, size and vol
+    (NaN until the volume stage has run at the point).  Consulting the LP
+    ends the lead.
+    """
+    newton = _NewtonSystem(c, flavor)
+    record, kx = _evaluate_angles(c, x, flavor)
+    f = size = vol = math.nan
+    if not record.closed.all():
+        [(f, size, vol)] = _values(flavor, k, [(x, record)])
+        if math.isnan(f):
+            kx = np.full_like(kx, math.nan)
+    path, iterations, error = [x], 0, None
+    while True:
+        r = kx - k
+        gnorm = float(np.abs(r).max())
+        if gnorm <= opts.tol or error is not None or iterations >= opts.max_iter:
+            if math.isnan(f):
+                [(f, size, vol)] = _values(flavor, k, [(x, record)])
+            if gnorm <= opts.tol:
+                lengths = gauge_project(c, x) if flavor == "ideal" else x
+                res = _result(flavor, k, lengths, record.angles, kx, f, vol, gnorm, iterations, path)
+                if not isinstance(res, Exception):
+                    if lead and not _certifies(res):
+                        _refuse_unless_positive(c, k, flavor)
+                    return res
+                error = res
+            if error is None:
+                diagnostics = {"grad_norm": gnorm, "objective": f, "flavor": flavor}
+                error = MaxIterationsError(f"no convergence in {opts.max_iter} iterations", diagnostics)
+            if lead:
+                _refuse_unless_positive(c, k, flavor)
+            raise error
+        if iterations == _GATE_AFTER and lead:
+            lead = False
+            _refuse_unless_positive(c, k, flavor)
+        iterations += 1
+        d = newton.step(record, r, gnorm * min(gnorm, 1.0))
+        gd, alpha = float(r @ d), 1.0
+        for _ in range(50):  # _line_search's rounds
+            trial = x + alpha * d
+            t_record, t_kx = _evaluate_angles(c, trial, flavor)
+            t_values = (math.nan,) * 3
+            if not (t_record.closed.all() and float((t_kx - k) @ d) <= _ARMIJO * gd):
+                # the Armijo test, which also reads f at x where it is unknown
+                t_values, *now = _values(flavor, k, [(trial, t_record)] + [(x, record)] * math.isnan(f))
+                f, size, vol = now[0] if now else (f, size, vol)
+                allowance = max(_ROUNDOFF, _ULPS * (size + t_values[1]))
+                if not t_values[0] - f <= _ARMIJO * alpha * gd + allowance:
+                    alpha *= 0.5
+                    continue
+            x, record, kx, (f, size, vol) = trial, t_record, t_kx, t_values
+            break
+        else:
+            diagnostics = {"grad_norm": gnorm, "objective": f, "iteration": iterations}
+            error = LineSearchError("backtracking found no acceptable step", diagnostics)
+        path.append(x)
+
+
+def _values(flavor, k, points):
+    """f, size and vol, as floats, at each (x, record) of points, one start's point each.
+
+    One volume-stage call on the stacked records gives each the bits of _settle.
+    """
+    records = [record for _, record in points]
+    stacked = records[0]._make(np.stack(a) if len(a) > 1 else a[0][None] for a in zip(*records))
+    cov, vol = _evaluate_volumes(stacked, flavor)
+    xk = [float(x @ k) for x, _ in points]
+    return [(a - b, abs(a) + abs(b), v) for a, b, v in zip(cov.tolist(), xk, vol.tolist())]
+
+
+def _lockstep(c, k, flavor, x0, opts, lead=False):
     """Damped Newton descents from the rows of x0, shape (S, E), run in lockstep.
 
-    Returns one SolveResult per start, in order.  Each start keeps its own
-    shift, step lengths, stopping test and iteration count, so its iterates
-    are those of its descent run alone, up to rounding in the factorization;
-    an iteration makes one Jacobian call and one factorization for all
-    unconverged starts, and one angle-stage call per line-search round.
+    Each start keeps its own shift, step lengths, stopping test and
+    iteration count, so its iterates are those of its descent run alone, up
+    to rounding in the factorization; an iteration makes one Jacobian call
+    and one factorization for all unconverged starts, and one angle-stage
+    call per line-search round.
     The volume stage runs where a value is read: in the line search's
     Armijo tests, and for the f of the results and the errors' diagnostics,
     in one call when starts finish or fail.  Initial points with a
@@ -709,8 +799,12 @@ def _descend(c, k, flavor, x0, opts, lead=False):
         if converged:
             # results keep views of their rows
             finished = pts if done.all() else pts.take(done)
-            assembled = _assemble(c, flavor, k, finished, gnorm[done], iterations, paths, ids[done])
-            for i, res in zip(ids[done].tolist(), assembled):
+            lengths = gauge_project(c, finished.x) if flavor == "ideal" else finished.x
+            for j, (i, g) in enumerate(zip(ids[done].tolist(), gnorm[done].tolist())):
+                res = _result(
+                    flavor, k, lengths[j], finished.record.angles[j], finished.kx[j],
+                    float(finished.f[j]), float(finished.vol[j]), g, iterations, paths[i],
+                )
                 if isinstance(res, Exception):
                     fail(i, res)
                     continue
@@ -743,18 +837,13 @@ def _line_search(c, flavor, k, pts, d, gd, gnorm, iteration):
     """Backtracking Armijo steps from each row of pts along the matching row of d.
 
     Each row halves its step length, at most 50 times, until its trial
-    point is accepted.  The trial points of all rows still searching, which
-    share the step length 2^-round, go through one angle-stage call per
-    round.  A trial point is accepted from its angles alone where every
-    tetrahedron is closed and <r(x + a d), d> <= c <r, d>: by the convexity
-    of f, f(x + a d) - f(x) <= a <r(x + a d), d> <= c a <r, d>, the Armijo
-    bound.  Every other row takes the Armijo test, which allows 8 ulp of
-    f's terms at both points; a trial point beyond the kernel's range, whose
-    covolume the kernel gives as NaN, fails it.  Its values come from one
-    volume-stage call per round (_settle) on those trial points and on
-    their current points whose f is not known yet.  So the decisions,
-    and the iterates, are those of the Armijo test at every trial point.
-    Returns the points, the accepted ones in place of pts's rows, and the
+    point is accepted by the rule of the module docstring: from its angles
+    alone where every tetrahedron is closed and <r(x + a d), d> <= c <r, d>,
+    or else by the Armijo test.  The trial points of all rows still
+    searching, which share the step length 2^-round, go through one
+    angle-stage call per round, and the Armijo tests' values through one
+    volume-stage call per round (_settle), on those trial points and on
+    their current points whose f is not known yet.  Returns the points, the accepted ones in place of pts's rows, and the
     LineSearchError of each row that failed, by row.  pts itself keeps its
     points; the call only fills in f, size and vol where it computes them.
     """
@@ -796,39 +885,30 @@ def _line_search(c, flavor, k, pts, d, gd, gnorm, iteration):
     return out, failed
 
 
-def _assemble(c, flavor, k, pts, gnorm, iterations, paths, ids):
-    """The SolveResults of the converged starts ids, one per row of pts, with their paths.
+def _result(flavor, k, lengths, angles, kx, f, vol, gnorm, iterations, path):
+    """The SolveResult of a converged start, or the NumericalError of a non-positive hyper length.
 
-    The assignment, volume and cone angles are those of each point's kernel
-    record.  The ideal lengths are reported gauge-projected, a change of
-    decoration that leaves those values unchanged in exact arithmetic.  A
-    start whose hyper critical point has a non-positive length gets that
-    NumericalError instead.
+    Ideal lengths come gauge-projected, which leaves the values of the
+    point's kernel record unchanged in exact arithmetic.
     """
-    lengths = gauge_project(c, pts.x) if flavor == "ideal" else pts.x
-    out = []
-    for j, i in enumerate(ids.tolist()):
-        if flavor == "hyper" and np.min(lengths[j]) <= 0.0:
-            out.append(NumericalError(
-                f"hyper-ideal critical point has non-positive lengths {lengths[j]}; "
-                "this contradicts the positivity of critical points"
-            ))
-            continue
-        f = float(pts.f[j])
-        out.append(SolveResult(
-            flavor=flavor,
-            lengths=lengths[j],
-            assignment=pts.record.angles[j],
-            achieved_cone_angles=pts.kx[j],
-            target_cone_angles=k,
-            volume=float(pts.vol[j]),
-            w_value=-f,
-            objective=f,
-            iterations=iterations,
-            grad_norm=float(gnorm[j]),
-            path=np.array(paths[i]),
-        ))
-    return out
+    if flavor == "hyper" and np.min(lengths) <= 0.0:
+        return NumericalError(
+            f"hyper-ideal critical point has non-positive lengths {lengths}; "
+            "this contradicts the positivity of critical points"
+        )
+    return SolveResult(
+        flavor=flavor,
+        lengths=lengths,
+        assignment=angles,
+        achieved_cone_angles=kx,
+        target_cone_angles=k,
+        volume=vol,
+        w_value=-f,
+        objective=f,
+        iterations=iterations,
+        grad_norm=gnorm,
+        path=np.array(path),
+    )
 
 
 def duality_gap(c, k, result, samples, seed=0):
@@ -945,12 +1025,12 @@ def rigidity_check(c, k, flavor, starts=10, opts=None, seed=0):
     as in solve_metric; starts must be a positive integer and the seed one
     numpy accepts (DomainError otherwise).
 
-    The starts run in lockstep (see _descend), in consecutive groups of at
-    most _GROUP_TETS tetrahedra in total, so a large count never holds all
-    of its starts' kernel temporaries at once.  Each group draws its initial
-    metrics from the seed's stream when it runs, start by start.  The first
-    start carries the LP rules of solve_metric, so the later ones skip the
-    LP gate.
+    The starts run in lockstep (see _lockstep; a group of one takes
+    _descend_one), in consecutive groups of at most _GROUP_TETS tetrahedra
+    in total, so a large count never holds all of its starts' kernel
+    temporaries at once.  Each group draws its initial metrics from the
+    seed's stream when it runs, start by start.  The first start carries the
+    LP rules of solve_metric, so the later ones skip the LP gate.
     """
     starts = _count(starts, "starts")
     opts = _check_options(opts)

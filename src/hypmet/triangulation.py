@@ -189,6 +189,8 @@ def _registry(spec):
     n, g = spec.tetrahedra, spec.gluings
     if n <= 0:
         raise GluingError("a complex needs at least one tetrahedron")
+    if n >= 1 << 55:  # the registry's int64 values 64 (4 t + f) + perm would overflow
+        raise GluingError(f"a complex has fewer than 2^55 tetrahedra, got {n}")
     # column by column: numpy loops over the rows of a sort or reduction only 3 wide
     t, f, to_t, to_f, p0, p1, p2 = g.T
     out = (t < 0) | (t >= n) | (f < 0) | (f > 3) | (to_t < 0) | (to_t >= n) | (to_f < 0) | (to_f > 3)

@@ -376,6 +376,26 @@ class TestErrorPaths:
         assert code == 1
         assert report["error"]["code"] == "malformed_input"
 
+    def test_tets_beyond_the_registry_are_malformed(self, tmp_path):
+        # 2^62 tetrahedra: refused before any array is made, not a raw
+        # ValueError from numpy
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"tets": 2**62, "gluings": []}))
+        code, report = run(["validate", "--triangulation", str(path)])
+        assert code == 1
+        assert report["error"]["code"] == "malformed_input"
+        assert "2^55" in report["error"]["message"]
+
+    def test_memory_error_building_the_complex_is_malformed(self, fixtures_dir, monkeypatch):
+        def exhausted(spec):
+            raise MemoryError("Unable to allocate 1.00 EiB for an array")
+
+        monkeypatch.setattr("hypmet.cli.build_complex", exhausted)
+        code, report = run(["validate", "--triangulation", fig8_path(fixtures_dir)])
+        assert code == 1
+        assert report["error"]["code"] == "malformed_input"
+        assert report["error"]["message"] == "the complex does not fit in memory: Unable to allocate 1.00 EiB for an array"
+
     def test_unwritable_output_is_a_json_error(self, fixtures_dir, tmp_path, capsys):
         from hypmet.cli import main
 

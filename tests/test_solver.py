@@ -1,6 +1,7 @@
 """Variational solvers: feasibility LP, covolume minimization, duality,
 maximizer structure, rigidity."""
 
+import collections
 import dataclasses
 import inspect
 import json
@@ -17,6 +18,7 @@ import hypmet.solver
 from hypmet.errors import (
     ConsistencyError,
     DomainError,
+    HypmetError,
     LineSearchError,
     MaxIterationsError,
     NotPositiveFeasibleError,
@@ -1054,6 +1056,8 @@ class TestLockstep:
         c = fig8_cover(covers[name]) if name in covers else request.getfixturevalue(name)
         assert hypmet.solver._NewtonSystem(c, flavor).dense == (name != "fig8_sparse")
         draw = random_positive_ideal_k if flavor == "ideal" else random_positive_hyper_k
+        # each start alone takes the one-start loop; the lockstep runs 1, 2
+        # and 10 of them
         descend, opts = hypmet.solver._descend, SolveOptions()
         for seed in range(20):
             rng = np.random.default_rng(seed)
@@ -1061,7 +1065,7 @@ class TestLockstep:
             x0 = start_points(c, flavor, 10, rng)
             alone = [descend(c, k, flavor, x[None], opts)[0] for x in x0]
             for starts in (1, 2, 10):
-                together = descend(c, k, flavor, x0[:starts], opts)
+                together = hypmet.solver._lockstep(c, k, flavor, x0[:starts], opts)
                 assert len(together) == starts
                 for got, want in zip(together, alone):
                     assert_same_descent(got, want)
@@ -1305,15 +1309,16 @@ class TestLockstep:
 
 
 def count_kernel_calls(monkeypatch, flavor):
-    """Lists that grow by one per call of the flavor's angle stage, of the descent's _points
-    and of the flavor's volume stage.
+    """Lists that grow by one per call of the flavor's angle stage, of the descent's angle
+    evaluator (metrics._evaluate_angles, which both loops call once per point or stack of
+    points) and of the flavor's volume stage.
 
     The whole kernel counts too, as an angle-stage and a volume-stage call.
     """
     kernels, evaluations, volumes = [], [], []
     angle_stage, volume_stage = f"{flavor}_angle_stage", f"{flavor}_volume_stage"
     stages = getattr(hypmet.metrics, angle_stage), getattr(hypmet.metrics, volume_stage)
-    kernel, evaluate = getattr(hypmet.metrics, f"{flavor}_kernel"), hypmet.solver._points
+    kernel, evaluate = getattr(hypmet.metrics, f"{flavor}_kernel"), hypmet.solver._evaluate_angles
 
     def counting_angles(*args, **kwargs):
         kernels.append(1)
@@ -1328,14 +1333,14 @@ def count_kernel_calls(monkeypatch, flavor):
         volumes.append(1)
         return kernel(*args, **kwargs)
 
-    def counting_evaluate(c, flavor, x, k):
+    def counting_evaluate(c, x, flavor):
         evaluations.append(1)
-        return evaluate(c, flavor, x, k)
+        return evaluate(c, x, flavor)
 
     monkeypatch.setattr(hypmet.metrics, angle_stage, counting_angles)
     monkeypatch.setattr(hypmet.metrics, volume_stage, counting_volumes)
     monkeypatch.setattr(hypmet.metrics, f"{flavor}_kernel", counting_kernel)
-    monkeypatch.setattr(hypmet.solver, "_points", counting_evaluate)
+    monkeypatch.setattr(hypmet.solver, "_evaluate_angles", counting_evaluate)
     return kernels, evaluations, volumes
 
 
@@ -1497,7 +1502,8 @@ class TestAngleStageAcceptance:
     ):
         # single starts, 10-start lockstep descents and the 10-start
         # lockstep descent of rigidity_check, bit for bit the descents whose
-        # line search evaluates f at every trial point
+        # line search evaluates f at every trial point; a single start takes
+        # the one-start loop, and the reference's is a one-start lockstep
         c = fig8_cover(16) if name == "fig8_16" else request.getfixturevalue(name)
         draw = random_positive_ideal_k if flavor == "ideal" else random_positive_hyper_k
         descend, opts = hypmet.solver._descend, SolveOptions()
@@ -1514,12 +1520,14 @@ class TestAngleStageAcceptance:
             x0 = start_points(c, flavor, 10, rng)
             start = (np.zeros if flavor == "ideal" else np.ones)((1, c.num_edges))
             runs = []
-            for line_search in (hypmet.solver._line_search, reference_line_search):
+            for line_search, one in (
+                (hypmet.solver._line_search, descend), (reference_line_search, hypmet.solver._lockstep)
+            ):
                 monkeypatch.setattr(hypmet.solver, "_line_search", line_search)
                 descents.clear()
                 report = rigidity_check(c, k, flavor, starts=10, seed=seed)
                 assert len(descents) == 1 and report.ok
-                runs.append((descend(c, k, flavor, start, opts, lead=True), descend(c, k, flavor, x0, opts),
+                runs.append((one(c, k, flavor, start, opts, lead=True), descend(c, k, flavor, x0, opts),
                              descents[0], report))
             *got, got_report = runs[0]
             *want, want_report = runs[1]
@@ -1743,3 +1751,166 @@ class TestOutOfReachTargets:
         valence = np.bincount(double_tet.edge_index.ravel(), minlength=double_tet.num_edges)
         assert np.array_equal(hypmet.solver._cone_angle_tops(double_tet), math.pi * valence)
         assert valence.sum() == 6 * double_tet.n_tets
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """A Counter of the kernel-stage, Jacobian and LP calls made since it was last cleared."""
+    calls = collections.Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    for flavor in ("ideal", "hyper"):
+        count(hypmet.metrics, f"{flavor}_angle_stage")
+        count(hypmet.metrics, f"{flavor}_volume_stage")
+        count(hypmet.solver, f"{flavor}_jacobian")
+    count(hypmet.solver, "linprog")
+    return calls
+
+
+def assert_one_start_parity(c, k, flavor, x, calls, opts=SolveOptions()):
+    """The one-start loop and the lockstep, each from the start x with the LP rules, end alike.
+
+    Both give the same result, to the bit in every field, or raise the same
+    error with the same message and diagnostics, having made the same
+    numbers of angle-stage, volume-stage, Jacobian and LP calls.  Returns
+    the one-start loop's result or error.
+    """
+    outcomes = []
+    for descend in (hypmet.solver._descend, hypmet.solver._lockstep):
+        calls.clear()
+        try:
+            outcome = descend(c, k, flavor, x[None], opts, lead=True)[0]
+        except HypmetError as exc:
+            outcome = exc
+        outcomes.append((outcome, calls.copy()))
+    (one, one_calls), (lockstep, lockstep_calls) = outcomes
+    assert one_calls == lockstep_calls
+    if isinstance(lockstep, Exception):
+        assert type(one) is type(lockstep) and str(one) == str(lockstep)
+        diagnostics = [getattr(e, "diagnostics", {}) for e in (one, lockstep)]
+        assert _bits(sorted(diagnostics[0].items())) == _bits(sorted(diagnostics[1].items()))
+    else:
+        assert _bits(one) == _bits(lockstep)
+        assert one_calls[f"{flavor}_jacobian"] == one.iterations
+    return one
+
+
+def default_start(c, flavor):
+    """solve_metric's start: lengths 0 (ideal) or 1 (hyper)."""
+    return (np.zeros if flavor == "ideal" else np.ones)(c.num_edges)
+
+
+class TestOneStartLoop:
+    """One start descends on its own vectors with the lockstep's decisions, calls and results."""
+
+    @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
+    @pytest.mark.parametrize("name", ["fig8", "double_tet"])
+    def test_fixture_solves_match_the_lockstep(self, request, solve_calls, name, flavor):
+        c = request.getfixturevalue(name)
+        draw = random_positive_ideal_k if flavor == "ideal" else random_positive_hyper_k
+        for seed in range(6):
+            rng = np.random.default_rng(200 + seed)
+            k = draw(c, rng)
+            for x in [default_start(c, flavor), *start_points(c, flavor, 2, rng)]:
+                res = assert_one_start_parity(c, k, flavor, x, solve_calls)
+                assert res.iterations > 0 and res.grad_norm <= 1e-9
+
+    @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
+    @pytest.mark.parametrize("tets", [2, 4, 8, 16, 32, 64])
+    def test_ladder_round_trips_match_the_lockstep(self, fig8_cover, solve_calls, tets, flavor):
+        # the benchmark ladders' round trips: lengths uniform in +-0.25
+        # (ideal) and arccosh 2 +- 0.2 (hyper), from solve_metric's start
+        c = fig8_cover(tets)
+        rng = np.random.default_rng(tets)
+        for _ in range(2):
+            low, high = (-0.25, 0.25) if flavor == "ideal" else (ACOSH2 - 0.2, ACOSH2 + 0.2)
+            k = cone_angles(c, angles_of_metric(c, rng.uniform(low, high, c.num_edges), flavor))
+            res = assert_one_start_parity(c, k, flavor, default_start(c, flavor), solve_calls)
+            assert res.iterations > 0
+
+    @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
+    def test_superlu_solves_match_the_lockstep(self, fig8_cover, sparse_tets, solve_calls, flavor):
+        c = fig8_cover(sparse_tets)
+        assert not hypmet.solver._NewtonSystem(c, flavor).dense
+        draw = random_positive_ideal_k if flavor == "ideal" else random_positive_hyper_k
+        rng = np.random.default_rng(210)
+        k = draw(c, rng)
+        for x in [default_start(c, flavor), *start_points(c, flavor, 1, rng)]:
+            assert assert_one_start_parity(c, k, flavor, x, solve_calls).iterations > 0
+
+    def test_complete_structure_matches_the_lockstep(self, fig8_cover, solve_calls):
+        # the start is the answer: no step, and the volume stage once for the result
+        c = fig8_cover(16)
+        k = np.full(c.num_edges, TWO_PI)
+        res = assert_one_start_parity(c, k, "ideal", default_start(c, "ideal"), solve_calls)
+        assert res.iterations == 0 and solve_calls["ideal_volume_stage"] == 1
+
+    @pytest.mark.parametrize(
+        "case", ["ideal-past-range", "ideal-equal-labels", "hyper-beyond-range", "hyper-near-wall"]
+    )
+    def test_starts_not_closed_match(self, fig8, double_tet, solve_calls, case):
+        # a start with a tetrahedron that is not closed runs the volume
+        # stage at once: labels past the ideal kernel's range (finite f; the
+        # first runs out of its budget, the second starts converged), hyper
+        # lengths beyond the cosine law (NaN f and cone angles, then a NaN
+        # step, which the kernel refuses) and a near-wall band tetrahedron
+        opts = SolveOptions(max_iter=30)
+        if case.startswith("ideal"):
+            c, k, flavor = fig8, np.array([TWO_PI, TWO_PI]), "ideal"
+            x = np.array([1e301, -1e301] if case == "ideal-past-range" else [1e302, 1e302])
+        else:
+            c, k, flavor = double_tet, K_HYPER, "hyper"
+            x = np.array([2e12, 1.0, 1.0, 1.0, 1.0, 1.0])
+            if case == "hyper-near-wall":
+                wall = math.acosh(2.0 * math.cosh(0.5) + 1.0)
+                x[double_tet.edge_index[0]] = [wall - 1e-8, 0.5, 0.5, wall - 1e-8, 0.5, 0.5]
+        assert not hypmet.metrics._evaluate_angles(c, x, flavor)[0].closed.all()
+        outcome = assert_one_start_parity(c, k, flavor, x, solve_calls, opts)
+        assert solve_calls[f"{flavor}_volume_stage"] >= 1
+        expected = {
+            "ideal-past-range": MaxIterationsError,
+            "ideal-equal-labels": SolveResult,
+            "hyper-beyond-range": DomainError,
+            "hyper-near-wall": SolveResult,
+        }[case]
+        assert isinstance(outcome, expected)
+
+    @pytest.mark.parametrize("name", ["fig8", "double_tet"])
+    def test_near_boundary_line_search_errors_match(self, request, solve_calls, name):
+        # the targets of test_ideal_targets_nearer_the_boundary_fail: the
+        # line search gives up, the LP is consulted once and certifies
+        c = request.getfixturevalue(name)
+        (k,) = near_boundary_targets(c, "ideal", [1e-7])
+        error = assert_one_start_parity(c, k, "ideal", default_start(c, "ideal"), solve_calls)
+        assert isinstance(error, LineSearchError) and solve_calls["linprog"] == 1
+        assert set(error.diagnostics) == {"grad_norm", "objective", "iteration"}
+
+    @pytest.mark.parametrize("flavor", ["ideal", "hyper"])
+    @pytest.mark.parametrize("name", ["fig8", "double_tet"])
+    def test_iteration_budget_errors_match(self, request, solve_calls, name, flavor):
+        c = request.getfixturevalue(name)
+        draw = random_positive_ideal_k if flavor == "ideal" else random_positive_hyper_k
+        k = draw(c, np.random.default_rng(211))
+        x = default_start(c, flavor)
+        error = assert_one_start_parity(c, k, flavor, x, solve_calls, SolveOptions(max_iter=2))
+        assert isinstance(error, MaxIterationsError) and solve_calls[f"{flavor}_jacobian"] == 2
+        assert error.diagnostics["flavor"] == flavor and solve_calls["linprog"] == 1
+
+    @pytest.mark.parametrize("name", ["fig8", "double_tet"])
+    def test_lp_gate_refusals_match(self, request, solve_calls, name):
+        # angles pi/3 fill every hyper vertex sum: slack 0, a target in range
+        # that the descent cannot reach; the LP refuses it at the gate
+        c = request.getfixturevalue(name)
+        k = cone_angles(c, np.full((c.n_tets, 6), math.pi / 3))
+        error = assert_one_start_parity(c, k, "hyper", default_start(c, "hyper"), solve_calls)
+        assert solve_calls["hyper_jacobian"] == hypmet.solver._GATE_AFTER and solve_calls["linprog"] == 1
+        assert isinstance(error, NotPositiveFeasibleError)
+        assert str(error) == refusal_message(c, k, "hyper")

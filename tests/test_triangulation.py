@@ -339,6 +339,14 @@ class TestIntegerFields:
         with pytest.raises(GluingError):
             build_complex(GluingSpec.from_dict(data))
 
+    @pytest.mark.parametrize("tets", [2**55, 2**62, 2**63 - 1])
+    def test_tets_whose_registry_values_overflow(self, fixture_dicts, tets):
+        # the registry packs 64 (4 t + f) + perm into int64, which overflows
+        # from 2^55 tetrahedra on: refused before any array of that size
+        for data in (dict(fixture_dicts["double_tet"], tets=tets), {"tets": tets, "gluings": []}):
+            with pytest.raises(GluingError, match=r"fewer than 2\^55 tetrahedra"):
+                build_complex(GluingSpec.from_dict(data))
+
     @pytest.mark.parametrize("perm", [[1, 2], [1, 2, 3, 0]], ids=["two", "four"])
     def test_perm_lists_three_vertices(self, fixture_dicts, perm):
         data = copy.deepcopy(fixture_dicts["double_tet"])
